@@ -1,8 +1,11 @@
 """Command-line surface: verify, sums, profiles, psd, search, canon, oracle.
 
-Output is line-delimited and append-only, so partial output from an
-interrupted run is a valid prefix.  Every command is reproducible byte
-for byte: there is no randomness and no environment-variable config.
+Output is line-delimited.  ``search`` writes its records only after
+every task has run and the finds are deduplicated, so an interrupted
+search leaves no records; its checkpoint (``--checkpoint``) is what
+survives, and rerunning the same command resumes from it.  Every
+command is reproducible byte for byte: there is no randomness and no
+environment-variable config.
 
 Exit codes: 0 on success; 1 when a command ran to completion with a
 clean negative answer (exhaustive search found nothing, a verified quad
@@ -182,6 +185,7 @@ def _cmd_search(args, out) -> int:
         worker_count=args.workers,
         orbit_dedup=not args.no_dedup,
         checkpoint_interval=args.checkpoint_interval,
+        orbit_cap=args.orbit_cap,
     )
     result = search(cfg, checkpoint_path=args.checkpoint)
     sink = open(args.out, "w", encoding="utf-8") if args.out else out
@@ -245,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit raw finds instead of canonical class representatives")
     p.add_argument("--out", default="", help="write result records to this file")
     p.add_argument("--cert", default="", help="write the certificate JSON to this file")
+    p.add_argument("--orbit-cap", type=int, default=equiv.DEFAULT_ORBIT_CAP)
 
     p = sub.add_parser("canon", help="canonical representative per input class")
     p.add_argument("--kind", required=True)

@@ -315,45 +315,56 @@ def quad_residue_profile(quad: SeqQuad, m: int) -> ResidueProfile:
     return ResidueProfile(m, *(sequence_class_sums(s, m) for s in quad.seqs()))
 
 
-def _alt_weight_ok(m: int) -> bool:
-    return m % 2 == 0
-
-
 def _vector_alt_sum(v: tuple[int, ...]) -> int:
     """Alternated row sum recovered from class sums (even modulus only)."""
     return sum(x if i % 2 == 0 else -x for i, x in enumerate(v))
 
 
-def _enum_vectors(sizes: tuple[int, ...], total: int,
+def _merge(v: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """Class sums at modulus c of a class-sum vector at a multiple of c."""
+    return tuple(sum(v[i::c]) for i in range(c))
+
+
+def _fine_vectors(coarse: tuple[int, ...], sizes: tuple[int, ...],
                   alt_total: Optional[int]) -> list[tuple[int, ...]]:
-    """All vectors with per-class bound/parity and prescribed (alternated) sums."""
-    m = len(sizes)
-    suffix_cap = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + sizes[i]
+    """All vectors at modulus len(sizes) that merge to ``coarse``.
+
+    Each class sum respects its class size bound and parity; the
+    alternated sum must equal ``alt_total`` unless that is None.
+    """
+    c, m = len(coarse), len(sizes)
+    # same_cap[j]: room left in j's coarse class after j; all_cap[j]: after j
+    same_cap = [0] * m
+    all_cap = [0] * m
+    for j in range(m - 2, -1, -1):
+        all_cap[j] = all_cap[j + 1] + sizes[j + 1]
+    for j in range(m - c - 1, -1, -1):
+        same_cap[j] = same_cap[j + c] + sizes[j + c]
+    need = list(coarse)
     out = []
     vec = [0] * m
 
-    def rec(i: int, run: int, alt_run: int):
-        if i == m:
-            if run == total and (alt_total is None or alt_run == alt_total):
-                out.append(tuple(vec))
+    def rec(j: int, alt_run: int):
+        if j == m:
+            out.append(tuple(vec))
             return
-        cap = suffix_cap[i + 1]
-        size = sizes[i]
-        lo = -size
-        for val in range(lo, size + 1, 2):
-            if abs(total - run - val) > cap:
+        i, size = j % c, sizes[j]
+        sign = 1 if j % 2 == 0 else -1
+        if same_cap[j]:
+            vals = range(-size, size + 1, 2)
+        else:  # the last fine class of a coarse class takes what is left
+            vals = (need[i],) if abs(need[i]) <= size and (need[i] - size) % 2 == 0 else ()
+        for val in vals:
+            if abs(need[i] - val) > same_cap[j]:
                 continue
-            if alt_total is not None:
-                aval = val if i % 2 == 0 else -val
-                if abs(alt_total - alt_run - aval) > cap:
-                    continue
-            vec[i] = val
-            rec(i + 1, run + val, alt_run + (val if i % 2 == 0 else -val))
-        vec[i] = 0
+            if alt_total is not None and abs(alt_total - alt_run - sign * val) > all_cap[j]:
+                continue
+            vec[j] = val
+            need[i] -= val
+            rec(j + 1, alt_run + sign * val)
+            need[i] += val
 
-    rec(0, 0, 0)
+    rec(0, 0)
     return out
 
 
@@ -414,6 +425,109 @@ def _vector_fits(v: tuple[int, ...], sizes: tuple[int, ...]) -> bool:
     return all(abs(x) <= s and (x - s) % 2 == 0 for x, s in zip(v, sizes))
 
 
+Half = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+class _Refiner:
+    """Refinement of the profiles of one sum profile to modulus m.
+
+    Every distinct coarse vector is split once, every fine vector signed
+    once and every distinct coarse half refined once.  The memos live as
+    long as the refiner, which serves a single call.
+    """
+
+    def __init__(self, n: int, m: int, s: SumProfile, kind: Kind):
+        self.n, self.m, self.kind = n, m, kind
+        alt = m % 2 == 0
+        # per side: class sizes, pairing offset, alternated-sum targets
+        self.sides = {
+            "AB": (class_sizes(n + 1, m), n + 2, (s.a_alt, s.b_alt) if alt else (None, None)),
+            "CD": (class_sizes(n, m), n + 1, (s.c_alt, s.d_alt) if alt else (None, None)),
+        }
+        self._vectors: dict[tuple, list[tuple[int, ...]]] = {}
+        self._sigs: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._halves: dict[tuple[str, Half], dict] = {}
+
+    def _fine(self, coarse: tuple[int, ...], sizes: tuple[int, ...],
+              alt_total: Optional[int]) -> list[tuple[int, ...]]:
+        key = (coarse, sizes, alt_total)
+        if key not in self._vectors:
+            self._vectors[key] = _fine_vectors(coarse, sizes, alt_total)
+        return self._vectors[key]
+
+    def _sig(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        if v not in self._sigs:
+            self._sigs[v] = _signature(v, self.m)
+        return self._sigs[v]
+
+    def halves(self, side: str, coarse: Half) -> dict[tuple[int, ...], list[Half]]:
+        """All halves of one side at modulus m that merge to ``coarse``, by signature.
+
+        A half is the pair of class-sum vectors of A,B (``side`` "AB") or
+        of C,D ("CD"); its signature is the sum of the two vectors'
+        signatures.  Enforced per half: class bounds and parities, the
+        merge, alternated sums when m is even, and the class-pair
+        end-column congruence.  For structured kinds the B vector is
+        derived from the A vector.
+        """
+        key = (side, coarse)
+        if key in self._halves:
+            return self._halves[key]
+        n, m, kind = self.n, self.m, self.kind
+        sizes, offset, alts = self.sides[side]
+        xs = self._fine(coarse[0], sizes, alts[0])
+        if side == "CD" or kind is Kind.BS:
+            ys = self._fine(coarse[1], sizes, alts[1])
+            pairs = ((x, y) for x in xs for y in ys)
+        else:
+            derived = ((x, _derive_partner_sums(x, n, m, kind)) for x in xs)
+            pairs = ((x, y) for x, y in derived
+                     if _vector_fits(y, sizes) and _merge(y, len(coarse[1])) == coarse[1]
+                     and (alts[1] is None or _vector_alt_sum(y) == alts[1]))
+        by_sig: dict[tuple[int, ...], list[Half]] = {}
+        for x, y in pairs:
+            if _pairs_congruent(x, y, n, m, offset, end_correction=side == "AB"):
+                sig = tuple(a + b for a, b in zip(self._sig(x), self._sig(y)))
+                by_sig.setdefault(sig, []).append((x, y))
+        self._halves[key] = by_sig
+        return by_sig
+
+
+def _join(ab: dict, cd: dict, n: int, m: int, project: Optional[str]) -> list:
+    """Full profiles (or one side's halves) from halves whose signatures add
+    up to (4n+2, 0, ..., 0): the square-sum identity and vanishing periodic
+    autocorrelations at modulus m."""
+    target = (4 * n + 2,) + (0,) * (m // 2)
+    out = []
+    for sig, ab_halves in ab.items():
+        cd_halves = cd.get(tuple(t - x for t, x in zip(target, sig)))
+        if cd_halves is None:
+            continue
+        if project == "kr":
+            out.extend(ab_halves)
+        elif project == "pq":
+            out.extend(cd_halves)
+        else:
+            out.extend(ResidueProfile(m, k, r, p, q)
+                       for k, r in ab_halves for p, q in cd_halves)
+    return out
+
+
+def _refine(n: int, m: int, profs: list[ResidueProfile], s: SumProfile, kind: Kind,
+            project: Optional[str]) -> list:
+    """Profiles at modulus m that merge onto one of ``profs``, sorted, or the
+    sorted distinct halves of one side of them (``project`` "kr"/"pq")."""
+    refiner = _Refiner(n, m, s, kind)
+    out = []
+    for prof in profs:
+        ab = refiner.halves("AB", (prof.a_class_sums, prof.b_class_sums))
+        cd = refiner.halves("CD", (prof.c_class_sums, prof.d_class_sums))
+        out.extend(_join(ab, cd, n, m, project))
+    if project is None:
+        return sorted(out, key=ResidueProfile.as_flat)
+    return sorted(set(out))
+
+
 def residue_profiles(n: int, m: int, s: SumProfile, kind: Kind,
                      ) -> list[ResidueProfile]:
     """All residue-class profiles at modulus m compatible with sum profile s.
@@ -424,66 +538,13 @@ def residue_profiles(n: int, m: int, s: SumProfile, kind: Kind,
     autocorrelation sums.  For structured kinds the B vector is derived
     from the A vector (near-normal derivation needs even m).
     """
-    kr, pq = _residue_halves(n, m, s, kind)
-    target = _join_target(n, m)
-    by_sig: dict[tuple[int, ...], list[tuple]] = {}
-    for p, q, sig in pq:
-        by_sig.setdefault(sig, []).append((p, q))
-    out = []
-    for k, r, sig in kr:
-        need = tuple(t - x for t, x in zip(target, sig))
-        for p, q in by_sig.get(need, ()):
-            out.append(ResidueProfile(m, k, r, p, q))
-    out.sort(key=ResidueProfile.as_flat)
-    return out
-
-
-def _join_target(n: int, m: int) -> tuple[int, ...]:
-    return (4 * n + 2,) + (0,) * (m // 2)
-
-
-def _residue_halves(n: int, m: int, s: SumProfile, kind: Kind):
-    """(k, r, sig) and (p, q, sig) half-lists for the join."""
     if m < 2:
         raise PreconditionError("modulus must be >= 2")
     if kind is Kind.NNS and m % 2 != 0:
         raise PreconditionError("near-normal residue profiles require even m")
-    alt = _alt_weight_ok(m)
-    sizes_ab = class_sizes(n + 1, m)
-    sizes_cd = class_sizes(n, m)
-
-    ks = _enum_vectors(sizes_ab, s.a, s.a_alt if alt else None)
-    kr = []
-    if kind is Kind.BS:
-        rs = _enum_vectors(sizes_ab, s.b, s.b_alt if alt else None)
-        for k in ks:
-            for r in rs:
-                if _pairs_congruent(k, r, n, m, n + 2, end_correction=True):
-                    kr.append((k, r, _add_sigs(k, r, m)))
-    else:
-        for k in ks:
-            r = _derive_partner_sums(k, n, m, kind)
-            if not _vector_fits(r, sizes_ab) or sum(r) != s.b:
-                continue
-            if alt and _vector_alt_sum(r) != s.b_alt:
-                continue
-            if _pairs_congruent(k, r, n, m, n + 2, end_correction=True):
-                kr.append((k, r, _add_sigs(k, r, m)))
-
-    ps = _enum_vectors(sizes_cd, s.c, s.c_alt if alt else None)
-    qs = _enum_vectors(sizes_cd, s.d, s.d_alt if alt else None)
-    pq = []
-    for p in ps:
-        for q in qs:
-            if _pairs_congruent(p, q, n, m, n + 1, end_correction=False):
-                pq.append((p, q, _add_sigs(p, q, m)))
-    return kr, pq
-
-
-def _add_sigs(u: tuple[int, ...], v: tuple[int, ...], m: int) -> tuple[int, ...]:
-    su = _signature(u, m)
-    sv = _signature(v, m)
-    return tuple(x + y for x, y in zip(su, sv))
+    # the sum profile is the (only) profile at modulus 1
+    whole = ResidueProfile(1, (s.a,), (s.b,), (s.c,), (s.d,))
+    return _refine(n, m, [whole], s, kind, None)
 
 
 def _check_parent(n: int, prof: ResidueProfile, s: SumProfile) -> None:
@@ -494,34 +555,22 @@ def _check_parent(n: int, prof: ResidueProfile, s: SumProfile) -> None:
         raise PreconditionError("profile square sum must equal 4n+2")
 
 
-def _splits(coarse: tuple[int, ...], fine_sizes: tuple[int, ...],
-            m: int) -> list[tuple[int, ...]]:
-    """All vectors at modulus 2m whose class merge reproduces ``coarse``."""
-    options: list[list[tuple[int, int]]] = []
-    for i in range(m):
-        lo_size, hi_size = fine_sizes[i], fine_sizes[i + m]
-        opts = []
-        for lo in range(-lo_size, lo_size + 1, 2):
-            hi = coarse[i] - lo
-            if abs(hi) <= hi_size and (hi - hi_size) % 2 == 0:
-                opts.append((lo, hi))
-        if not opts:
-            return []
-        options.append(opts)
-    out = []
-    vec = [0] * (2 * m)
+def refine_all(n: int, profs: list[ResidueProfile], s: SumProfile, kind: Kind,
+               project: Optional[str] = None) -> list:
+    """Sorted union of ``refine_profiles`` over profiles of one sum profile.
 
-    def rec(i: int):
-        if i == m:
-            out.append(tuple(vec))
-            return
-        for lo, hi in options[i]:
-            vec[i] = lo
-            vec[i + m] = hi
-            rec(i + 1)
-
-    rec(0)
-    return out
+    All of ``profs`` share one modulus m and belong to ``s``; each distinct
+    (A,B) or (C,D) half among them is refined to modulus 2m only once.
+    """
+    if project not in (None, "pq", "kr"):
+        raise PreconditionError("project must be None, 'pq' or 'kr'")
+    if len({prof.modulus for prof in profs}) > 1:
+        raise PreconditionError("profiles must share one modulus")
+    for prof in profs:
+        _check_parent(n, prof, s)
+    if not profs:
+        return []
+    return _refine(n, 2 * profs[0].modulus, profs, s, kind, project)
 
 
 def refine_profiles(n: int, prof: ResidueProfile, s: SumProfile, kind: Kind,
@@ -534,66 +583,4 @@ def refine_profiles(n: int, prof: ResidueProfile, s: SumProfile, kind: Kind,
     (C, D) halves that admit at least one (A, B) half, "kr" for the
     mirror image of that.
     """
-    m = prof.modulus
-    m2 = 2 * m
-    if kind is Kind.NNS and m2 % 2 != 0:
-        raise PreconditionError("near-normal refinement requires even target modulus")
-    _check_parent(n, prof, s)
-    sizes_ab = class_sizes(n + 1, m2)
-    sizes_cd = class_sizes(n, m2)
-
-    k_fine = _filter_fine(_splits(prof.a_class_sums, sizes_ab, m), s.a_alt)
-    if kind is Kind.BS:
-        r_fine = _filter_fine(_splits(prof.b_class_sums, sizes_ab, m), s.b_alt)
-        kr = [(k, r) for k in k_fine for r in r_fine
-              if _pairs_congruent(k, r, n, m2, n + 2, end_correction=True)]
-    else:
-        kr = []
-        for k in k_fine:
-            r = _derive_partner_sums(k, n, m2, kind)
-            if not _vector_fits(r, sizes_ab):
-                continue
-            if _merge(r, m) != prof.b_class_sums or _vector_alt_sum(r) != s.b_alt:
-                continue
-            if _pairs_congruent(k, r, n, m2, n + 2, end_correction=True):
-                kr.append((k, r))
-    p_fine = _filter_fine(_splits(prof.c_class_sums, sizes_cd, m), s.c_alt)
-    q_fine = _filter_fine(_splits(prof.d_class_sums, sizes_cd, m), s.d_alt)
-    pq = [(p, q) for p in p_fine for q in q_fine
-          if _pairs_congruent(p, q, n, m2, n + 1, end_correction=False)]
-
-    target = _join_target(n, m2)
-    kr_sigs = [(k, r, _add_sigs(k, r, m2)) for k, r in kr]
-    pq_sigs = [(p, q, _add_sigs(p, q, m2)) for p, q in pq]
-
-    if project == "pq":
-        have = {sig for _, _, sig in kr_sigs}
-        keep = sorted({(p, q) for p, q, sig in pq_sigs
-                       if tuple(t - x for t, x in zip(target, sig)) in have})
-        return keep
-    if project == "kr":
-        have = {sig for _, _, sig in pq_sigs}
-        keep = sorted({(k, r) for k, r, sig in kr_sigs
-                       if tuple(t - x for t, x in zip(target, sig)) in have})
-        return keep
-    if project is not None:
-        raise PreconditionError("project must be None, 'pq' or 'kr'")
-
-    by_sig: dict[tuple[int, ...], list[tuple]] = {}
-    for p, q, sig in pq_sigs:
-        by_sig.setdefault(sig, []).append((p, q))
-    out = []
-    for k, r, sig in kr_sigs:
-        need = tuple(t - x for t, x in zip(target, sig))
-        for p, q in by_sig.get(need, ()):
-            out.append(ResidueProfile(m2, k, r, p, q))
-    out.sort(key=ResidueProfile.as_flat)
-    return out
-
-
-def _merge(v: tuple[int, ...], m: int) -> tuple[int, ...]:
-    return tuple(v[i] + v[i + m] for i in range(m))
-
-
-def _filter_fine(fines: list[tuple[int, ...]], alt_total: int) -> list[tuple[int, ...]]:
-    return [v for v in fines if _vector_alt_sum(v) == alt_total]
+    return refine_all(n, [prof], s, kind, project)

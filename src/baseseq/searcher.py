@@ -40,6 +40,8 @@ SIDE_CD = "CD"
 _DEFAULT_MODULI = {Kind.BS: (3, 6), Kind.NS: (3, 6), Kind.NNS: (6,)}
 _DEFAULT_GRIDS = {Kind.BS: ("pi-over-100",), Kind.NS: ("l=50", "l=1000"),
                   Kind.NNS: ("l=50", "l=1000")}
+# per-task counters, summed into the certificate
+_STAT_KEYS = ("candidates", "psd_rejected", "completions")
 
 
 @dataclass(frozen=True)
@@ -335,10 +337,7 @@ def residue_halves(cfg: SearchConfig, s: SumProfile) -> list[tuple[tuple, tuple]
     chain = cfg.moduli
     profs = numfilter.residue_profiles(cfg.n, chain[0], s, cfg.kind)
     for _ in chain[1:-1]:
-        refined = []
-        for prof in profs:
-            refined.extend(numfilter.refine_profiles(cfg.n, prof, s, cfg.kind))
-        profs = refined
+        profs = numfilter.refine_all(cfg.n, profs, s, cfg.kind)
     want = "pq" if cfg.start_side == SIDE_CD else "kr"
     if len(chain) == 1:
         if want == "pq":
@@ -346,10 +345,7 @@ def residue_halves(cfg: SearchConfig, s: SumProfile) -> list[tuple[tuple, tuple]
         else:
             halves = {(p.a_class_sums, p.b_class_sums) for p in profs}
         return sorted(halves)
-    halves = set()
-    for prof in profs:
-        halves.update(numfilter.refine_profiles(cfg.n, prof, s, cfg.kind, project=want))
-    return sorted(halves)
+    return numfilter.refine_all(cfg.n, profs, s, cfg.kind, project=want)
 
 
 def build_tasks(cfg: SearchConfig) -> list[tuple]:
@@ -391,7 +387,7 @@ def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[str], dict]:
     else:
         fill_targets = (s.c, s.d, s.c_alt, s.d_alt)
     mode = "first" if cfg.first_solution_only else "all"
-    stats = {"candidates": 0, "psd_rejected": 0, "completions": 0}
+    stats = dict.fromkeys(_STAT_KEYS, 0)
     found = []
     for first, second in expand_candidates(prof, cfg.n, cfg.kind, cfg.start_side):
         stats["candidates"] += 1
@@ -431,21 +427,23 @@ def _cfg_kwargs(cfg: SearchConfig) -> dict:
 # --- checkpointing -----------------------------------------------------------
 
 
-def _results_digest(results: list[list]) -> str:
-    blob = json.dumps(results, sort_keys=True).encode()
+def _results_digest(results: list[list], stats: dict) -> str:
+    blob = json.dumps({"results": results, "stats": stats}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
 def save_checkpoint(path: str, cfg: SearchConfig, tasks_total: int,
-                    results: list[list]) -> None:
-    """Persist completed-task results (a contiguous prefix, in task order)."""
+                    results: list[list], stats: dict) -> None:
+    """Persist completed-task results (a contiguous prefix, in task order)
+    and the certificate counters summed over that prefix."""
     state = {
-        "version": 1,
+        "version": 2,
         "config_digest": cfg.digest(),
         "tasks_total": tasks_total,
         "tasks_done": len(results),
         "results": results,
-        "results_digest": _results_digest(results),
+        "stats": stats,
+        "results_digest": _results_digest(results, stats),
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -453,8 +451,10 @@ def save_checkpoint(path: str, cfg: SearchConfig, tasks_total: int,
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str, cfg: SearchConfig, tasks_total: int) -> list[list]:
-    """Read back a checkpoint, refusing any mismatch with the config."""
+def load_checkpoint(path: str, cfg: SearchConfig,
+                    tasks_total: int) -> tuple[list[list], dict]:
+    """Read back a checkpoint's results and counters, refusing any
+    mismatch with the config."""
     with open(path, "r", encoding="utf-8") as fh:
         state = json.load(fh)
     if state.get("config_digest") != cfg.digest():
@@ -462,11 +462,15 @@ def load_checkpoint(path: str, cfg: SearchConfig, tasks_total: int) -> list[list
     if state.get("tasks_total") != tasks_total:
         raise ResumeError("checkpoint task count does not match this configuration")
     results = state.get("results", [])
-    if state.get("results_digest") != _results_digest(results):
+    stats = state.get("stats")
+    if not isinstance(stats, dict) or set(stats) != set(_STAT_KEYS) \
+            or not all(type(v) is int for v in stats.values()):
+        raise ResumeError("checkpoint has no certificate counters")
+    if state.get("results_digest") != _results_digest(results, stats):
         raise ResumeError("checkpoint results digest mismatch")
     if len(results) != state.get("tasks_done"):
         raise ResumeError("checkpoint is truncated")
-    return results
+    return results, {key: stats[key] for key in _STAT_KEYS}
 
 
 # --- orchestration -----------------------------------------------------------
@@ -538,10 +542,10 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
     """Run the pipeline; resuming from a checkpoint replays identically."""
     tasks = build_tasks(cfg)
     done: list[list[str]] = []
-    stats_total = {"candidates": 0, "psd_rejected": 0, "completions": 0}
+    stats_total = dict.fromkeys(_STAT_KEYS, 0)
     if checkpoint_path and os.path.exists(checkpoint_path):
-        done = [list(map(str, blobs)) for blobs in
-                load_checkpoint(checkpoint_path, cfg, len(tasks))]
+        results, stats_total = load_checkpoint(checkpoint_path, cfg, len(tasks))
+        done = [list(map(str, blobs)) for blobs in results]
     pending = tasks[len(done):]
 
     stop_early = False
@@ -553,11 +557,11 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
             stop_early = True
         if checkpoint_path and (len(done) % cfg.checkpoint_interval == 0
                                 or len(done) == len(tasks) or stop_early):
-            save_checkpoint(checkpoint_path, cfg, len(tasks), done)
+            save_checkpoint(checkpoint_path, cfg, len(tasks), done, stats_total)
         if interrupt_after_tasks is not None and len(done) >= interrupt_after_tasks \
                 and len(done) < len(tasks) and not stop_early:
             if checkpoint_path:
-                save_checkpoint(checkpoint_path, cfg, len(tasks), done)
+                save_checkpoint(checkpoint_path, cfg, len(tasks), done, stats_total)
             raise SearchInterrupted(f"interrupted after {len(done)} tasks")
 
     if pending and not (cfg.first_solution_only and any(done)):

@@ -137,6 +137,12 @@ def test_search_cli_exhaustive_empty():
     assert json.loads(err)["exhaustive"] is True
 
 
+def test_search_cli_orbit_cap_exceeded():
+    code, out, err = run_cli(["search", "--n", "3", "--kind", "bs", "--orbit-cap", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
 def test_record_parse_errors():
     with pytest.raises(MalformedInputError):
         ResultRecord.parse("n=3 kind=ns")

@@ -5,7 +5,8 @@ from baseseq.errors import PreconditionError
 from baseseq.numfilter import (ResidueProfile, canonical_sum_profile, class_sizes,
                                column_cases, feasible_sum_profile,
                                ns_parity_obstruction, quad_residue_profile,
-                               refine_profiles, residue_profiles, sum_profiles)
+                               refine_all, refine_profiles, residue_profiles,
+                               sum_profiles)
 from baseseq.refdata import known_quad
 from baseseq.seqcore import Kind, SumProfile, row_sums
 
@@ -163,6 +164,30 @@ def test_refine_roundtrip_and_membership():
     halves = refine_profiles(41, prof3, sums, Kind.BS, project="pq")
     mine6 = quad_residue_profile(quad, 6)
     assert (mine6.c_class_sums, mine6.d_class_sums) in halves
+
+
+def test_refine_all_is_union_of_refine_profiles():
+    for n, kind in ((7, Kind.BS), (9, Kind.NS)):
+        for s in sum_profiles(n, kind)[:3]:
+            profs = residue_profiles(n, 3, s, kind)
+            full = refine_all(n, profs, s, kind)
+            assert full == sorted((p for prof in profs
+                                   for p in refine_profiles(n, prof, s, kind)),
+                                  key=ResidueProfile.as_flat)
+            for project in ("pq", "kr"):
+                assert refine_all(n, profs, s, kind, project=project) == sorted(
+                    {h for prof in profs
+                     for h in refine_profiles(n, prof, s, kind, project=project)})
+
+
+def test_refine_all_preconditions():
+    s = SumProfile.from_tuple((2, 0, 1, 1, 0, 2, 1, 1))
+    profs = residue_profiles(1, 2, s, Kind.BS)
+    assert refine_all(1, [], s, Kind.BS) == []
+    with pytest.raises(PreconditionError):
+        refine_all(1, profs, s, Kind.BS, project="ab")
+    with pytest.raises(PreconditionError):
+        refine_all(1, profs + residue_profiles(1, 3, s, Kind.BS), s, Kind.BS)
 
 
 def test_refine_rejects_infeasible_parent():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 
 import pytest
@@ -113,17 +115,47 @@ def test_residue_halves_cover_small_quads(ns_pool, bs_pool):
 
 @pytest.mark.slow
 def test_residue_halves_cover_published_quad_full_scale():
-    """Unabridged Step 2+3 for the published quad's sum profile (minutes)."""
+    """Unabridged Step 2+3 for the published quad's sum profile."""
     quad = known_quad(41)
     cfg = SearchConfig(n=41, kind=Kind.BS)
     halves = residue_halves(cfg, row_sums(quad))
     mine = quad_residue_profile(quad, 6)
     assert (mine.c_class_sums, mine.d_class_sums) in halves
+    assert len(halves) == 20904
 
 
 def test_build_tasks_deterministic():
     cfg = SearchConfig(n=5, kind=Kind.NS)
     assert build_tasks(cfg) == build_tasks(cfg)
+
+
+# sha256 of repr(build_tasks(cfg)), recorded before the residue stage
+# memoized coarse halves and signatures; any change to the task list or
+# its order changes these
+PINNED_TASKS = [
+    (SearchConfig(n=8, kind=Kind.BS), 481,
+     "3ddeccede25161b46e78913c02b09bd222ccae95473aae5fc78089d0594d0ac7"),
+    (SearchConfig(n=6, kind=Kind.BS, start_side=SIDE_AB), 44,
+     "8cc0f0d3f69e286c66f073f571313b26ae7cb26e11d4db8d4c3720b4f87f5942"),
+    (SearchConfig(n=9, kind=Kind.NS), 8,
+     "5afc3fa56fff8d9d888d84745e1f73a500de286303ed620c3aa93a92efe57ae3"),
+    (SearchConfig(n=8, kind=Kind.NNS), 20,
+     "8eb22735538889dc5508fcedf90db5527c647559421a9eb972d312a0a7729a10"),
+    # three moduli: the middle level goes through the full refinement
+    (SearchConfig(n=6, kind=Kind.BS, moduli=(3, 6, 12)), 36,
+     "8db805ef75f3db0fa875ac7a131cba7b81be1c6f4441510388ee951ecabef86a"),
+    (SearchConfig(n=8, kind=Kind.NNS, moduli=(2, 4, 8)), 42,
+     "8d49761f99a8cd081741a943b099da31132a34bff0feb4d7e8a87147d0b14ee3"),
+]
+
+
+@pytest.mark.parametrize("cfg,count,digest", PINNED_TASKS,
+                         ids=[f"{c.kind.value}{c.n}-{c.start_side}-"
+                              + ".".join(map(str, c.moduli)) for c, _, _ in PINNED_TASKS])
+def test_build_tasks_pinned(cfg, count, digest):
+    tasks = build_tasks(cfg)
+    assert len(tasks) == count
+    assert hashlib.sha256(repr(tasks).encode()).hexdigest() == digest
 
 
 def test_bs_search_from_ab_side_agrees():
@@ -171,6 +203,30 @@ def test_checkpoint_interrupt_resume(tmp_path):
     fresh = search(cfg)
     assert [q.sort_key() for q in resumed.quads] == [q.sort_key() for q in fresh.quads]
     assert resumed.stages == fresh.stages
+    assert resumed.certificate == fresh.certificate
+
+
+def test_checkpoint_without_counters_is_refused(tmp_path):
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=5, kind=Kind.NS)
+    with pytest.raises(SearchInterrupted):
+        search(cfg, checkpoint_path=path, interrupt_after_tasks=1)
+    tasks_total = len(build_tasks(cfg))
+    results, stats = load_checkpoint(path, cfg, tasks_total)
+    assert len(results) == 1 and set(stats) == {"candidates", "psd_rejected",
+                                                 "completions"}
+    with open(path, encoding="utf-8") as fh:
+        state = json.load(fh)
+    state["stats"]["candidates"] += 1
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state, fh)
+    with pytest.raises(ResumeError, match="digest"):
+        load_checkpoint(path, cfg, tasks_total)
+    del state["stats"]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state, fh)
+    with pytest.raises(ResumeError, match="counters"):
+        search(cfg, checkpoint_path=path)
 
 
 def test_checkpoint_rejects_other_config(tmp_path):
