@@ -25,7 +25,7 @@ without materializing sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ApplicabilityError, MalformedInputError, OrbitCapExceeded
 from .seqcore import Kind, SeqQuad, SignSeq, derive_partner
@@ -266,15 +266,26 @@ def dedup(quads: Iterable[SeqQuad], cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQua
     for q in quads:
         if q.n != n or q.kind != kind:
             raise MalformedInputError("dedup requires uniform n and kind")
-    reps = {}
+    reps = {cls[0].sort_key(): cls[0] for _, cls in first_visits(quads, cap)}
+    return [reps[k] for k in sorted(reps)]
+
+
+def first_visits(quads: Iterable[SeqQuad], cap: int = DEFAULT_ORBIT_CAP,
+                 generators: Callable[[SeqQuad], list[SeqQuad]] = kind_generators,
+                 ) -> Iterator[tuple[int, list[SeqQuad]]]:
+    """``(i, orbit)`` for each input quad ``i`` that lies in no earlier
+    input's orbit, in input order.
+
+    Every move is invertible, so orbits are disjoint and each class is
+    yielded once, from its first input member.
+    """
     visited: set[tuple] = set()
-    for q in quads:
+    for i, q in enumerate(quads):
         if q.sort_key() in visited:
             continue
-        cls = orbit(q, cap=cap)
+        cls = orbit(q, cap=cap, generators=generators)
         visited.update(member.sort_key() for member in cls)
-        reps[cls[0].sort_key()] = cls[0]
-    return [reps[k] for k in sorted(reps)]
+        yield i, cls
 
 
 # --- signed-permutation action on the eight row sums ----------------------

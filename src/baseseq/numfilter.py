@@ -159,14 +159,19 @@ def sum_profiles(n: int, kind: Kind) -> list[SumProfile]:
         by_mod4.setdefault(tuple(v % 4 for v in t), []).append(t)
 
     found = set()
+    seen: set[tuple[int, ...]] = set()  # members of the orbits in found
     deltas = _mod4_delta(n)
     for t1 in plain:
         key = tuple((v - delta) % 4 for v, delta in zip(t1, deltas))
         for t2 in by_mod4.get(key, ()):
             if kind is Kind.NNS and (t1[0] != t2[1] + 2 or t1[1] != t2[0] - 2):
                 continue
-            profile = SumProfile.from_tuple(t1 + t2)
+            values = t1 + t2
+            if values in seen:
+                continue
+            profile = SumProfile.from_tuple(values)
             if feasible_sum_profile(profile, n, kind):
+                seen.update(profile_orbit(values, n, kind))
                 found.add(canonical_sum_profile(profile, n, kind).as_tuple())
     return [SumProfile.from_tuple(t) for t in sorted(found)]
 

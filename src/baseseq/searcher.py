@@ -4,9 +4,11 @@ The pipeline enumerates sum profiles, then residue-class profiles at the
 configured moduli, expands one side of the quad into candidate pairs
 that hit the residue profile exactly and respect the end-column sign
 cases, screens the pairs with the power-spectrum bound, and completes
-the other side by backtracking on symmetric position pairs from the
-outside in (high shifts of the summed autocorrelation become checkable
-first under that order).
+the other side by backtracking.  Two DFS kernels over symmetric position
+pairs, placed from the outside in, do the two jobs: ``_expand_pairs``
+prunes on residue-class budgets, and ``_complete_pairs`` on shift
+targets (high shifts of the summed autocorrelation become checkable
+first under that order) and optional row-sum targets.
 
 Bookkeeping invariant: the task for (sum profile S, residue half H)
 finds exactly the valid quads whose raw row sums equal S and whose
@@ -22,6 +24,7 @@ per-profile completeness is what the exhaustiveness argument rests on.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -118,31 +121,79 @@ def _middle_options(n: int, kind: Kind, side: str) -> Optional[list[tuple[int, i
     return [(1, flip), (-1, -flip)]
 
 
-def _fill_pairs(length: int,
-                pair_cols: list[list[tuple[int, int, int, int]]],
-                middle_opts: Optional[list[tuple[int, int]]],
-                shift_targets: Optional[tuple[int, ...]] = None,
-                budgets: Optional[tuple] = None,
-                sum_targets: Optional[tuple[int, int, int, int]] = None,
-                ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """DFS over symmetric position pairs, outside in.
+def _expand_pairs(length: int,
+                  pair_cols: list[list[tuple[int, int, int, int]]],
+                  middle_opts: Optional[list[tuple[int, int]]],
+                  m: int, need_x: tuple[int, ...], need_y: tuple[int, ...],
+                  cnt: tuple[int, ...],
+                  ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """DFS over symmetric position pairs, outside in, under class budgets.
 
-    ``shift_targets[s-1]`` is the required N_x(s)+N_y(s); a shift is
-    checked as soon as every product in it is assigned.  ``budgets``
-    carries per-residue-class sum targets for both sequences,
-    ``sum_targets`` plain and alternated row-sum targets.
+    ``need_x[c]``, ``need_y[c]`` are the sums still owed by residue class
+    ``c`` mod ``m`` of each sequence and ``cnt[c]`` its free positions; a
+    placement survives while every touched class can still pay its debt
+    with the positions it has left.
     """
-    if length == 0:
-        yield (), ()
-        return
     npairs = length // 2
     x = [0] * length
     y = [0] * length
-    if budgets is not None:
-        m, need_x, need_y, cnt = budgets
-        need_x, need_y, cnt = list(need_x), list(need_y), list(cnt)
-    if sum_targets is not None:
-        tgt_x, tgt_y, tgt_ax, tgt_ay = sum_targets
+    need_x, need_y, cnt = list(need_x), list(need_y), list(cnt)
+
+    def rec(t: int):
+        if t > npairs:
+            if middle_opts is None:
+                yield tuple(x), tuple(y)
+                return
+            cls = npairs % m
+            c = cnt[cls] - 1
+            for xv, yv in middle_opts:
+                nx, ny = need_x[cls] - xv, need_y[cls] - yv
+                if abs(nx) <= c and abs(ny) <= c and (nx - c) % 2 == 0 \
+                        and (ny - c) % 2 == 0:
+                    x[npairs], y[npairs] = xv, yv
+                    yield tuple(x), tuple(y)
+            return
+        i, j = t - 1, length - t
+        ci, cj = i % m, j % m
+        for xi, xj, yi, yj in pair_cols[t - 1]:
+            cnt[ci] -= 1
+            need_x[ci] -= xi
+            need_y[ci] -= yi
+            cnt[cj] -= 1
+            need_x[cj] -= xj
+            need_y[cj] -= yj
+            for cls in (ci, cj):
+                c, nx, ny = cnt[cls], need_x[cls], need_y[cls]
+                if abs(nx) > c or abs(ny) > c or (nx - c) % 2 or (ny - c) % 2:
+                    break
+            else:
+                x[i], x[j], y[i], y[j] = xi, xj, yi, yj
+                yield from rec(t + 1)
+            cnt[ci] += 1
+            need_x[ci] += xi
+            need_y[ci] += yi
+            cnt[cj] += 1
+            need_x[cj] += xj
+            need_y[cj] += yj
+
+    return rec(1)
+
+
+def _complete_pairs(length: int,
+                    pair_cols: list[list[tuple[int, int, int, int]]],
+                    middle_opts: Optional[list[tuple[int, int]]],
+                    shift_targets: tuple[int, ...],
+                    sum_targets: Optional[tuple[int, int, int, int]],
+                    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """DFS over symmetric position pairs, outside in, under shift targets.
+
+    ``shift_targets[s-1]`` is the required N_x(s)+N_y(s); a shift is
+    checked as soon as every product in it is assigned.  ``sum_targets``,
+    if given, are the plain and alternated row sums (x, y, x', y').
+    """
+    npairs = length // 2
+    x = [0] * length
+    y = [0] * length
 
     def shift_ok(s: int) -> bool:
         tot = 0
@@ -151,93 +202,44 @@ def _fill_pairs(length: int,
         return tot == shift_targets[s - 1]
 
     def sums_ok(run, rem: int) -> bool:
-        rx, ry, rax, ray = run
-        for have, want in ((rx, tgt_x), (ry, tgt_y), (rax, tgt_ax), (ray, tgt_ay)):
+        if sum_targets is None:
+            return True
+        for have, want in zip(run, sum_targets):
             gap = want - have
             if abs(gap) > rem or (gap - rem) % 2 != 0:
                 return False
         return True
 
-    def budget_ok(cls: int) -> bool:
-        c = cnt[cls]
-        for need in (need_x[cls], need_y[cls]):
-            if abs(need) > c or (need - c) % 2 != 0:
-                return False
-        return True
-
-    def place(pos0: int, xv: int, yv: int, run):
-        x[pos0], y[pos0] = xv, yv
-        if budgets is not None:
-            cls = pos0 % m
-            cnt[cls] -= 1
-            need_x[cls] -= xv
-            need_y[cls] -= yv
-        if run is not None:
-            w = 1 if pos0 % 2 == 0 else -1
-            return (run[0] + xv, run[1] + yv, run[2] + w * xv, run[3] + w * yv)
-        return None
-
-    def unplace(pos0: int, xv: int, yv: int):
-        if budgets is not None:
-            cls = pos0 % m
-            cnt[cls] += 1
-            need_x[cls] += xv
-            need_y[cls] += yv
-
-    def rec(t: int, run, rem: int):
+    def rec(t: int, run):
         if t > npairs:
             if middle_opts is None:
-                if shift_targets is not None:
-                    for s in range(1, length - npairs):
-                        if not shift_ok(s):
-                            return
-                yield x, y
+                # the final pair of an even length checked every shift
+                yield tuple(x), tuple(y)
                 return
-            mid0 = npairs  # 0-based middle index
+            w = 1 if npairs % 2 == 0 else -1
             for xv, yv in middle_opts:
-                nrun = place(mid0, xv, yv, run)
-                ok = True
-                if budgets is not None and not budget_ok(mid0 % m):
-                    ok = False
-                if ok and sum_targets is not None and not sums_ok(nrun, 0):
-                    ok = False
-                if ok and shift_targets is not None:
-                    for s in range(1, length - npairs):
-                        if not shift_ok(s):
-                            ok = False
-                            break
-                if ok:
-                    yield x, y
-                unplace(mid0, xv, yv)
+                x[npairs], y[npairs] = xv, yv
+                nrun = (run[0] + xv, run[1] + yv, run[2] + w * xv, run[3] + w * yv)
+                if sums_ok(nrun, 0) and all(shift_ok(s) for s in range(1, npairs + 1)):
+                    yield tuple(x), tuple(y)
             return
-        i0, j0 = t - 1, length - t
-        for col in pair_cols[t - 1]:
-            xv_i, xv_j, yv_i, yv_j = col
-            r1 = place(i0, xv_i, yv_i, run)
-            r2 = place(j0, xv_j, yv_j, r1)
-            ok = True
-            if budgets is not None:
-                ok = budget_ok(i0 % m) and budget_ok(j0 % m)
-            if ok and sum_targets is not None and not sums_ok(r2, rem - 2):
-                ok = False
-            if ok and shift_targets is not None:
-                s_new = length - t
-                # the final pair of an even length determines all shifts
-                if t == npairs and middle_opts is None:
-                    for s in range(s_new, 0, -1):
-                        if not shift_ok(s):
-                            ok = False
-                            break
-                elif s_new <= length - 1 and not shift_ok(s_new):
-                    ok = False
+        i, j = t - 1, length - t
+        wi = 1 if i % 2 == 0 else -1
+        wj = 1 if j % 2 == 0 else -1
+        for xi, xj, yi, yj in pair_cols[t - 1]:
+            x[i], x[j], y[i], y[j] = xi, xj, yi, yj
+            nrun = (run[0] + xi + xj, run[1] + yi + yj,
+                    run[2] + wi * xi + wj * xj, run[3] + wi * yi + wj * yj)
+            if not sums_ok(nrun, length - 2 * t):
+                continue
+            if t == npairs and middle_opts is None:
+                ok = all(shift_ok(s) for s in range(j, 0, -1))
+            else:
+                ok = shift_ok(j)
             if ok:
-                yield from rec(t + 1, r2, rem - 2)
-            unplace(j0, xv_j, yv_j)
-            unplace(i0, xv_i, yv_i)
+                yield from rec(t + 1, nrun)
 
-    start_run = (0, 0, 0, 0) if sum_targets is not None else None
-    for xs, ys in rec(1, start_run, length):
-        yield tuple(xs), tuple(ys)
+    return rec(1, (0, 0, 0, 0))
 
 
 def expand_candidates(prof: ResidueProfile, n: int, kind: Kind,
@@ -256,9 +258,9 @@ def expand_candidates(prof: ResidueProfile, n: int, kind: Kind,
     else:
         length = n
         tx, ty = prof.c_class_sums, prof.d_class_sums
-    budgets = (m, tx, ty, list(numfilter.class_sizes(length, m)))
-    for xs, ys in _fill_pairs(length, _pair_columns(n, kind, side),
-                              _middle_options(n, kind, side), budgets=budgets):
+    for xs, ys in _expand_pairs(length, _pair_columns(n, kind, side),
+                                _middle_options(n, kind, side), m, tx, ty,
+                                numfilter.class_sizes(length, m)):
         yield SignSeq(xs), SignSeq(ys)
 
 
@@ -314,10 +316,9 @@ def backtrack_complete(fixed: tuple[SignSeq, SignSeq], n: int, kind: Kind,
             return []  # shift n involves only the fixed side
         targets = targets[:n - 1]
     out = []
-    for xs, ys in _fill_pairs(length, _pair_columns(n, kind, side_to_fill),
-                              _middle_options(n, kind, side_to_fill),
-                              shift_targets=tuple(targets),
-                              sum_targets=sum_targets):
+    for xs, ys in _complete_pairs(length, _pair_columns(n, kind, side_to_fill),
+                                  _middle_options(n, kind, side_to_fill),
+                                  tuple(targets), sum_targets):
         if side_to_fill == SIDE_AB:
             quad = SeqQuad(SignSeq(xs), SignSeq(ys), f1, f2, kind)
         else:
@@ -409,22 +410,12 @@ def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[str], dict]:
 
 
 def _pool_entry(args):
-    cfg_kwargs, task = args
-    return run_task(SearchConfig(**cfg_kwargs), task)
-
-
-def _cfg_kwargs(cfg: SearchConfig) -> dict:
-    return {
-        "n": cfg.n, "kind": cfg.kind, "start_side": cfg.start_side,
-        "moduli": cfg.moduli, "grids": cfg.grids,
-        "first_solution_only": cfg.first_solution_only,
-        "worker_count": 1, "orbit_dedup": cfg.orbit_dedup,
-        "checkpoint_interval": cfg.checkpoint_interval,
-        "orbit_cap": cfg.orbit_cap,
-    }
+    return run_task(*args)
 
 
 # --- checkpointing -----------------------------------------------------------
+
+_CHECKPOINT_VERSION = 2
 
 
 def _results_digest(results: list[list], stats: dict) -> str:
@@ -437,7 +428,7 @@ def save_checkpoint(path: str, cfg: SearchConfig, tasks_total: int,
     """Persist completed-task results (a contiguous prefix, in task order)
     and the certificate counters summed over that prefix."""
     state = {
-        "version": 2,
+        "version": _CHECKPOINT_VERSION,
         "config_digest": cfg.digest(),
         "tasks_total": tasks_total,
         "tasks_done": len(results),
@@ -447,7 +438,7 @@ def save_checkpoint(path: str, cfg: SearchConfig, tasks_total: int,
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
+        fh.write(json.dumps(state))  # dumps uses the C encoder, dump does not
     os.replace(tmp, path)
 
 
@@ -457,6 +448,9 @@ def load_checkpoint(path: str, cfg: SearchConfig,
     mismatch with the config."""
     with open(path, "r", encoding="utf-8") as fh:
         state = json.load(fh)
+    if state.get("version") != _CHECKPOINT_VERSION:
+        raise ResumeError(f"checkpoint format version {state.get('version')!r} is "
+                          f"not supported (expected {_CHECKPOINT_VERSION})")
     if state.get("config_digest") != cfg.digest():
         raise ResumeError("checkpoint was written by a different configuration")
     if state.get("tasks_total") != tasks_total:
@@ -485,56 +479,33 @@ class SearchResult:
 
 def _finalize(cfg: SearchConfig, tasks: list[tuple],
               per_task: list[list[str]]) -> SearchResult:
-    finds = []
+    # finds come in task order, so the first find of a class has its
+    # least producing stage
+    quads, stages = [], []
     for task, blobs in zip(tasks, per_task):
-        index, si, hi = task[0], task[1], task[2]
         for blob in blobs:
-            finds.append((_deserialize(blob, cfg.kind), si, hi, index))
-    finds.sort(key=lambda item: (item[3], item[0].sort_key()))
+            quads.append(_deserialize(blob, cfg.kind))
+            stages.append(f"s{task[1]}.r{task[2]}")
 
     if not cfg.orbit_dedup:
-        ordered = sorted(finds, key=lambda item: item[0].sort_key())
-        return SearchResult(quads=[f[0] for f in ordered],
-                            stages=[f"s{f[1]}.r{f[2]}" for f in ordered])
+        order = sorted(range(len(quads)), key=lambda i: quads[i].sort_key())
+        return SearchResult(quads=[quads[i] for i in order],
+                            stages=[stages[i] for i in order])
 
     # For normal quads the kind's own moves (which act on A,B only) are
     # weaker than the profile-dedup moves, so regrow every
     # structure-preserving variant of each find before deduplicating.
-    members = finds
     if cfg.kind is Kind.NS:
-        members = []
-        seen: set[tuple] = set()
-        for quad, si, hi, index in finds:
-            if quad.sort_key() in seen:
-                continue
-            closure = equiv.orbit(quad, cap=cfg.orbit_cap,
-                                  generators=equiv.structure_generators)
-            fresh = [q for q in closure if q.sort_key() not in seen]
-            seen.update(q.sort_key() for q in fresh)
-            members.extend((q, si, hi, index) for q in fresh)
+        grown = list(equiv.first_visits(quads, cfg.orbit_cap,
+                                        equiv.structure_generators))
+        stages = [stages[i] for i, cls in grown for _ in cls]
+        quads = [q for _, cls in grown for q in cls]
 
-    visited: set[tuple] = set()
-    member_class: dict[tuple, tuple] = {}
-    rep_of: dict[tuple, SeqQuad] = {}
-    stage_of: dict[tuple, tuple[int, int, int]] = {}
-    for quad, si, hi, index in members:
-        key = quad.sort_key()
-        if key not in visited:
-            cls = equiv.orbit(quad, cap=cfg.orbit_cap)
-            rep_key = cls[0].sort_key()
-            rep_of[rep_key] = cls[0]
-            for member in cls:
-                visited.add(member.sort_key())
-                member_class[member.sort_key()] = rep_key
-        rep_key = member_class[key]
-        stage = (index, si, hi)
-        if rep_key not in stage_of or stage < stage_of[rep_key]:
-            stage_of[rep_key] = stage
-    ordered_keys = sorted(rep_of)
-    return SearchResult(
-        quads=[rep_of[k] for k in ordered_keys],
-        stages=[f"s{stage_of[k][1]}.r{stage_of[k][2]}" for k in ordered_keys],
-    )
+    reps = {cls[0].sort_key(): (cls[0], stages[i])
+            for i, cls in equiv.first_visits(quads, cfg.orbit_cap)}
+    ordered = [reps[k] for k in sorted(reps)]
+    return SearchResult(quads=[q for q, _ in ordered],
+                        stages=[stage for _, stage in ordered])
 
 
 def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
@@ -546,44 +517,33 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
     if checkpoint_path and os.path.exists(checkpoint_path):
         results, stats_total = load_checkpoint(checkpoint_path, cfg, len(tasks))
         done = [list(map(str, blobs)) for blobs in results]
-    pending = tasks[len(done):]
+    # a first-mode checkpoint that already holds a find is finished
+    stop_early = cfg.first_solution_only and any(done)
+    pending = [] if stop_early else tasks[len(done):]
 
-    stop_early = False
-
-    def note(blobs: list[str]):
-        nonlocal stop_early
-        done.append(blobs)
-        if cfg.first_solution_only and blobs:
-            stop_early = True
-        if checkpoint_path and (len(done) % cfg.checkpoint_interval == 0
-                                or len(done) == len(tasks) or stop_early):
-            save_checkpoint(checkpoint_path, cfg, len(tasks), done, stats_total)
-        if interrupt_after_tasks is not None and len(done) >= interrupt_after_tasks \
-                and len(done) < len(tasks) and not stop_early:
-            if checkpoint_path:
-                save_checkpoint(checkpoint_path, cfg, len(tasks), done, stats_total)
-            raise SearchInterrupted(f"interrupted after {len(done)} tasks")
-
-    if pending and not (cfg.first_solution_only and any(done)):
-        if cfg.worker_count == 1:
-            for task in pending:
-                _idx, blobs, st = run_task(cfg, task)
-                for key in stats_total:
-                    stats_total[key] += st[key]
-                note(blobs)
-                if stop_early:
-                    break
-        else:
+    with contextlib.ExitStack() as stack:
+        if cfg.worker_count > 1 and pending:
             ctx = multiprocessing.get_context("fork")
-            payload = [(_cfg_kwargs(cfg), task) for task in pending]
-            with ctx.Pool(cfg.worker_count) as pool:
-                for _idx, blobs, st in pool.imap(_pool_entry, payload, chunksize=1):
-                    for key in stats_total:
-                        stats_total[key] += st[key]
-                    note(blobs)
-                    if stop_early:
-                        pool.terminate()
-                        break
+            pool = stack.enter_context(ctx.Pool(cfg.worker_count))
+            runs = pool.imap(_pool_entry, [(cfg, task) for task in pending], chunksize=1)
+        else:
+            runs = (run_task(cfg, task) for task in pending)
+        # leaving the block terminates the pool, so a break or an
+        # interrupt stops the workers still running
+        for _idx, blobs, st in runs:
+            for key in stats_total:
+                stats_total[key] += st[key]
+            done.append(blobs)
+            stop_early = cfg.first_solution_only and bool(blobs)
+            interrupt = (not stop_early and interrupt_after_tasks is not None
+                         and interrupt_after_tasks <= len(done) < len(tasks))
+            if checkpoint_path and (len(done) % cfg.checkpoint_interval == 0
+                                    or len(done) == len(tasks) or stop_early or interrupt):
+                save_checkpoint(checkpoint_path, cfg, len(tasks), done, stats_total)
+            if interrupt:
+                raise SearchInterrupted(f"interrupted after {len(done)} tasks")
+            if stop_early:
+                break
 
     completed = len(done) == len(tasks) or stop_early
     result = _finalize(cfg, tasks[:len(done)], done)

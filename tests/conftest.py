@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from baseseq import oracle
 from baseseq.seqcore import Kind
+
+# fixed example sequence and no timing limit, so every run checks the
+# same examples whatever the machine's speed
+settings.register_profile("baseseq", derandomize=True, deadline=None, database=None)
+settings.load_profile("baseseq")
 
 
 @pytest.fixture(scope="session")

@@ -247,3 +247,111 @@ def test_fresh_checkpoint_full_run(tmp_path):
     res = search(cfg, checkpoint_path=path)
     assert res.certificate["exhaustive"] is True
     assert os.path.exists(path)
+
+
+def test_checkpoint_version_is_checked(tmp_path):
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=5, kind=Kind.NS)
+    with pytest.raises(SearchInterrupted):
+        search(cfg, checkpoint_path=path, interrupt_after_tasks=1)
+    tasks_total = len(build_tasks(cfg))
+    with open(path, encoding="utf-8") as fh:
+        state = json.load(fh)
+    assert state["version"] == 2
+    for version in (1, 3, None):
+        state["version"] = version
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(state, fh)
+        with pytest.raises(ResumeError, match="version"):
+            load_checkpoint(path, cfg, tasks_total)
+
+
+# --- order pins --------------------------------------------------------------
+#
+# sha256 digests of the candidate and completion streams, recorded before
+# the DFS kernel was split into an expansion and a completion routine;
+# the order of each stream is part of the byte-identity of search output.
+
+def _pairs_digest(pairs) -> str:
+    blob = "\n".join(f"{x.text()}|{y.text()}" for x, y in pairs)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _quads_digest(quads) -> str:
+    blob = "\n".join("|".join(s.text() for s in q.seqs()) for q in quads)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# NS n=7 on A,B (even length, derived partner) at modulus 1; BS n=8 on
+# C,D (even length) at modulus 3
+NS7_AB = ResidueProfile(1, (-2,), (-4,), (0,), (0,))
+BS8_CD = ResidueProfile(3, (0,) * 3, (0,) * 3, (-1, 1, 0), (-1, 1, 0))
+BS8_SUMS = (-5, -3, -5, -3)  # a, b, a', b' of a BS n=8 sum profile
+
+PINNED_STREAMS = [
+    (NS7_AB, 7, Kind.NS, SIDE_AB, 21,
+     "e3ec0f77e1a098e3521efe9471bdd771796e4c80a687a421d707ac31182fdf1b"),
+    (BS8_CD, 8, Kind.BS, SIDE_CD, 84,
+     "974275cb4d9c1c210f9a841b5f3a6b5e24312cb9144a9d0ab7eee714de6cad07"),
+]
+
+
+@pytest.mark.parametrize("prof,n,kind,side,count,digest", PINNED_STREAMS,
+                         ids=["ns7-AB", "bs8-CD"])
+def test_expand_candidates_order_pinned(prof, n, kind, side, count, digest):
+    stream = list(expand_candidates(prof, n, kind, side))
+    assert len(stream) == count
+    assert _pairs_digest(stream) == digest
+
+
+def test_expand_candidates_order_pinned_published_half():
+    # odd length 41: the middle position is placed last
+    prof = quad_residue_profile(known_quad(41), 6)
+    stream = list(itertools.islice(expand_candidates(prof, 41, Kind.BS, SIDE_CD), 2000))
+    assert len(stream) == 2000
+    assert _pairs_digest(stream) == \
+        "982e4d3ce1348e92179831093a9ecd4997bd1ec560cd9d9f7d6a9eb34cc0c402"
+
+
+def test_backtrack_complete_order_pinned():
+    # the filled sides have odd length (9 and 7), so the middle is covered
+    bs_pairs = list(expand_candidates(BS8_CD, 8, Kind.BS, SIDE_CD))
+    plain = [q for p in bs_pairs for q in backtrack_complete(p, 8, Kind.BS, SIDE_AB)]
+    pinned = [q for p in bs_pairs
+              for q in backtrack_complete(p, 8, Kind.BS, SIDE_AB, sum_targets=BS8_SUMS)]
+    # b one step off: only the middle position's sum test rejects these
+    off = [q for p in bs_pairs
+           for q in backtrack_complete(p, 8, Kind.BS, SIDE_AB, sum_targets=(-5, -1, -5, -1))]
+    ns_pairs = list(expand_candidates(NS7_AB, 7, Kind.NS, SIDE_AB))
+    ns = [q for p in ns_pairs for q in backtrack_complete(p, 7, Kind.NS, SIDE_CD)]
+    assert (len(plain), len(pinned), len(off), len(ns)) == (960, 8, 0, 192)
+    assert _quads_digest(plain) == \
+        "2cfd14d06d48fd1c80390d50f77a46c161fd965d6b72f8a5b13ef02d3e72be74"
+    assert _quads_digest(pinned) == \
+        "b7f3432e0aed29ef576d39a226b8a67b6b539062e2b7d22576f68d03be81b463"
+    assert _quads_digest(ns) == \
+        "784872b96e9c3eacbd932f6620986e3f8c2f140e6f16cba091c8248095e66b28"
+
+
+def test_first_mode_same_on_one_and_two_workers():
+    one = search(SearchConfig(n=8, kind=Kind.NNS, first_solution_only=True))
+    two = search(SearchConfig(n=8, kind=Kind.NNS, first_solution_only=True,
+                              worker_count=2))
+    assert one.quads and one.certificate["tasks_completed"] < one.certificate["tasks"]
+    assert [q.sort_key() for q in two.quads] == [q.sort_key() for q in one.quads]
+    assert two.stages == one.stages
+    assert two.certificate == one.certificate
+
+
+def test_checkpoint_interval_interrupt_resume(tmp_path):
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=7, kind=Kind.NS, checkpoint_interval=3)
+    with pytest.raises(SearchInterrupted):
+        search(cfg, checkpoint_path=path, interrupt_after_tasks=2)
+    results, _stats = load_checkpoint(path, cfg, len(build_tasks(cfg)))
+    assert len(results) == 2
+    resumed = search(cfg, checkpoint_path=path)
+    fresh = search(cfg)
+    assert [q.sort_key() for q in resumed.quads] == [q.sort_key() for q in fresh.quads]
+    assert resumed.stages == fresh.stages
+    assert resumed.certificate == fresh.certificate
