@@ -14,8 +14,16 @@ re-derived, named here by what they do to the open part of A:
                      (without the C,D alternation the summed
                      autocorrelation flips sign at odd shifts)
 
-Each kind has its own generator list; orbits, canonical forms and
-deduplication are all relative to the kind's list.
+Each kind has its own generator list (``GENERATORS``); orbits, canonical
+forms and deduplication are all relative to the kind's list.
+
+Orbits are closed over plain sign tuples: a member is the tuple
+``(a, b, c, d)`` of the four ``SignSeq.elements``, each move maps one
+such tuple to another, and ``SeqQuad`` objects are built only at the API
+edge.  The quad order (``SeqQuad.sort_key``: +1 sorts before -1) is the
+*reverse* of tuple order, since +1 > -1 and members of an orbit have
+equal lengths: the least member is the ``max`` tuple, and a sorted orbit
+is ``sorted(members, reverse=True)``.
 
 The same moves act on the eight row sums of a quad as signed
 permutations; that cheap action is used to deduplicate sum profiles
@@ -25,23 +33,29 @@ without materializing sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
+from operator import mul, neg
 from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import ApplicabilityError, MalformedInputError, OrbitCapExceeded
-from .seqcore import Kind, SeqQuad, SignSeq, derive_partner
+from .errors import (ApplicabilityError, MalformedInputError, OrbitCapExceeded,
+                     PreconditionError)
+from .seqcore import Kind, SeqQuad, SignSeq, partner_elements
 
 DEFAULT_ORBIT_CAP = 10 ** 7
 
-_SEQ_NAMES = ("a", "b", "c", "d")
+# the element tuples (a, b, c, d) of a quad's four sequences
+Signs = tuple[tuple[int, ...], ...]
+Move = Callable[[Signs], Optional[Signs]]
 
 
 @dataclass(frozen=True)
 class Transform:
     """One equivalence move.
 
-    ``op`` is one of: negate, reverse, swap_ab, swap_cd, alternate_all,
-    column_swap, struct_negate, struct_reverse, struct_alternate.
-    ``which`` names the target sequence for negate/reverse.
+    ``op`` is one of: negate, reverse, swap_ab, swap_cd, neg_ab_swap,
+    alternate_all, column_swap, struct_negate, struct_reverse,
+    struct_alternate.  ``which`` names the target sequence for
+    negate/reverse.
     """
 
     op: str
@@ -61,6 +75,7 @@ class Transform:
 
 SWAP_AB = Transform("swap_ab")
 SWAP_CD = Transform("swap_cd")
+NEG_AB_SWAP = Transform("neg_ab_swap")  # negate both A and B, then interchange them
 ALTERNATE_ALL = Transform("alternate_all")
 COLUMN_SWAP = Transform("column_swap")
 STRUCT_NEGATE = Transform("struct_negate")
@@ -70,64 +85,149 @@ STRUCT_ALTERNATE = Transform("struct_alternate")
 CHECKERBOARD = ((1, -1, -1, 1), (-1, 1, 1, -1))
 
 
-def _column_swap(quad: SeqQuad) -> SeqQuad:
+# --- moves on sign tuples -----------------------------------------------------
+
+def _neg(x: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(neg, x))
+
+
+def _rev(x: tuple[int, ...]) -> tuple[int, ...]:
+    return x[::-1]
+
+
+def _alt(x: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(mul, x, cycle((1, -1))))
+
+
+def _rev_odd_positions(x: tuple[int, ...]) -> tuple[int, ...]:
+    out = list(x)
+    out[0::2] = out[0::2][::-1]
+    return tuple(out)
+
+
+def _column_swap(q: Signs) -> Optional[Signs]:
     """Flip every checkerboard block (c_i, c_{n+1-i}; d_i, d_{n+1-i}) at once.
 
     Flipping a single block in isolation does not preserve validity; the
     simultaneous flip of all matching blocks is an involution that does.
     """
-    n = quad.n
-    c = list(quad.c.elements)
-    d = list(quad.d.elements)
+    c, d = list(q[2]), list(q[3])
+    n = len(c)
     hit = False
-    for i in range(1, n // 2 + 1):
-        j = n + 1 - i
-        blk = (c[i - 1], c[j - 1], d[i - 1], d[j - 1])
-        if blk in CHECKERBOARD:
-            c[i - 1], c[j - 1], d[i - 1], d[j - 1] = (-blk[0], -blk[1], -blk[2], -blk[3])
+    for i in range(n // 2):
+        j = n - 1 - i
+        if (c[i], c[j], d[i], d[j]) in CHECKERBOARD:
+            c[i], c[j], d[i], d[j] = -c[i], -c[j], -d[i], -d[j]
             hit = True
-    if not hit:
-        raise ApplicabilityError("no checkerboard column block to swap")
-    return SeqQuad(quad.a, quad.b, SignSeq(tuple(c)), SignSeq(tuple(d)), quad.kind)
+    return (q[0], q[1], tuple(c), tuple(d)) if hit else None
 
 
-def _replace(quad: SeqQuad, **named: SignSeq) -> SeqQuad:
-    parts = {name: getattr(quad, name) for name in _SEQ_NAMES}
-    parts.update(named)
-    return SeqQuad(parts["a"], parts["b"], parts["c"], parts["d"], quad.kind)
+def _on(i: int, fn: Callable[[tuple[int, ...]], tuple[int, ...]]) -> Move:
+    return lambda q: q[:i] + (fn(q[i]),) + q[i + 1:]
 
 
-def _body_map(seq: SignSeq, fn: Callable[[tuple[int, ...]], Iterable[int]]) -> SignSeq:
-    """Apply ``fn`` to all entries but the last, keeping the last."""
-    return SignSeq(tuple(fn(seq.elements[:-1])) + (seq.elements[-1],))
+def _struct(kind: Kind, body: Callable[[tuple[int, ...]], tuple[int, ...]],
+            alternate_cd: bool = False) -> Move:
+    """A coupled move: ``body`` acts on the open part of A, B is re-derived."""
+    def move(q: Signs) -> Signs:
+        a, _, c, d = q
+        if len(a) == 1:
+            return q  # n = 0: A has no open part
+        a = body(a[:-1]) + a[-1:]
+        if alternate_cd:
+            c, d = _alt(c), _alt(d)
+        return (a, partner_elements(a, kind), c, d)
+    return move
 
 
-def _struct_negate(quad: SeqQuad) -> SeqQuad:
-    if quad.kind is Kind.NS:
-        a2 = _body_map(quad.a, lambda body: (-x for x in body))
-    else:  # near-normal: negate odd positions only
-        a2 = _body_map(quad.a, lambda body: (-x if j % 2 == 0 else x
-                                             for j, x in enumerate(body)))
-    return _replace(quad, a=a2, b=derive_partner(a2, quad.kind))
+def _move_table(kind: Kind) -> dict[Transform, Move]:
+    table = {Transform(op, w): _on(i, fn)
+             for op, fn in (("negate", _neg), ("reverse", _rev))
+             for i, w in enumerate("abcd")}
+    table[SWAP_AB] = lambda q: (q[1], q[0], q[2], q[3])
+    table[SWAP_CD] = lambda q: (q[0], q[1], q[3], q[2])
+    table[NEG_AB_SWAP] = lambda q: (_neg(q[1]), _neg(q[0]), q[2], q[3])
+    table[ALTERNATE_ALL] = lambda q: tuple(map(_alt, q))
+    table[COLUMN_SWAP] = _column_swap
+    if kind is not Kind.BS:
+        near = kind is Kind.NNS  # near-normal: odd positions only
+        table[STRUCT_NEGATE] = _struct(kind, (lambda x: _neg(_alt(x))) if near else _neg)
+        table[STRUCT_REVERSE] = _struct(kind, _rev_odd_positions if near else _rev)
+        table[STRUCT_ALTERNATE] = _struct(kind, _alt, alternate_cd=True)
+    return table
 
 
-def _struct_reverse(quad: SeqQuad) -> SeqQuad:
-    if quad.kind is Kind.NS:
-        a2 = _body_map(quad.a, lambda body: reversed(body))
-    else:
-        def odd_reversed(body):
-            out = list(body)
-            out[0::2] = reversed(out[0::2])
-            return out
-        a2 = _body_map(quad.a, odd_reversed)
-    return _replace(quad, a=a2, b=derive_partner(a2, quad.kind))
+_MOVES = {kind: _move_table(kind) for kind in Kind}
+
+_CD_MOVES = (Transform.negate("c"), Transform.reverse("c"),
+             Transform.negate("d"), Transform.reverse("d"), SWAP_CD)
+_STRUCT_MOVES = (STRUCT_NEGATE, STRUCT_REVERSE, STRUCT_ALTERNATE)
+
+GENERATORS: dict[Kind, tuple[Transform, ...]] = {
+    Kind.BS: tuple(Transform(op, w) for w in "abcd" for op in ("negate", "reverse"))
+    + (SWAP_AB, SWAP_CD, ALTERNATE_ALL, COLUMN_SWAP),
+    Kind.NNS: _CD_MOVES + (NEG_AB_SWAP, ALTERNATE_ALL),
+    Kind.NS: _STRUCT_MOVES,
+}
+
+# For normal quads the kind's own moves (which act on A,B only) are
+# weaker than the profile-dedup moves; closing a find under every
+# structure-preserving move regrows all of its raw-sum-profile variants.
+NS_REGROW = _CD_MOVES + _STRUCT_MOVES + (COLUMN_SWAP,)
 
 
-def _struct_alternate(quad: SeqQuad) -> SeqQuad:
-    a2 = _body_map(quad.a, lambda body: (x if j % 2 == 0 else -x
-                                         for j, x in enumerate(body)))
-    return _replace(quad, a=a2, b=derive_partner(a2, quad.kind),
-                    c=quad.c.alternated(), d=quad.d.alternated())
+def _closure(start, step: Callable[..., Iterable], cap: int) -> list:
+    """Everything reachable from ``start`` under ``step``, in BFS order.
+    Past ``cap`` members, :class:`OrbitCapExceeded` carries those found."""
+    if cap < 1:
+        raise PreconditionError("orbit cap must be >= 1")
+    seen = {start}
+    members = [start]
+    for x in members:  # members grows while it is read: the BFS queue
+        for img in step(x):
+            if img is not None and img not in seen:
+                if len(seen) >= cap:
+                    raise OrbitCapExceeded(cap, members)
+                seen.add(img)
+                members.append(img)
+    return members
+
+
+def _signs(quad: SeqQuad) -> Signs:
+    return tuple(s.elements for s in quad.seqs())
+
+
+def _quad(q: Signs, kind: Kind) -> SeqQuad:
+    return SeqQuad(*map(SignSeq, q), kind)
+
+
+def _class_of(q: Signs, kind: Kind, cap: int,
+              moves: Optional[Iterable[Transform]] = None) -> list[Signs]:
+    fns = [_MOVES[kind][t] for t in (GENERATORS[kind] if moves is None else moves)]
+    try:
+        return _closure(q, lambda x: [fn(x) for fn in fns], cap)
+    except OrbitCapExceeded as exc:
+        exc.partial = [_quad(m, kind) for m in sorted(exc.partial, reverse=True)]
+        raise
+
+
+def first_visits(items: Iterable[Signs], kind: Kind, cap: int = DEFAULT_ORBIT_CAP,
+                 moves: Optional[Iterable[Transform]] = None,
+                 ) -> Iterator[tuple[int, list[Signs]]]:
+    """``(i, orbit)`` for each input ``i`` that lies in no earlier input's
+    orbit, in input order, with the orbit's members in BFS order.
+
+    ``moves`` defaults to the kind's generator list.  Every move is
+    invertible, so orbits are disjoint and each class is yielded once,
+    from its first input member.
+    """
+    visited: set[Signs] = set()
+    for i, q in enumerate(items):
+        if q in visited:
+            continue
+        cls = _class_of(q, kind, cap, moves)
+        visited.update(cls)
+        yield i, cls
 
 
 def apply(quad: SeqQuad, t: Transform) -> SeqQuad:
@@ -137,120 +237,44 @@ def apply(quad: SeqQuad, t: Transform) -> SeqQuad:
     example negating A alone, or swapping A with B) are rejected; use
     the struct_* moves there instead.
     """
-    structured = quad.kind is not Kind.BS
-    if t.op in ("negate", "reverse"):
-        if structured and t.which in ("a", "b"):
-            raise ApplicabilityError(f"{t.op}({t.which}) breaks the A,B coupling")
-        seq = getattr(quad, t.which)
-        image = seq.negated() if t.op == "negate" else seq.reversed_()
-        return _replace(quad, **{t.which: image})
-    if t.op == "swap_ab":
-        if structured:
-            raise ApplicabilityError("swap_ab breaks the A,B coupling")
-        return _replace(quad, a=quad.b, b=quad.a)
-    if t.op == "swap_cd":
-        return _replace(quad, c=quad.d, d=quad.c)
-    if t.op == "alternate_all":
-        if quad.kind is Kind.NS and quad.n % 2 == 1:
-            raise ApplicabilityError(
-                "alternate_all flips the fixed last entries for odd normal quads")
-        return SeqQuad(quad.a.alternated(), quad.b.alternated(),
-                       quad.c.alternated(), quad.d.alternated(), quad.kind)
-    if t.op == "column_swap":
-        return _column_swap(quad)
-    if t.op in ("struct_negate", "struct_reverse", "struct_alternate"):
-        if quad.kind is Kind.BS:
-            raise ApplicabilityError(f"{t.op} applies to ns/nns quads only")
-        if quad.n == 0:
-            return quad
-        return {"struct_negate": _struct_negate,
-                "struct_reverse": _struct_reverse,
-                "struct_alternate": _struct_alternate}[t.op](quad)
-    raise ApplicabilityError(f"unknown transform {t.op!r}")
-
-
-def _neg_ab_swap(quad: SeqQuad) -> SeqQuad:
-    """Negate both A and B, then interchange them."""
-    return _replace(quad, a=quad.b.negated(), b=quad.a.negated())
+    kind = quad.kind
+    if kind is not Kind.BS and (t == SWAP_AB or (t.op in ("negate", "reverse")
+                                                 and t.which in ("a", "b"))):
+        raise ApplicabilityError(f"{t} breaks the A,B coupling")
+    if t == ALTERNATE_ALL and kind is Kind.NS and quad.n % 2 == 1:
+        raise ApplicabilityError(
+            "alternate_all flips the fixed last entries for odd normal quads")
+    if t in _STRUCT_MOVES and kind is Kind.BS:
+        raise ApplicabilityError(f"{t.op} applies to ns/nns quads only")
+    move = _MOVES[kind].get(t)
+    if move is None:
+        raise ApplicabilityError(f"unknown transform {t.op!r}")
+    image = move(_signs(quad))
+    if image is None:
+        raise ApplicabilityError("no checkerboard column block to swap")
+    return _quad(image, kind)
 
 
 def kind_generators(quad: SeqQuad) -> list[SeqQuad]:
     """Images of ``quad`` under the generator list of its kind."""
-    out = []
-    if quad.kind is Kind.BS:
-        for name in _SEQ_NAMES:
-            out.append(apply(quad, Transform.negate(name)))
-            out.append(apply(quad, Transform.reverse(name)))
-        out.append(apply(quad, SWAP_AB))
-        out.append(apply(quad, SWAP_CD))
-        out.append(apply(quad, ALTERNATE_ALL))
-        try:
-            out.append(apply(quad, COLUMN_SWAP))
-        except ApplicabilityError:
-            pass
-    elif quad.kind is Kind.NNS:
-        for name in ("c", "d"):
-            out.append(apply(quad, Transform.negate(name)))
-            out.append(apply(quad, Transform.reverse(name)))
-        out.append(apply(quad, SWAP_CD))
-        out.append(_neg_ab_swap(quad))
-        out.append(apply(quad, ALTERNATE_ALL))
-    else:  # NS
-        out.append(apply(quad, STRUCT_NEGATE))
-        out.append(apply(quad, STRUCT_REVERSE))
-        out.append(apply(quad, STRUCT_ALTERNATE))
-    return out
+    q = _signs(quad)
+    images = (_MOVES[quad.kind][t](q) for t in GENERATORS[quad.kind])
+    return [_quad(img, quad.kind) for img in images if img is not None]
 
 
-def structure_generators(quad: SeqQuad) -> list[SeqQuad]:
-    """Images under every validity-and-structure-preserving move.
-
-    A superset of ``kind_generators`` used by the searcher to regrow all
-    raw-sum-profile variants of a find before kind-level deduplication.
-    """
-    if quad.kind is Kind.BS:
-        return kind_generators(quad)
-    out = []
-    for name in ("c", "d"):
-        out.append(apply(quad, Transform.negate(name)))
-        out.append(apply(quad, Transform.reverse(name)))
-    out.append(apply(quad, SWAP_CD))
-    out.append(apply(quad, STRUCT_NEGATE))
-    out.append(apply(quad, STRUCT_REVERSE))
-    out.append(apply(quad, STRUCT_ALTERNATE))
-    try:
-        out.append(apply(quad, COLUMN_SWAP))
-    except ApplicabilityError:
-        pass
-    return out
-
-
-def orbit(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP,
-          generators: Callable[[SeqQuad], list[SeqQuad]] = kind_generators) -> list[SeqQuad]:
+def orbit(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQuad]:
     """Closure of the quad under its kind's generators, sorted.
 
     Raises :class:`OrbitCapExceeded` (carrying the partial orbit) if the
-    closure grows past ``cap``.
+    closure grows past ``cap``, :class:`PreconditionError` if ``cap`` < 1.
     """
-    seen = {quad.sort_key(): quad}
-    frontier = [quad]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for img in generators(q):
-                key = img.sort_key()
-                if key not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitCapExceeded(cap, sorted(seen.values(), key=SeqQuad.sort_key))
-                    seen[key] = img
-                    nxt.append(img)
-        frontier = nxt
-    return sorted(seen.values(), key=SeqQuad.sort_key)
+    members = _class_of(_signs(quad), quad.kind, cap)
+    return [_quad(m, quad.kind) for m in sorted(members, reverse=True)]
 
 
 def canonical(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP) -> SeqQuad:
     """Least orbit member under the fixed total order (+1 sorts before -1)."""
-    return orbit(quad, cap=cap)[0]
+    return _quad(max(_class_of(_signs(quad), quad.kind, cap)), quad.kind)
 
 
 def dedup(quads: Iterable[SeqQuad], cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQuad]:
@@ -263,29 +287,10 @@ def dedup(quads: Iterable[SeqQuad], cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQua
     if not quads:
         return []
     n, kind = quads[0].n, quads[0].kind
-    for q in quads:
-        if q.n != n or q.kind != kind:
-            raise MalformedInputError("dedup requires uniform n and kind")
-    reps = {cls[0].sort_key(): cls[0] for _, cls in first_visits(quads, cap)}
-    return [reps[k] for k in sorted(reps)]
-
-
-def first_visits(quads: Iterable[SeqQuad], cap: int = DEFAULT_ORBIT_CAP,
-                 generators: Callable[[SeqQuad], list[SeqQuad]] = kind_generators,
-                 ) -> Iterator[tuple[int, list[SeqQuad]]]:
-    """``(i, orbit)`` for each input quad ``i`` that lies in no earlier
-    input's orbit, in input order.
-
-    Every move is invertible, so orbits are disjoint and each class is
-    yielded once, from its first input member.
-    """
-    visited: set[tuple] = set()
-    for i, q in enumerate(quads):
-        if q.sort_key() in visited:
-            continue
-        cls = orbit(q, cap=cap, generators=generators)
-        visited.update(member.sort_key() for member in cls)
-        yield i, cls
+    if any(q.n != n or q.kind != kind for q in quads):
+        raise MalformedInputError("dedup requires uniform n and kind")
+    reps = [max(cls) for _, cls in first_visits(map(_signs, quads), kind, cap)]
+    return [_quad(r, kind) for r in sorted(reps, reverse=True)]
 
 
 # --- signed-permutation action on the eight row sums ----------------------
@@ -321,14 +326,5 @@ def profile_generators(values: tuple[int, ...], n: int,
 def profile_orbit(values: tuple[int, ...], n: int,
                   kind: Kind = Kind.BS) -> list[tuple[int, ...]]:
     """Closure of an eight-sum tuple under the signed-permutation action."""
-    seen = {values}
-    frontier = [values]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for img in profile_generators(v, n, kind):
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return sorted(seen)
+    return sorted(_closure(values, lambda v: profile_generators(v, n, kind),
+                           DEFAULT_ORBIT_CAP))

@@ -84,8 +84,9 @@ class SearchConfig:
             raise PreconditionError("near-normal searches need even moduli")
         if not self.grids:
             object.__setattr__(self, "grids", _DEFAULT_GRIDS[self.kind])
-        if self.worker_count < 1 or self.checkpoint_interval < 1:
-            raise PreconditionError("worker_count and checkpoint_interval must be >= 1")
+        if self.worker_count < 1 or self.checkpoint_interval < 1 or self.orbit_cap < 1:
+            raise PreconditionError(
+                "worker_count, checkpoint_interval and orbit_cap must be >= 1")
 
     def digest(self) -> str:
         payload = {
@@ -370,9 +371,8 @@ def _serialize(quad: SeqQuad) -> str:
     return "|".join(s.text() for s in quad.seqs())
 
 
-def _deserialize(blob: str, kind: Kind) -> SeqQuad:
-    parts = [SignSeq.from_text(p) for p in blob.split("|")]
-    return SeqQuad(*parts, kind=kind)
+def _deserialize(blob: str) -> equiv.Signs:
+    return tuple(SignSeq.from_text(p).elements for p in blob.split("|"))
 
 
 def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[str], dict]:
@@ -448,6 +448,8 @@ def load_checkpoint(path: str, cfg: SearchConfig,
     mismatch with the config."""
     with open(path, "r", encoding="utf-8") as fh:
         state = json.load(fh)
+    if not isinstance(state, dict):
+        raise ResumeError("checkpoint is not a JSON object")
     if state.get("version") != _CHECKPOINT_VERSION:
         raise ResumeError(f"checkpoint format version {state.get('version')!r} is "
                           f"not supported (expected {_CHECKPOINT_VERSION})")
@@ -480,32 +482,26 @@ class SearchResult:
 def _finalize(cfg: SearchConfig, tasks: list[tuple],
               per_task: list[list[str]]) -> SearchResult:
     # finds come in task order, so the first find of a class has its
-    # least producing stage
-    quads, stages = [], []
+    # least producing stage; classes are closed over sign tuples, whose
+    # reverse order is the quad order (see equiv)
+    finds, stages = [], []
     for task, blobs in zip(tasks, per_task):
         for blob in blobs:
-            quads.append(_deserialize(blob, cfg.kind))
+            finds.append(_deserialize(blob))
             stages.append(f"s{task[1]}.r{task[2]}")
 
-    if not cfg.orbit_dedup:
-        order = sorted(range(len(quads)), key=lambda i: quads[i].sort_key())
-        return SearchResult(quads=[quads[i] for i in order],
-                            stages=[stages[i] for i in order])
-
-    # For normal quads the kind's own moves (which act on A,B only) are
-    # weaker than the profile-dedup moves, so regrow every
-    # structure-preserving variant of each find before deduplicating.
-    if cfg.kind is Kind.NS:
-        grown = list(equiv.first_visits(quads, cfg.orbit_cap,
-                                        equiv.structure_generators))
-        stages = [stages[i] for i, cls in grown for _ in cls]
-        quads = [q for _, cls in grown for q in cls]
-
-    reps = {cls[0].sort_key(): (cls[0], stages[i])
-            for i, cls in equiv.first_visits(quads, cfg.orbit_cap)}
-    ordered = [reps[k] for k in sorted(reps)]
-    return SearchResult(quads=[q for q, _ in ordered],
-                        stages=[stage for _, stage in ordered])
+    if cfg.orbit_dedup:
+        if cfg.kind is Kind.NS:  # regrow first: see equiv.NS_REGROW
+            grown = list(equiv.first_visits(finds, cfg.kind, cfg.orbit_cap,
+                                            equiv.NS_REGROW))
+            stages = [stages[i] for i, cls in grown for _ in cls]
+            finds = [q for _, cls in grown for q in cls]
+        reps = {max(cls): stages[i]
+                for i, cls in equiv.first_visits(finds, cfg.kind, cfg.orbit_cap)}
+        finds, stages = list(reps), list(reps.values())
+    order = sorted(range(len(finds)), key=finds.__getitem__, reverse=True)
+    return SearchResult(quads=[SeqQuad(*map(SignSeq, finds[i]), cfg.kind) for i in order],
+                        stages=[stages[i] for i in order])
 
 
 def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,

@@ -170,7 +170,10 @@ class SumProfile:
 
     @classmethod
     def from_tuple(cls, values) -> "SumProfile":
-        return cls(*map(int, values))
+        values = tuple(map(int, values))
+        if len(values) != 8:
+            raise MalformedInputError(f"a sum profile has 8 values, got {len(values)}")
+        return cls(*values)
 
     def square_sum(self) -> int:
         return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
@@ -215,15 +218,20 @@ class SeqQuad:
                      for seq in self.seqs() for x in seq.elements)
 
 
-def derive_partner(a: SignSeq, kind: Kind) -> SignSeq:
-    """Build B from A for a structured kind (last entry forced to -1)."""
+def partner_elements(a: tuple[int, ...], kind: Kind) -> tuple[int, ...]:
+    """B's entries from A's for a structured kind (last entry forced to -1)."""
     if kind is Kind.NS:
-        body = a.elements[:-1]
+        body = a[:-1]
     elif kind is Kind.NNS:
-        body = tuple(x if j % 2 == 0 else -x for j, x in enumerate(a.elements[:-1]))
+        body = tuple(x if j % 2 == 0 else -x for j, x in enumerate(a[:-1]))
     else:
         raise MalformedInputError("partner derivation applies to ns/nns only")
-    return SignSeq(body + (-1,))
+    return body + (-1,)
+
+
+def derive_partner(a: SignSeq, kind: Kind) -> SignSeq:
+    """Build B from A for a structured kind (last entry forced to -1)."""
+    return SignSeq(partner_elements(a.elements, kind))
 
 
 def row_sums(quad: SeqQuad) -> SumProfile:

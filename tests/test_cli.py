@@ -143,6 +143,24 @@ def test_search_cli_orbit_cap_exceeded():
     assert err.startswith("error:") and "cap" in err
 
 
+def test_search_and_canon_reject_orbit_cap_zero(tmp_path):
+    code, out, err = run_cli(["search", "--n", "3", "--kind", "bs", "--orbit-cap", "0"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "orbit_cap" in err
+    path = tmp_path / "quads.txt"
+    path.write_text(quad_to_text(known_quad(41)) + "\n")
+    code, out, err = run_cli(["canon", "--kind", "bs", "--file", str(path),
+                              "--orbit-cap", "0"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
+def test_profiles_rejects_wrong_sum_count():
+    code, out, err = run_cli(["profiles", "--n", "5", "--kind", "bs", "--sums", "1,2,3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "8" in err
+
+
 def test_record_parse_errors():
     with pytest.raises(MalformedInputError):
         ResultRecord.parse("n=3 kind=ns")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from baseseq.equiv import (ALTERNATE_ALL, COLUMN_SWAP, STRUCT_ALTERNATE,
                            STRUCT_NEGATE, STRUCT_REVERSE, SWAP_AB, SWAP_CD,
                            Transform, apply, canonical, dedup, orbit,
                            profile_orbit)
-from baseseq.errors import ApplicabilityError, MalformedInputError, OrbitCapExceeded
+from baseseq.errors import (ApplicabilityError, MalformedInputError, OrbitCapExceeded,
+                            PreconditionError)
 from baseseq.refdata import known_quad
 from baseseq.seqcore import Kind, SeqQuad, SignSeq, row_sums, verify
 
@@ -164,7 +166,7 @@ def test_profile_action_matches_quad_action(bs_pool, ns_pool, nns_pool):
                 apply(q, Transform.reverse("c")),
                 apply(q, Transform.reverse("d")),
                 apply(q, SWAP_CD),
-                equiv._neg_ab_swap(q),
+                apply(q, equiv.NEG_AB_SWAP),
                 (apply(q, STRUCT_ALTERNATE) if kind is not Kind.BS
                  else apply(q, ALTERNATE_ALL)),
             ]
@@ -176,3 +178,70 @@ def test_profile_orbit_contains_identity():
     values = (2, 0, 1, 1, 0, 2, 1, 1)
     members = profile_orbit(values, 1, Kind.BS)
     assert values in members
+
+
+def test_orbit_cap_must_be_positive(bs_pool):
+    q = bs_pool[3][0]
+    for cap in (0, -5):
+        with pytest.raises(PreconditionError):
+            orbit(q, cap=cap)
+        with pytest.raises(PreconditionError):
+            dedup([q], cap=cap)
+
+
+# --- pins --------------------------------------------------------------------
+#
+# sha256 digests recorded before orbits moved from SeqQuad objects onto
+# plain sign tuples: the images of apply (and its refusals), the orbit
+# member lists in their order, and the partial orbit of a capped closure.
+
+ALL_TRANSFORMS = ([Transform.negate(w) for w in "abcd"]
+                  + [Transform.reverse(w) for w in "abcd"]
+                  + [SWAP_AB, SWAP_CD, ALTERNATE_ALL, COLUMN_SWAP,
+                     STRUCT_NEGATE, STRUCT_REVERSE, STRUCT_ALTERNATE])
+APPLY_DIGEST = "cd0ab5eb6b1d0aacd56674e04decfeadc74321bc9305c0591b22c80e75551251"
+GENERATORS_DIGEST = "b8ff4506d48961762170a1f239445f28295b42cd49f57e9a3c06034424220b48"
+ORBIT_MEMBERS = 3000
+ORBIT_DIGEST = "859991928253fd8467cb85ed80fc78a0d880cedca1d8a3b6445da5d27c92c0d8"
+PARTIAL_DIGEST = "4ba7aad323feee9f3070caba67f62d4299b244004c28db58e48bbd18ae974c98"
+
+
+def _text(quad):
+    return "|".join(s.text() for s in quad.seqs())
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_apply_images_pinned(small_quads):
+    lines = []
+    for q in [q for _, q in small_quads] + [known_quad(41)]:
+        for t in ALL_TRANSFORMS:
+            try:
+                lines.append(f"{q.kind.value} {t} {_text(apply(q, t))}")
+            except ApplicabilityError as exc:
+                lines.append(f"{q.kind.value} {t} ! {exc}")
+    assert len(lines) == 15 * 5833
+    assert _digest(lines) == APPLY_DIGEST
+
+
+def test_kind_generators_pinned(small_quads):
+    # the image order is the BFS order of every orbit
+    lines = [f"{q.kind.value} " + " ".join(_text(img) for img in equiv.kind_generators(q))
+             for q in [q for _, q in small_quads] + [known_quad(41)]]
+    assert _digest(lines) == GENERATORS_DIGEST
+
+
+def test_orbit_members_pinned(bs_pool, ns_pool, nns_pool):
+    picks = [bs_pool[3][0], bs_pool[4][17], bs_pool[5][100], ns_pool[5][0],
+             ns_pool[7][300], ns_pool[8][0], nns_pool[6][0], nns_pool[8][200]]
+    lines = [_text(m) for q in picks for m in orbit(q)]
+    assert len(lines) == ORBIT_MEMBERS
+    assert _digest(lines) == ORBIT_DIGEST
+
+
+def test_orbit_cap_partial_pinned():
+    with pytest.raises(OrbitCapExceeded) as err:
+        orbit(known_quad(41), cap=300)
+    assert _digest([_text(m) for m in err.value.partial]) == PARTIAL_DIGEST

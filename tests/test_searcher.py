@@ -34,6 +34,12 @@ def test_config_defaults_and_validation():
         SearchConfig(n=6, kind=Kind.BS).digest()
 
 
+def test_config_rejects_orbit_cap_below_one():
+    for cap in (0, -5):
+        with pytest.raises(PreconditionError, match="orbit_cap"):
+            SearchConfig(n=5, kind=Kind.BS, orbit_cap=cap)
+
+
 def test_expand_candidates_single_element():
     # n=1: one position per side, fully determined by its class sums
     prof = ResidueProfile(6, (0,) * 6, (0,) * 6, (1, 0, 0, 0, 0, 0),
@@ -355,3 +361,41 @@ def test_checkpoint_interval_interrupt_resume(tmp_path):
     assert [q.sort_key() for q in resumed.quads] == [q.sort_key() for q in fresh.quads]
     assert resumed.stages == fresh.stages
     assert resumed.certificate == fresh.certificate
+
+
+# sha256 of the search records (quad text and stage, in output order),
+# recorded before orbit dedup moved onto plain sign tuples
+PINNED_SEARCHES = [
+    (SearchConfig(n=7, kind=Kind.BS), 17,
+     "2ca39b53d7cbccecc23c7087bb8626fb688878ccb8c84fbf53b4b07c0d325949"),
+    # NS 12 is the one where the column_swap of the NS regrow changes stages
+    (SearchConfig(n=12, kind=Kind.NS), 256,
+     "3714b2e9b97a068dc1ae8e057d471820bf3eff960a1b8dc83ded460ba6d03396"),
+    (SearchConfig(n=15, kind=Kind.NS), 32,
+     "6887d804bc7a3015b79cb4087f3b0be70502601b3051b89b807707e0b0e75520"),
+    (SearchConfig(n=14, kind=Kind.NNS), 25,
+     "9baf886d037787dcc7cac8137b24a482aefe007dd1a594941f903e069c4f3d1f"),
+    (SearchConfig(n=8, kind=Kind.BS, orbit_dedup=False), 2528,
+     "1fdba5c3c41ef1d0fe5745c8a37059146a79c8cac2b5ef01f50ba9abe03250ff"),
+]
+
+
+@pytest.mark.parametrize("cfg,count,digest", PINNED_SEARCHES,
+                         ids=["bs7", "ns12", "ns15", "nns14", "bs8-raw"])
+def test_search_records_pinned(cfg, count, digest):
+    res = search(cfg)
+    lines = ["|".join(s.text() for s in q.seqs()) + f" {stage}"
+             for q, stage in zip(res.quads, res.stages)]
+    assert len(lines) == count
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_checkpoint_that_is_not_an_object_is_refused(tmp_path):
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=5, kind=Kind.NS)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[1,2]")
+    with pytest.raises(ResumeError, match="object"):
+        load_checkpoint(path, cfg, len(build_tasks(cfg)))
+    with pytest.raises(ResumeError):
+        search(cfg, checkpoint_path=path)
