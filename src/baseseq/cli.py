@@ -3,7 +3,10 @@
 Output is line-delimited.  ``search`` writes its records only after
 every task has run and the finds are deduplicated, so an interrupted
 search leaves no records; its checkpoint (``--checkpoint``) is what
-survives, and rerunning the same command resumes from it.  Every
+survives, and rerunning the same command resumes from it.  The
+checkpoint is an append-only journal (version 3): a header line, then
+one digested line per finished task; a torn last line is dropped on
+resume.  Every
 command is reproducible byte for byte: there is no randomness and no
 environment-variable config.
 
@@ -241,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="stop at the first quad found")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--checkpoint", default="", help="checkpoint file to write/resume")
-    p.add_argument("--checkpoint-interval", type=int, default=1)
+    p.add_argument("--checkpoint-interval", type=int, default=1,
+                   help="append finished tasks to the checkpoint every N tasks "
+                        "(and when the search stops)")
     p.add_argument("--grid", default="", help="comma-separated grid specs")
     p.add_argument("--moduli", default="", help="comma-separated modulus chain")
     p.add_argument("--start-side", default="", choices=["", "AB", "CD"])

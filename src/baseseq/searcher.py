@@ -84,6 +84,8 @@ class SearchConfig:
             raise PreconditionError("near-normal searches need even moduli")
         if not self.grids:
             object.__setattr__(self, "grids", _DEFAULT_GRIDS[self.kind])
+        for spec in self.grids:  # a bad spec fails before any task is built
+            specfilter.ThetaGrid.from_spec(spec)
         if self.worker_count < 1 or self.checkpoint_interval < 1 or self.orbit_cap < 1:
             raise PreconditionError(
                 "worker_count, checkpoint_interval and orbit_cap must be >= 1")
@@ -101,14 +103,11 @@ class SearchConfig:
 # --- candidate generation ---------------------------------------------------
 
 
-def _ordered(cols):
-    return sorted(cols, key=lambda col: tuple(0 if v > 0 else 1 for v in col))
-
-
 def _pair_columns(n: int, kind: Kind, side: str) -> list[list[tuple[int, int, int, int]]]:
     table = numfilter.column_cases(n, side, kind if side == SIDE_AB else Kind.BS)
     length = n + 1 if side == SIDE_AB else n
-    return [_ordered(table.cases[i]) for i in range(1, length // 2 + 1)]
+    # + before -, column by column: the reverse of tuple order
+    return [sorted(table.cases[i], reverse=True) for i in range(1, length // 2 + 1)]
 
 
 def _middle_options(n: int, kind: Kind, side: str) -> Optional[list[tuple[int, int]]]:
@@ -367,15 +366,7 @@ def _half_profile(cfg: SearchConfig, half: tuple[tuple, tuple]) -> ResidueProfil
     return ResidueProfile(m, half[0], half[1], zero, zero)
 
 
-def _serialize(quad: SeqQuad) -> str:
-    return "|".join(s.text() for s in quad.seqs())
-
-
-def _deserialize(blob: str) -> equiv.Signs:
-    return tuple(SignSeq.from_text(p).elements for p in blob.split("|"))
-
-
-def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[str], dict]:
+def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[equiv.Signs], dict]:
     """Expand, screen and complete one (sum profile, residue half) unit."""
     index, _si, _hi, s_tuple, half = task
     s = SumProfile.from_tuple(s_tuple)
@@ -392,18 +383,13 @@ def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[str], dict]:
     found = []
     for first, second in expand_candidates(prof, cfg.n, cfg.kind, cfg.start_side):
         stats["candidates"] += 1
-        keep = True
-        for grid in grids:
-            if not specfilter.pair_filter(first, second, bound, grid):
-                keep = False
-                break
-        if not keep:
+        if not all(specfilter.pair_filter(first, second, bound, g) for g in grids):
             stats["psd_rejected"] += 1
             continue
         quads = backtrack_complete((first, second), cfg.n, cfg.kind, fill_side,
                                    mode=mode, sum_targets=fill_targets)
         stats["completions"] += len(quads)
-        found.extend(_serialize(q) for q in quads)
+        found.extend(tuple(seq.elements for seq in q.seqs()) for q in quads)
         if mode == "first" and found:
             break
     return index, found, stats
@@ -414,59 +400,70 @@ def _pool_entry(args):
 
 
 # --- checkpointing -----------------------------------------------------------
+#
+# The checkpoint is an append-only journal.  Line 1 is the header
+# {version, config_digest, tasks_total}; each later line is one finished
+# task in task order, {finds: [[A, B, C, D] as +/- text], stats, digest},
+# its digest bound to the config digest and the task index.  A crash can
+# only tear the last line (no newline); resume drops it and appends.
 
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 
-def _results_digest(results: list[list], stats: dict) -> str:
-    blob = json.dumps({"results": results, "stats": stats}, sort_keys=True).encode()
+def _line_digest(cfg_digest: str, index: int, finds, stats) -> str:
+    blob = json.dumps([cfg_digest, index, finds, stats], sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
-def save_checkpoint(path: str, cfg: SearchConfig, tasks_total: int,
-                    results: list[list], stats: dict) -> None:
-    """Persist completed-task results (a contiguous prefix, in task order)
-    and the certificate counters summed over that prefix."""
-    state = {
-        "version": _CHECKPOINT_VERSION,
-        "config_digest": cfg.digest(),
-        "tasks_total": tasks_total,
-        "tasks_done": len(results),
-        "results": results,
-        "stats": stats,
-        "results_digest": _results_digest(results, stats),
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(state))  # dumps uses the C encoder, dump does not
-    os.replace(tmp, path)
+def save_checkpoint(path: str, cfg: SearchConfig,
+                    finished: list[tuple[int, list[equiv.Signs], dict]]) -> None:
+    """Append a journal line for each ``run_task`` result in ``finished``."""
+    cfg_digest = cfg.digest()
+    with open(path, "a", encoding="utf-8") as fh:
+        for index, finds, stats in finished:
+            texts = [[SignSeq(x).text() for x in q] for q in finds]
+            digest = _line_digest(cfg_digest, index, texts, stats)
+            fh.write(json.dumps({"finds": texts, "stats": stats, "digest": digest}) + "\n")
 
 
 def load_checkpoint(path: str, cfg: SearchConfig,
-                    tasks_total: int) -> tuple[list[list], dict]:
-    """Read back a checkpoint's results and counters, refusing any
-    mismatch with the config."""
-    with open(path, "r", encoding="utf-8") as fh:
-        state = json.load(fh)
-    if not isinstance(state, dict):
-        raise ResumeError("checkpoint is not a JSON object")
-    if state.get("version") != _CHECKPOINT_VERSION:
-        raise ResumeError(f"checkpoint format version {state.get('version')!r} is "
+                    tasks_total: int) -> tuple[list[list[equiv.Signs]], dict]:
+    """Read back a journal's finds per task and its summed counters,
+    refusing any mismatch with the config.  A torn last line is cut off
+    the file only once every check has passed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
+    try:  # a bad UTF-8 byte and a file with no whole line raise ValueErrors too
+        text = data[:end].decode("utf-8")
+        header, *lines = [json.loads(line) for line in text.split("\n")[:-1]]
+    except ValueError:
+        raise ResumeError("checkpoint does not parse as a version "
+                          f"{_CHECKPOINT_VERSION} journal of UTF-8 JSON lines") from None
+    if not all(isinstance(entry, dict) for entry in (header, *lines)):
+        raise ResumeError("checkpoint has a line that is not a JSON object")
+    cfg_digest = cfg.digest()
+    if header.get("version") != _CHECKPOINT_VERSION:
+        raise ResumeError(f"checkpoint format version {header.get('version')!r} is "
                           f"not supported (expected {_CHECKPOINT_VERSION})")
-    if state.get("config_digest") != cfg.digest():
+    if header.get("config_digest") != cfg_digest:
         raise ResumeError("checkpoint was written by a different configuration")
-    if state.get("tasks_total") != tasks_total:
+    if header.get("tasks_total") != tasks_total:
         raise ResumeError("checkpoint task count does not match this configuration")
-    results = state.get("results", [])
-    stats = state.get("stats")
-    if not isinstance(stats, dict) or set(stats) != set(_STAT_KEYS) \
-            or not all(type(v) is int for v in stats.values()):
-        raise ResumeError("checkpoint has no certificate counters")
-    if state.get("results_digest") != _results_digest(results, stats):
-        raise ResumeError("checkpoint results digest mismatch")
-    if len(results) != state.get("tasks_done"):
-        raise ResumeError("checkpoint is truncated")
-    return results, {key: stats[key] for key in _STAT_KEYS}
+    results, total = [], dict.fromkeys(_STAT_KEYS, 0)
+    for index, entry in enumerate(lines):
+        stats, texts = entry.get("stats"), entry.get("finds")
+        if not isinstance(stats, dict) or set(stats) != set(_STAT_KEYS) \
+                or not all(type(v) is int for v in stats.values()):
+            raise ResumeError(f"checkpoint line for task {index} has no certificate counters")
+        if entry.get("digest") != _line_digest(cfg_digest, index, texts, stats):
+            raise ResumeError(f"checkpoint digest mismatch at task {index}")
+        results.append([tuple(SignSeq.from_text(t).elements for t in q) for q in texts])
+        for key in total:
+            total[key] += stats[key]
+    if end < len(data):
+        os.truncate(path, end)
+    return results, total
 
 
 # --- orchestration -----------------------------------------------------------
@@ -480,15 +477,12 @@ class SearchResult:
 
 
 def _finalize(cfg: SearchConfig, tasks: list[tuple],
-              per_task: list[list[str]]) -> SearchResult:
+              per_task: list[list[equiv.Signs]]) -> SearchResult:
     # finds come in task order, so the first find of a class has its
     # least producing stage; classes are closed over sign tuples, whose
     # reverse order is the quad order (see equiv)
-    finds, stages = [], []
-    for task, blobs in zip(tasks, per_task):
-        for blob in blobs:
-            finds.append(_deserialize(blob))
-            stages.append(f"s{task[1]}.r{task[2]}")
+    finds = [q for task_finds in per_task for q in task_finds]
+    stages = [f"s{t[1]}.r{t[2]}" for t, task_finds in zip(tasks, per_task) for _ in task_finds]
 
     if cfg.orbit_dedup:
         if cfg.kind is Kind.NS:  # regrow first: see equiv.NS_REGROW
@@ -508,11 +502,15 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
            interrupt_after_tasks: Optional[int] = None) -> SearchResult:
     """Run the pipeline; resuming from a checkpoint replays identically."""
     tasks = build_tasks(cfg)
-    done: list[list[str]] = []
+    done: list[list[equiv.Signs]] = []
     stats_total = dict.fromkeys(_STAT_KEYS, 0)
     if checkpoint_path and os.path.exists(checkpoint_path):
-        results, stats_total = load_checkpoint(checkpoint_path, cfg, len(tasks))
-        done = [list(map(str, blobs)) for blobs in results]
+        done, stats_total = load_checkpoint(checkpoint_path, cfg, len(tasks))
+    elif checkpoint_path:  # a new journal: its header goes in before any task runs
+        with open(checkpoint_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"version": _CHECKPOINT_VERSION, "config_digest": cfg.digest(),
+                                 "tasks_total": len(tasks)}) + "\n")
+    unsaved = []  # run_task results since the last save
     # a first-mode checkpoint that already holds a find is finished
     stop_early = cfg.first_solution_only and any(done)
     pending = [] if stop_early else tasks[len(done):]
@@ -526,16 +524,18 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
             runs = (run_task(cfg, task) for task in pending)
         # leaving the block terminates the pool, so a break or an
         # interrupt stops the workers still running
-        for _idx, blobs, st in runs:
+        for index, finds, st in runs:
             for key in stats_total:
                 stats_total[key] += st[key]
-            done.append(blobs)
-            stop_early = cfg.first_solution_only and bool(blobs)
+            done.append(finds)
+            unsaved.append((index, finds, st))
+            stop_early = cfg.first_solution_only and bool(finds)
             interrupt = (not stop_early and interrupt_after_tasks is not None
                          and interrupt_after_tasks <= len(done) < len(tasks))
             if checkpoint_path and (len(done) % cfg.checkpoint_interval == 0
                                     or len(done) == len(tasks) or stop_early or interrupt):
-                save_checkpoint(checkpoint_path, cfg, len(tasks), done, stats_total)
+                save_checkpoint(checkpoint_path, cfg, unsaved)
+                unsaved = []
             if interrupt:
                 raise SearchInterrupted(f"interrupted after {len(done)} tasks")
             if stop_early:

@@ -155,6 +155,21 @@ def test_search_and_canon_reject_orbit_cap_zero(tmp_path):
     assert err.startswith("error:") and "cap" in err
 
 
+def test_search_rejects_bad_grid_before_building_tasks(tmp_path, monkeypatch):
+    from baseseq import searcher
+
+    def no_build(_cfg):
+        raise AssertionError("build_tasks ran for a bad grid spec")
+
+    monkeypatch.setattr(searcher, "build_tasks", no_build)
+    ck = tmp_path / "ck.json"
+    for grid in ("bogus", "l=0", "pi-over-0", "l=50,pi-over-0"):
+        code, out, err = run_cli(["search", "--n", "12", "--kind", "bs", "--grid", grid,
+                                  "--checkpoint", str(ck)])
+        assert code == 2 and out == "" and err.startswith("error:"), grid
+        assert not ck.exists()
+
+
 def test_profiles_rejects_wrong_sum_count():
     code, out, err = run_cli(["profiles", "--n", "5", "--kind", "bs", "--sums", "1,2,3"])
     assert code == 2 and out == ""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from baseseq import equiv, numfilter
 from baseseq.refdata import KNOWN_BS_N, known_quad
+from baseseq.searcher import SIDE_AB, SIDE_CD, candidate_matches_profile
 from baseseq.seqcore import Kind, SignSeq, row_sums, verify
 
 # a word is a list of choices; step k applies the (k mod count)-th image
@@ -56,3 +57,19 @@ def test_equivalence_words_keep_published_quad_valid_and_profiled(profiles41, wo
     image = _apply_word(known_quad(41), word)
     assert verify(image).valid
     assert numfilter.canonical_sum_profile(row_sums(image), 41, Kind.BS) in profiles41
+
+
+@settings(max_examples=30)
+@given(n=st.sampled_from(KNOWN_BS_N), word=WORDS)
+def test_residue_filters_keep_equivalence_images_of_published_quads(n, word):
+    # zero false rejections at paper scale: every image of a published
+    # quad survives the mod-3 profiles, their mod-6 refinement and the
+    # end-column cases of both sides
+    image = _apply_word(known_quad(n), word)
+    sums = row_sums(image)
+    prof3 = numfilter.quad_residue_profile(image, 3)
+    assert prof3 in numfilter.residue_profiles(n, 3, sums, Kind.BS)
+    prof6 = numfilter.quad_residue_profile(image, 6)
+    assert prof6 in numfilter.refine_profiles(n, prof3, sums, Kind.BS)
+    assert candidate_matches_profile((image.c, image.d), prof6, n, Kind.BS, SIDE_CD)
+    assert candidate_matches_profile((image.a, image.b), prof6, n, Kind.BS, SIDE_AB)

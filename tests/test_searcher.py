@@ -212,6 +212,26 @@ def test_checkpoint_interrupt_resume(tmp_path):
     assert resumed.certificate == fresh.certificate
 
 
+def _journal(path) -> list[dict]:
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def _write_journal(path, entries) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(e) + "\n" for e in entries))
+
+
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _same_result(a, b) -> bool:
+    return ([q.sort_key() for q in a.quads] == [q.sort_key() for q in b.quads]
+            and a.stages == b.stages and a.certificate == b.certificate)
+
+
 def test_checkpoint_without_counters_is_refused(tmp_path):
     path = os.fspath(tmp_path / "ck.json")
     cfg = SearchConfig(n=5, kind=Kind.NS)
@@ -221,16 +241,17 @@ def test_checkpoint_without_counters_is_refused(tmp_path):
     results, stats = load_checkpoint(path, cfg, tasks_total)
     assert len(results) == 1 and set(stats) == {"candidates", "psd_rejected",
                                                  "completions"}
-    with open(path, encoding="utf-8") as fh:
-        state = json.load(fh)
-    state["stats"]["candidates"] += 1
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
+    header, line = _journal(path)
+    line["stats"]["candidates"] += 1
+    _write_journal(path, [header, line])
     with pytest.raises(ResumeError, match="digest"):
         load_checkpoint(path, cfg, tasks_total)
-    del state["stats"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
+    line["stats"]["candidates"] = "1"
+    _write_journal(path, [header, line])
+    with pytest.raises(ResumeError, match="counters"):
+        load_checkpoint(path, cfg, tasks_total)
+    del line["stats"]
+    _write_journal(path, [header, line])
     with pytest.raises(ResumeError, match="counters"):
         search(cfg, checkpoint_path=path)
 
@@ -261,15 +282,17 @@ def test_checkpoint_version_is_checked(tmp_path):
     with pytest.raises(SearchInterrupted):
         search(cfg, checkpoint_path=path, interrupt_after_tasks=1)
     tasks_total = len(build_tasks(cfg))
-    with open(path, encoding="utf-8") as fh:
-        state = json.load(fh)
-    assert state["version"] == 2
-    for version in (1, 3, None):
-        state["version"] = version
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(state, fh)
+    header, *lines = _journal(path)
+    assert header["version"] == 3
+    for version in (1, 2, None):
+        _write_journal(path, [dict(header, version=version), *lines])
         with pytest.raises(ResumeError, match="version"):
             load_checkpoint(path, cfg, tasks_total)
+    # a version 2 checkpoint was one JSON object with no newline
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(dict(header, version=2, results=[], stats={}), fh)
+    with pytest.raises(ResumeError, match="version"):
+        load_checkpoint(path, cfg, tasks_total)
 
 
 # --- order pins --------------------------------------------------------------
@@ -393,9 +416,118 @@ def test_search_records_pinned(cfg, count, digest):
 def test_checkpoint_that_is_not_an_object_is_refused(tmp_path):
     path = os.fspath(tmp_path / "ck.json")
     cfg = SearchConfig(n=5, kind=Kind.NS)
+    tasks_total = len(build_tasks(cfg))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("[1,2]")
+        fh.write("[1,2]\n")
     with pytest.raises(ResumeError, match="object"):
-        load_checkpoint(path, cfg, len(build_tasks(cfg)))
+        load_checkpoint(path, cfg, tasks_total)
     with pytest.raises(ResumeError):
         search(cfg, checkpoint_path=path)
+    # a task line that is not an object
+    os.remove(path)
+    with pytest.raises(SearchInterrupted):
+        search(cfg, checkpoint_path=path, interrupt_after_tasks=1)
+    header, _line = _journal(path)
+    _write_journal(path, [header, [1, 2]])
+    with pytest.raises(ResumeError, match="object"):
+        load_checkpoint(path, cfg, tasks_total)
+
+
+def test_checkpoint_without_whole_header_is_refused(tmp_path):
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=5, kind=Kind.NS)
+    tasks_total = len(build_tasks(cfg))
+    for blob in (b"", b'{"version": 3', b"\xff\xfe\n"):
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(ResumeError):
+            load_checkpoint(path, cfg, tasks_total)
+        with pytest.raises(ResumeError):
+            search(cfg, checkpoint_path=path)
+        assert _read_bytes(path) == blob
+
+
+# --- the append-only journal -------------------------------------------------
+
+
+def test_checkpoint_journal_is_append_only(tmp_path):
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=7, kind=Kind.NS)
+    tasks_total = len(build_tasks(cfg))
+    k = 5
+    with pytest.raises(SearchInterrupted):
+        search(cfg, checkpoint_path=path, interrupt_after_tasks=k)
+    early = _read_bytes(path)
+    assert early.endswith(b"\n") and early.count(b"\n") == 1 + k
+    search(cfg, checkpoint_path=path)
+    final = _read_bytes(path)
+    assert final.startswith(early)
+    assert final.count(b"\n") == 1 + tasks_total
+    results, _stats = load_checkpoint(path, cfg, tasks_total)
+    assert len(results) == tasks_total
+
+
+def test_checkpoint_torn_last_line_is_dropped(tmp_path):
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=7, kind=Kind.NS)
+    tasks_total = len(build_tasks(cfg))
+    with pytest.raises(SearchInterrupted):
+        search(cfg, checkpoint_path=path, interrupt_after_tasks=4)
+    whole = _read_bytes(path)
+    with open(path, "wb") as fh:
+        fh.write(whole[:-7])  # a crash in the middle of the fourth task's append
+    # a refusal leaves the torn file as it was
+    other = SearchConfig(n=7, kind=Kind.NS, orbit_dedup=False)
+    with pytest.raises(ResumeError):
+        load_checkpoint(path, other, tasks_total)
+    assert _read_bytes(path) == whole[:-7]
+    results, _stats = load_checkpoint(path, cfg, tasks_total)
+    assert len(results) == 3
+    assert _read_bytes(path) == whole[:whole.rindex(b"\n", 0, -1) + 1]
+    with open(path, "wb") as fh:
+        fh.write(whole[:-7])
+    resumed = search(cfg, checkpoint_path=path)
+    assert _same_result(resumed, search(cfg))
+    assert _read_bytes(path).count(b"\n") == 1 + tasks_total
+    assert len(load_checkpoint(path, cfg, tasks_total)[0]) == tasks_total
+
+
+def test_checkpoint_damaged_lines_are_refused(tmp_path):
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=7, kind=Kind.NS)
+    tasks_total = len(build_tasks(cfg))
+    with pytest.raises(SearchInterrupted):
+        search(cfg, checkpoint_path=path, interrupt_after_tasks=4)
+    original = _read_bytes(path)
+    header, *lines = original.split(b"\n")[:-1]
+    edited = json.loads(lines[1])
+    edited["stats"]["completions"] += 1
+    damaged = {
+        "digest": [header, lines[0], json.dumps(edited).encode(), *lines[2:]],
+        "digest mismatch at task 1": [header, lines[0], *lines[2:]],
+        "does not parse": [header, lines[0], b"not json", *lines[2:]],
+    }
+    swapped = [header, lines[1], lines[0], *lines[2:]]
+    for match, parts in [*damaged.items(), ("digest", swapped)]:
+        blob = b"".join(part + b"\n" for part in parts)
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(ResumeError, match=match):
+            load_checkpoint(path, cfg, tasks_total)
+        with pytest.raises(ResumeError, match=match):
+            search(cfg, checkpoint_path=path)
+        assert _read_bytes(path) == blob
+
+
+def test_checkpoint_two_stage_resume_on_two_workers(tmp_path):
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=6, kind=Kind.BS, worker_count=2)
+    tasks_total = len(build_tasks(cfg))
+    with pytest.raises(SearchInterrupted):
+        search(cfg, checkpoint_path=path, interrupt_after_tasks=20)
+    with pytest.raises(SearchInterrupted):
+        search(cfg, checkpoint_path=path, interrupt_after_tasks=50)
+    assert len(load_checkpoint(path, cfg, tasks_total)[0]) == 50
+    resumed = search(cfg, checkpoint_path=path)
+    assert _same_result(resumed, search(SearchConfig(n=6, kind=Kind.BS)))
+    assert _read_bytes(path).count(b"\n") == 1 + tasks_total
