@@ -6,9 +6,8 @@ search leaves no records; its checkpoint (``--checkpoint``) is what
 survives, and rerunning the same command resumes from it.  The
 checkpoint is an append-only journal (version 3): a header line, then
 one digested line per finished task; a torn last line is dropped on
-resume.  Every
-command is reproducible byte for byte: there is no randomness and no
-environment-variable config.
+resume.  Every command is reproducible byte for byte: there is no
+randomness and no environment-variable config.
 
 Exit codes: 0 on success; 1 when a command ran to completion with a
 clean negative answer (exhaustive search found nothing, a verified quad

@@ -502,13 +502,13 @@ def test_checkpoint_damaged_lines_are_refused(tmp_path):
     header, *lines = original.split(b"\n")[:-1]
     edited = json.loads(lines[1])
     edited["stats"]["completions"] += 1
-    damaged = {
-        "digest": [header, lines[0], json.dumps(edited).encode(), *lines[2:]],
-        "digest mismatch at task 1": [header, lines[0], *lines[2:]],
-        "does not parse": [header, lines[0], b"not json", *lines[2:]],
-    }
-    swapped = [header, lines[1], lines[0], *lines[2:]]
-    for match, parts in [*damaged.items(), ("digest", swapped)]:
+    damaged = [
+        ("digest mismatch at task 1", [header, lines[0], json.dumps(edited).encode(), *lines[2:]]),
+        ("digest mismatch at task 1", [header, lines[0], *lines[2:]]),  # a deleted line
+        ("does not parse", [header, lines[0], b"not json", *lines[2:]]),
+        ("digest mismatch at task 0", [header, lines[1], lines[0], *lines[2:]]),
+    ]
+    for match, parts in damaged:
         blob = b"".join(part + b"\n" for part in parts)
         with open(path, "wb") as fh:
             fh.write(blob)
