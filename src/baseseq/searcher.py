@@ -10,6 +10,15 @@ prunes on residue-class budgets, and ``_complete_pairs`` on shift
 targets (high shifts of the summed autocorrelation become checkable
 first under that order) and optional row-sum targets.
 
+The completion kernel keeps the partial fill packed in one int, the
+"-1" bits of both sequences with a gap between them.  Placing pair t of
+a length-L fill completes shift L-t, which one popcount checks; the
+even-length last pair and the middle position check every shift still
+open the same way.  Per-level tables, built once per call, hold each
+column option's bits and row-sum deltas, and the four running row sums
+are tested against their targets plus or minus the positions left (the
+parity part of that test does not depend on depth and is made once).
+
 Bookkeeping invariant: the task for (sum profile S, residue half H)
 finds exactly the valid quads whose raw row sums equal S and whose
 expanded side has class sums H.  Together with profile deduplication by
@@ -184,62 +193,83 @@ def _complete_pairs(length: int,
                     middle_opts: Optional[list[tuple[int, int]]],
                     shift_targets: tuple[int, ...],
                     sum_targets: Optional[tuple[int, int, int, int]],
-                    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+                    ) -> Iterator[int]:
     """DFS over symmetric position pairs, outside in, under shift targets.
 
     ``shift_targets[s-1]`` is the required N_x(s)+N_y(s); a shift is
     checked as soon as every product in it is assigned.  ``sum_targets``,
     if given, are the plain and alternated row sums (x, y, x', y').
+
+    The partial fill is one int ``z``: bit p is set iff x[p] = -1 and bit
+    2*length+p iff y[p] = -1 (``SignSeq.packed`` of each half), unplaced
+    positions read 0.  Shift s over the low length-s bits of both halves
+    has N_x(s)+N_y(s) = 2(length-s) - 2*popcount((z ^ z>>s) & mask), and
+    the gap between the halves keeps shifted y bits off x's mask.  Each
+    completed fill is yielded in that form.
     """
     npairs = length // 2
-    x = [0] * length
-    y = [0] * length
+    both = 1 | 1 << 2 * length
+    exact = sum_targets is not None
+    if not exact:
+        sum_targets = (0, 0, 0, 0)
+    elif any((want - length) % 2 for want in sum_targets):
+        return iter(())  # a row sum of `length` signs has the parity of `length`
 
-    def shift_ok(s: int) -> bool:
-        tot = 0
-        for j in range(length - s):
-            tot += x[j] * x[j + s] + y[j] * y[j + s]
-        return tot == shift_targets[s - 1]
+    def check(s: int) -> tuple[int, int, int]:
+        """Shift, mask and disagreement count that meet the shift target."""
+        half, odd = divmod(2 * (length - s) - shift_targets[s - 1], 2)
+        return s, ((1 << length - s) - 1) * both, -1 if odd else half
 
-    def sums_ok(run, rem: int) -> bool:
-        if sum_targets is None:
-            return True
-        for have, want in zip(run, sum_targets):
-            gap = want - have
-            if abs(gap) > rem or (gap - rem) % 2 != 0:
-                return False
-        return True
+    def bounds(placed: int) -> tuple[int, ...]:
+        """Range of each running sum from which its target is reachable;
+        without targets, a range no running sum can leave."""
+        rem = length - placed if exact else length
+        return tuple(b for want in sum_targets for b in (want - rem, want + rem))
 
-    def rec(t: int, run):
-        if t > npairs:
-            if middle_opts is None:
-                # the final pair of an even length checked every shift
-                yield tuple(x), tuple(y)
-                return
-            w = 1 if npairs % 2 == 0 else -1
-            for xv, yv in middle_opts:
-                x[npairs], y[npairs] = xv, yv
-                nrun = (run[0] + xv, run[1] + yv, run[2] + w * xv, run[3] + w * yv)
-                if sums_ok(nrun, 0) and all(shift_ok(s) for s in range(1, npairs + 1)):
-                    yield tuple(x), tuple(y)
-            return
+    def weight(p: int) -> int:
+        return 1 if p % 2 == 0 else -1
+
+    def bit(p: int, v: int) -> int:
+        return 1 << p if v < 0 else 0
+
+    # one level per pair and one for the middle: the column options as
+    # (z bits, sum deltas), the sum bounds after the level, and the
+    # shifts it completes
+    levels = []
+    for t in range(1, npairs + 1):
         i, j = t - 1, length - t
-        wi = 1 if i % 2 == 0 else -1
-        wj = 1 if j % 2 == 0 else -1
-        for xi, xj, yi, yj in pair_cols[t - 1]:
-            x[i], x[j], y[i], y[j] = xi, xj, yi, yj
-            nrun = (run[0] + xi + xj, run[1] + yi + yj,
-                    run[2] + wi * xi + wj * xj, run[3] + wi * yi + wj * yj)
-            if not sums_ok(nrun, length - 2 * t):
-                continue
-            if t == npairs and middle_opts is None:
-                ok = all(shift_ok(s) for s in range(j, 0, -1))
-            else:
-                ok = shift_ok(j)
-            if ok:
-                yield from rec(t + 1, nrun)
+        rows = [(bit(i, xi) | bit(j, xj) | (bit(i, yi) | bit(j, yj)) << 2 * length,
+                 xi + xj, yi + yj, weight(i) * xi + weight(j) * xj,
+                 weight(i) * yi + weight(j) * yj)
+                for xi, xj, yi, yj in pair_cols[t - 1]]
+        last = t == npairs and middle_opts is None
+        levels.append((rows, bounds(2 * t),
+                       [check(s) for s in range(j, 0 if last else j - 1, -1)]))
+    if middle_opts is not None:
+        w = weight(npairs)
+        rows = [(bit(npairs, xv) | bit(npairs, yv) << 2 * length, xv, yv, w * xv, w * yv)
+                for xv, yv in middle_opts]
+        levels.append((rows, bounds(length), [check(s) for s in range(npairs, 0, -1)]))
+    depth = len(levels)
 
-    return rec(1, (0, 0, 0, 0))
+    def rec(t: int, z: int, sx: int, sy: int, ax: int, ay: int):
+        rows, (lx, hx, ly, hy, lax, hax, lay, hay), checks = levels[t]
+        for bits, dx, dy, dax, day in rows:
+            nx, ny, nax, nay = sx + dx, sy + dy, ax + dax, ay + day
+            if not (lx <= nx <= hx and ly <= ny <= hy
+                    and lax <= nax <= hax and lay <= nay <= hay):
+                continue
+            nz = z | bits
+            for s, mask, want in checks:
+                if ((nz ^ nz >> s) & mask).bit_count() != want:
+                    break
+            else:
+                if t + 1 == depth:
+                    yield nz
+                else:
+                    yield from rec(t + 1, nz, nx, ny, nax, nay)
+
+    return rec(0, 0, 0, 0, 0, 0)
 
 
 def expand_candidates(prof: ResidueProfile, n: int, kind: Kind,
@@ -316,13 +346,15 @@ def backtrack_complete(fixed: tuple[SignSeq, SignSeq], n: int, kind: Kind,
             return []  # shift n involves only the fixed side
         targets = targets[:n - 1]
     out = []
-    for xs, ys in _complete_pairs(length, _pair_columns(n, kind, side_to_fill),
-                                  _middle_options(n, kind, side_to_fill),
-                                  tuple(targets), sum_targets):
+    for z in _complete_pairs(length, _pair_columns(n, kind, side_to_fill),
+                             _middle_options(n, kind, side_to_fill),
+                             tuple(targets), sum_targets):
+        x = SignSeq.from_packed(z & (1 << length) - 1, length)
+        y = SignSeq.from_packed(z >> 2 * length, length)
         if side_to_fill == SIDE_AB:
-            quad = SeqQuad(SignSeq(xs), SignSeq(ys), f1, f2, kind)
+            quad = SeqQuad(x, y, f1, f2, kind)
         else:
-            quad = SeqQuad(f1, f2, SignSeq(xs), SignSeq(ys), kind)
+            quad = SeqQuad(f1, f2, x, y, kind)
         if verify(quad).valid:
             out.append(quad)
             if mode == "first":

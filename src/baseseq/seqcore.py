@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import MalformedInputError
 
@@ -53,10 +53,6 @@ class SignSeq:
             if x != 1 and x != -1:
                 raise MalformedInputError(f"sequence entry {x!r} is not +1/-1")
         object.__setattr__(self, "elements", elems)
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[int]) -> "SignSeq":
-        return cls(tuple(values))
 
     @classmethod
     def from_text(cls, text: str) -> "SignSeq":

@@ -13,7 +13,7 @@ from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, backtrack_complete
                               build_tasks, candidate_matches_profile,
                               expand_candidates, load_checkpoint, residue_halves,
                               search)
-from baseseq.seqcore import Kind, SignSeq, row_sums, verify
+from baseseq.seqcore import Kind, SeqQuad, SignSeq, row_sums, verify
 
 
 def test_config_defaults_and_validation():
@@ -106,6 +106,56 @@ def test_backtrack_sum_targets_restrict(bs_pool):
         got = row_sums(q)
         assert (got.a, got.b, got.a_alt, got.b_alt) == \
             (sums.a, sums.b, sums.a_alt, sums.b_alt)
+
+
+def _fill_sums(quad, side):
+    s = row_sums(quad)
+    return (s.a, s.b, s.a_alt, s.b_alt) if side == SIDE_AB else (s.c, s.d, s.c_alt, s.d_alt)
+
+
+def _quad_key(quad):
+    return "|".join(s.text() for s in quad.seqs())
+
+
+def _brute_complete(fixed, n, kind, side):
+    """Every fill pair of ``side`` that makes a valid quad with ``fixed``."""
+    length = n + 1 if side == SIDE_AB else n
+    seqs = [SignSeq(s) for s in itertools.product((1, -1), repeat=length)]
+    out = []
+    for x, y in itertools.product(seqs, repeat=2):
+        quad = SeqQuad(x, y, *fixed, kind) if side == SIDE_AB else SeqQuad(*fixed, x, y, kind)
+        if verify(quad).valid:
+            out.append(quad)
+    return out
+
+
+def test_backtrack_complete_equals_brute_force(bs_pool, nns_pool):
+    # both sides and both fill-length parities: BS n=4 and n=5 filled on
+    # A,B (length 5, 6) and C,D (length 4, 5), NNS and NS n=6 on C,D
+    cases = []
+    for n in (4, 5):
+        for quad in bs_pool[n][::len(bs_pool[n]) // 3]:
+            cases += [((quad.c, quad.d), n, Kind.BS, SIDE_AB, _fill_sums(quad, SIDE_AB)),
+                      ((quad.a, quad.b), n, Kind.BS, SIDE_CD, _fill_sums(quad, SIDE_CD))]
+    for quad in nns_pool[6][::16]:
+        cases.append(((quad.a, quad.b), 6, Kind.NNS, SIDE_CD, _fill_sums(quad, SIDE_CD)))
+    # no NS quad of length 6 exists (n = 8k-2); these A,B pairs complete to nothing
+    ns_ab = ResidueProfile(1, (1,), (-1,), (0,), (0,))
+    for pair in list(expand_candidates(ns_ab, 6, Kind.NS, SIDE_AB))[:3]:
+        cases.append((pair, 6, Kind.NS, SIDE_CD, None))
+    assert len(cases) == 22
+    for fixed, n, kind, side, sums in cases:
+        brute = _brute_complete(fixed, n, kind, side)
+        found = backtrack_complete(fixed, n, kind, side)
+        assert sorted(map(_quad_key, found)) == sorted(map(_quad_key, brute))
+        if sums is None:
+            assert found == []
+            continue
+        pinned = backtrack_complete(fixed, n, kind, side, sum_targets=sums)
+        assert pinned and sorted(map(_quad_key, pinned)) == \
+            sorted(_quad_key(q) for q in brute if _fill_sums(q, side) == sums)
+        odd = (sums[0] + 1,) + sums[1:]  # a row sum of the wrong parity
+        assert backtrack_complete(fixed, n, kind, side, sum_targets=odd) == []
 
 
 def test_residue_halves_cover_small_quads(ns_pool, bs_pool):
@@ -360,6 +410,38 @@ def test_backtrack_complete_order_pinned():
         "b7f3432e0aed29ef576d39a226b8a67b6b539062e2b7d22576f68d03be81b463"
     assert _quads_digest(ns) == \
         "784872b96e9c3eacbd932f6620986e3f8c2f140e6f16cba091c8248095e66b28"
+
+
+# BS n=7 C,D (odd length) and NNS n=8 A,B (derived partner) at modulus 1;
+# the sums are those of the BS n=7 profile (-4,-2,-3,-1,-4,-2,-1,-3) and
+# the NNS n=8 profile (1,-1,-4,-4,1,-1,-4,-4)
+BS7_CD = ResidueProfile(1, (0,), (0,), (-3,), (-1,))
+NNS8_AB = ResidueProfile(1, (1,), (-1,), (0,), (0,))
+
+
+def test_backtrack_complete_order_pinned_even_length():
+    # the filled sides have even length 8, so the last pair checks every
+    # shift still open and there is no middle position
+    bs_pairs = list(expand_candidates(BS7_CD, 7, Kind.BS, SIDE_CD))
+    bs = [q for p in bs_pairs for q in backtrack_complete(p, 7, Kind.BS, SIDE_AB)]
+    bs_pinned = [q for p in bs_pairs
+                 for q in backtrack_complete(p, 7, Kind.BS, SIDE_AB,
+                                             sum_targets=(-4, -2, -4, -2))]
+    nns_pairs = list(expand_candidates(NNS8_AB, 8, Kind.NNS, SIDE_AB))
+    nns = [q for p in nns_pairs for q in backtrack_complete(p, 8, Kind.NNS, SIDE_CD)]
+    nns_pinned = [q for p in nns_pairs
+                  for q in backtrack_complete(p, 8, Kind.NNS, SIDE_CD,
+                                              sum_targets=(-4, -4, -4, -4))]
+    assert (len(bs_pairs), len(nns_pairs)) == (179, 36)
+    assert (len(bs), len(bs_pinned), len(nns), len(nns_pinned)) == (3248, 72, 64, 4)
+    assert _quads_digest(bs) == \
+        "c1aff0237eb1077c26831250fea12407968460446643f98c95ea5463d251d816"
+    assert _quads_digest(bs_pinned) == \
+        "73d665598ac7e27e1ba6fa02be389f2ce9c1e39f40f10884403db5d44dec1f00"
+    assert _quads_digest(nns) == \
+        "620fb3a235b93b3f987446b8a1a203050b34fdddb6c5ee3d67bbc20dfd3a956a"
+    assert _quads_digest(nns_pinned) == \
+        "7df3700f493ad7e7502a1799ad70522195d1504fa99a1e57515c72b42fd687c2"
 
 
 def test_first_mode_same_on_one_and_two_workers():
