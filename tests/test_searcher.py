@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, backtrack_complete
                               expand_candidates, load_checkpoint, residue_halves,
                               search)
 from baseseq.seqcore import Kind, SeqQuad, SignSeq, row_sums, verify
+from baseseq.specfilter import ThetaGrid, pair_filter
 
 
 def test_config_defaults_and_validation():
@@ -613,3 +615,70 @@ def test_checkpoint_two_stage_resume_on_two_workers(tmp_path):
     resumed = search(cfg, checkpoint_path=path)
     assert _same_result(resumed, search(SearchConfig(n=6, kind=Kind.BS)))
     assert _read_bytes(path).count(b"\n") == 1 + tasks_total
+
+
+# --- screen and certificate pins -----------------------------------------------
+#
+# Recorded before the screen moved from the autocorrelation to the DFT of
+# the sign vector and before expansion tabulated its innermost levels:
+# every keep/reject decision and every certificate counter must stay.
+
+SCREEN_GRIDS = ("pi-over-100", "l=50", "l=1000")
+
+
+def _random_pairs(count: int, seed: int) -> list[tuple[SignSeq, SignSeq, int]]:
+    """Seeded random pairs of lengths 8-42 (the second one shorter by 0 or
+    1), each with the bound 4L+2 of its longer length L."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        length = rng.randint(8, 42)
+        other = length - rng.randint(0, 1)
+        x = SignSeq(tuple(rng.choice((1, -1)) for _ in range(length)))
+        y = SignSeq(tuple(rng.choice((1, -1)) for _ in range(other)))
+        out.append((x, y, 4 * length + 2))
+    return out
+
+
+def _screen_inputs() -> list[tuple[SignSeq, SignSeq, int]]:
+    published = quad_residue_profile(known_quad(41), 6)
+    streams = [(list(expand_candidates(NS7_AB, 7, Kind.NS, SIDE_AB)), 7),
+               (list(expand_candidates(BS8_CD, 8, Kind.BS, SIDE_CD)), 8),
+               (list(itertools.islice(
+                   expand_candidates(published, 41, Kind.BS, SIDE_CD), 2000)), 41)]
+    inputs = [(x, y, 4 * n + 2) for pairs, n in streams for x, y in pairs]
+    return inputs + _random_pairs(2000, seed=20240611)
+
+
+# kept pairs per grid, and the sha256 of the keep bits ("1" keep, "0"
+# reject), grid by grid in SCREEN_GRIDS order, inputs in _screen_inputs order
+SCREEN_KEPT = [198, 236, 195]
+SCREEN_BITS_SHA256 = "fd06590b5467818fb519a45888f1707ddc1a0ebcaaa3dd5962b9751ffce40f8f"
+
+
+def test_pair_filter_decisions_pinned():
+    inputs = _screen_inputs()
+    assert len(inputs) == 21 + 84 + 2000 + 2000
+    bits = "".join("1" if pair_filter(x, y, bound, ThetaGrid.from_spec(spec)) else "0"
+                   for spec in SCREEN_GRIDS for x, y, bound in inputs)
+    assert [bits[k * len(inputs):(k + 1) * len(inputs)].count("1")
+            for k in range(len(SCREEN_GRIDS))] == SCREEN_KEPT
+    assert hashlib.sha256(bits.encode()).hexdigest() == SCREEN_BITS_SHA256
+
+
+# certificate counters of cheap exhaustive searches
+PINNED_CERTIFICATES = [
+    (SearchConfig(n=7, kind=Kind.BS), (640, 120, 1288, 17)),
+    (SearchConfig(n=8, kind=Kind.BS), (1440, 890, 2528, 27)),
+    (SearchConfig(n=15, kind=Kind.NS), (5442, 5340, 16, 32)),
+    (SearchConfig(n=14, kind=Kind.NNS), (1224, 1003, 64, 25)),
+]
+
+
+@pytest.mark.parametrize("cfg,counts", PINNED_CERTIFICATES,
+                         ids=["bs7", "bs8", "ns15", "nns14"])
+def test_search_certificate_counters_pinned(cfg, counts):
+    cert = search(cfg).certificate
+    assert (cert["candidates"], cert["psd_rejected"], cert["completions"],
+            cert["classes"]) == counts
+    assert cert["exhaustive"] is True and cert["tasks_completed"] == cert["tasks"]
