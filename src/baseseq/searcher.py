@@ -10,6 +10,18 @@ prunes on residue-class budgets, and ``_complete_pairs`` on shift
 targets (high shifts of the summed autocorrelation become checkable
 first under that order) and optional row-sum targets.
 
+Expansion lists its innermost levels once: the innermost position
+pairs and the middle, at most ``_INNER_FILLS`` fills, each keyed by the
+class sums it pays (``_inner_fills``, cached per length, modulus and
+column options).  The outer DFS prunes on class budgets as before and,
+at the first tabulated level, looks up the exact remaining debt over
+every class and emits the fills listed under it.  The order is that of
+the full DFS: budget pruning only cuts fills that cannot pay the debt,
+so the full DFS's leaves below that level are exactly the fills whose
+class sums equal it, and the table lists them in the same lexicographic
+order.  A class without positions must owe 0, which the lookup enforces
+as well.
+
 The completion kernel keeps the partial fill packed in one int, the
 "-1" bits of both sequences with a gap between them.  Placing pair t of
 a length-L fill completes shift L-t, which one popcount checks; the
@@ -35,10 +47,12 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import equiv, numfilter, specfilter
@@ -112,27 +126,77 @@ class SearchConfig:
 # --- candidate generation ---------------------------------------------------
 
 
-def _pair_columns(n: int, kind: Kind, side: str) -> list[list[tuple[int, int, int, int]]]:
+Column = tuple[int, int, int, int]  # (x_i, x_mirror, y_i, y_mirror)
+
+# the innermost levels of an expansion are listed in one table of at
+# most this many fills (see _inner_fills)
+_INNER_FILLS = 1024
+
+
+@lru_cache(maxsize=256)
+def _pair_columns(n: int, kind: Kind, side: str) -> tuple[tuple[Column, ...], ...]:
     table = numfilter.column_cases(n, side, kind if side == SIDE_AB else Kind.BS)
     length = n + 1 if side == SIDE_AB else n
     # + before -, column by column: the reverse of tuple order
-    return [sorted(table.cases[i], reverse=True) for i in range(1, length // 2 + 1)]
+    return tuple(tuple(sorted(table.cases[i], reverse=True))
+                 for i in range(1, length // 2 + 1))
 
 
-def _middle_options(n: int, kind: Kind, side: str) -> Optional[list[tuple[int, int]]]:
+@lru_cache(maxsize=256)
+def _middle_options(n: int, kind: Kind, side: str) -> Optional[tuple[tuple[int, int], ...]]:
     length = n + 1 if side == SIDE_AB else n
     if length % 2 == 0:
         return None
     if side == SIDE_CD or kind is Kind.BS:
-        return [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        return ((1, 1), (1, -1), (-1, 1), (-1, -1))
     mid = (length + 1) // 2
     flip = 1 if (kind is Kind.NS or mid % 2 == 1) else -1
-    return [(1, flip), (-1, -flip)]
+    return ((1, flip), (-1, -flip))
+
+
+@lru_cache(maxsize=64)
+def _inner_fills(length: int, pair_cols: tuple[tuple[Column, ...], ...],
+                 middle_opts: Optional[tuple[tuple[int, int], ...]], m: int,
+                 ) -> tuple[int, dict[tuple[int, ...], tuple]]:
+    """The innermost position pairs and the middle, tabulated.
+
+    Returns the first tabulated pair index ``first`` (1-based, as in
+    ``_expand_pairs``) and a map from the class sums a fill pays (those
+    of x, then those of y, over all ``m`` classes) to the fills that pay
+    them.  A fill is the pair (x, y) of sign tuples over the contiguous
+    positions ``first-1 .. length-first``; the fills under each key are
+    in DFS order: pair by pair outside in, then the middle, each level
+    in its listed column order.  Levels are taken from the inside out
+    while the fills number at most ``_INNER_FILLS``.
+    """
+    npairs = length // 2
+    first = npairs + 1
+    size = len(middle_opts) if middle_opts else 1
+    while first > 1 and size * len(pair_cols[first - 2]) <= _INNER_FILLS:
+        first -= 1
+        size *= len(pair_cols[first - 1])
+    lo, hi = first - 1, length - first + 1
+    # each level as its options, an option as the (position, x, y) it sets
+    levels = [[((t - 1, xi, yi), (length - t, xj, yj)) for xi, xj, yi, yj in pair_cols[t - 1]]
+              for t in range(first, npairs + 1)]
+    if middle_opts:
+        levels.append([((npairs, xv, yv),) for xv, yv in middle_opts])
+    table: dict[tuple[int, ...], list] = {}
+    x, y = [0] * length, [0] * length
+    for fill in itertools.product(*levels):
+        sums = [0] * (2 * m)
+        for option in fill:
+            for p, xv, yv in option:
+                x[p], y[p] = xv, yv
+                sums[p % m] += xv
+                sums[m + p % m] += yv
+        table.setdefault(tuple(sums), []).append((tuple(x[lo:hi]), tuple(y[lo:hi])))
+    return first, {key: tuple(fills) for key, fills in table.items()}
 
 
 def _expand_pairs(length: int,
-                  pair_cols: list[list[tuple[int, int, int, int]]],
-                  middle_opts: Optional[list[tuple[int, int]]],
+                  pair_cols: tuple[tuple[Column, ...], ...],
+                  middle_opts: Optional[tuple[tuple[int, int], ...]],
                   m: int, need_x: tuple[int, ...], need_y: tuple[int, ...],
                   cnt: tuple[int, ...],
                   ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -141,26 +205,21 @@ def _expand_pairs(length: int,
     ``need_x[c]``, ``need_y[c]`` are the sums still owed by residue class
     ``c`` mod ``m`` of each sequence and ``cnt[c]`` its free positions; a
     placement survives while every touched class can still pay its debt
-    with the positions it has left.
+    with the positions it has left.  At the first level of the
+    ``_inner_fills`` table the remaining debt must be paid exactly, so
+    the DFS looks it up there and emits the listed fills in their order.
     """
-    npairs = length // 2
+    first, table = _inner_fills(length, pair_cols, middle_opts, m)
+    lo, hi = first - 1, length - first + 1
     x = [0] * length
     y = [0] * length
     need_x, need_y, cnt = list(need_x), list(need_y), list(cnt)
 
     def rec(t: int):
-        if t > npairs:
-            if middle_opts is None:
-                yield tuple(x), tuple(y)
-                return
-            cls = npairs % m
-            c = cnt[cls] - 1
-            for xv, yv in middle_opts:
-                nx, ny = need_x[cls] - xv, need_y[cls] - yv
-                if abs(nx) <= c and abs(ny) <= c and (nx - c) % 2 == 0 \
-                        and (ny - c) % 2 == 0:
-                    x[npairs], y[npairs] = xv, yv
-                    yield tuple(x), tuple(y)
+        if t == first:
+            left_x, right_x, left_y, right_y = x[:lo], x[hi:], y[:lo], y[hi:]
+            for xs, ys in table.get((*need_x, *need_y), ()):
+                yield (*left_x, *xs, *right_x), (*left_y, *ys, *right_y)
             return
         i, j = t - 1, length - t
         ci, cj = i % m, j % m
@@ -189,8 +248,8 @@ def _expand_pairs(length: int,
 
 
 def _complete_pairs(length: int,
-                    pair_cols: list[list[tuple[int, int, int, int]]],
-                    middle_opts: Optional[list[tuple[int, int]]],
+                    pair_cols: tuple[tuple[Column, ...], ...],
+                    middle_opts: Optional[tuple[tuple[int, int], ...]],
                     shift_targets: tuple[int, ...],
                     sum_targets: Optional[tuple[int, int, int, int]],
                     ) -> Iterator[int]:

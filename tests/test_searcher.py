@@ -10,10 +10,10 @@ from baseseq import numfilter
 from baseseq.errors import PreconditionError, ResumeError, SearchInterrupted
 from baseseq.numfilter import ResidueProfile, quad_residue_profile
 from baseseq.refdata import known_quad
-from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, backtrack_complete,
-                              build_tasks, candidate_matches_profile,
-                              expand_candidates, load_checkpoint, residue_halves,
-                              search)
+from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, _middle_options,
+                              _pair_columns, backtrack_complete, build_tasks,
+                              candidate_matches_profile, expand_candidates,
+                              load_checkpoint, residue_halves, search)
 from baseseq.seqcore import Kind, SeqQuad, SignSeq, row_sums, verify
 from baseseq.specfilter import ThetaGrid, pair_filter
 
@@ -48,6 +48,62 @@ def test_expand_candidates_single_element():
                           (-1, 0, 0, 0, 0, 0))
     pairs = list(expand_candidates(prof, 1, Kind.BS, SIDE_CD))
     assert pairs == [(SignSeq((1,)), SignSeq((-1,)))]
+
+
+def test_expand_candidates_empty_class_must_owe_nothing():
+    # n=1 with m=6: classes 2..6 have no position, so a nonzero sum there
+    # cannot be paid
+    prof = ResidueProfile(6, (0,) * 6, (0,) * 6, (1, 0, 0, 0, 0, 2),
+                          (-1, 0, 0, 0, 0, 0))
+    assert list(expand_candidates(prof, 1, Kind.BS, SIDE_CD)) == []
+    pair = (SignSeq((1,)), SignSeq((-1,)))
+    assert not candidate_matches_profile(pair, prof, 1, Kind.BS, SIDE_CD)
+
+
+def _brute_expansion(n: int, kind: Kind, side: str, m: int) -> dict:
+    """Every fill of the column and middle options in product order,
+    grouped by its class sums (those of x, then those of y)."""
+    length = n + 1 if side == SIDE_AB else n
+    cols = _pair_columns(n, kind, side)
+    middle = _middle_options(n, kind, side)
+    levels = list(cols) + ([middle] if middle else [])
+    groups = {}
+    for fill in itertools.product(*levels):
+        x, y = [0] * length, [0] * length
+        for t, (xi, xj, yi, yj) in enumerate(fill[:len(cols)], 1):
+            x[t - 1], x[length - t], y[t - 1], y[length - t] = xi, xj, yi, yj
+        if middle:
+            x[length // 2], y[length // 2] = fill[-1]
+        key = tuple(tuple(sum(seq[c::m]) for c in range(m)) for seq in (x, y))
+        groups.setdefault(key, []).append((tuple(x), tuple(y)))
+    return groups
+
+
+EXPANSION_CASES = [(n, kind, side) for side in (SIDE_AB, SIDE_CD)
+                   for kind in (Kind.BS, Kind.NS, Kind.NNS)
+                   for n in range(1, 10)
+                   if 1 <= (n + 1 if side == SIDE_AB else n) <= 9
+                   and not (kind is Kind.NNS and n % 2)
+                   and not (side == SIDE_CD and kind is not Kind.BS)]
+
+
+@pytest.mark.parametrize("n,kind,side", EXPANSION_CASES,
+                         ids=[f"{k.value}{n}-{s}" for n, k, s in EXPANSION_CASES])
+def test_expand_candidates_equals_brute_force(n, kind, side):
+    # the C,D side ignores the kind, so it is run once, as BS
+    zero_ab = side == SIDE_CD
+    for m in (1, 2, 3, 6):
+        groups = _brute_expansion(n, kind, side, m)
+        # every reachable target, and each one moved by 2 in the last
+        # class, which has no position when the length is below m
+        targets = set(groups) | {((*tx[:-1], tx[-1] + 2), ty) for tx, ty in groups}
+        for tx, ty in sorted(targets):
+            zero = (0,) * m
+            prof = (ResidueProfile(m, zero, zero, tx, ty) if zero_ab
+                    else ResidueProfile(m, tx, ty, zero, zero))
+            stream = [(x.elements, y.elements)
+                      for x, y in expand_candidates(prof, n, kind, side)]
+            assert stream == groups.get((tx, ty), [])
 
 
 def test_expand_candidates_exhaustive_and_admissible(ns_pool):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def test_psd_vector_matches_hall_f():
     for theta, value in zip(grid.points, vec):
         assert value == pytest.approx(hall_f(s, theta), abs=1e-9)
         assert value >= -EPS
+
+
+def test_pair_max_matches_autocorrelation_form():
+    # the DFT form against the autocorrelation form (hall_f) on random
+    # pairs up to paper length, some of unequal length or with an empty
+    # partner; rounding near the bound stays within about 1e-10
+    rng = random.Random(7)
+    grid = ThetaGrid.pi_over(100)
+    for _ in range(40):
+        la = rng.randint(1, 45)
+        lb = rng.choice((la, la - 1, 0))
+        a = SignSeq(tuple(rng.choice((1, -1)) for _ in range(la)))
+        b = SignSeq(tuple(rng.choice((1, -1)) for _ in range(lb)))
+        want = max(hall_f(a, t) + hall_f(b, t) for t in grid.points)
+        assert pair_max(a, b, grid) == pytest.approx(want, abs=1e-10)
 
 
 def test_published_sequence_bounded_by_total():
