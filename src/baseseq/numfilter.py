@@ -199,6 +199,7 @@ class ColumnCaseTable:
     The A,B side pairs positions (i, n+2-i) for i = 1..[(n+1)/2]; the C,D
     side pairs (i, n+1-i) for i = 1..[n/2].  A middle self-paired position
     (odd sequence length) is not part of the table and is unconstrained.
+    Each index lists its columns + before -, column entry by entry.
     """
 
     side: str
@@ -239,7 +240,7 @@ def _ab_columns(n: int, i: int, kind: Kind) -> list[tuple[int, int, int, int]]:
             else:
                 if (x + z + y + w) % 4 == want:
                     cols.append((x, z, y, w))
-    return sorted(set(cols))
+    return sorted(set(cols), reverse=True)
 
 
 def _cd_columns(i: int) -> list[tuple[int, int, int, int]]:

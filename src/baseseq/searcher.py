@@ -4,32 +4,35 @@ The pipeline enumerates sum profiles, then residue-class profiles at the
 configured moduli, expands one side of the quad into candidate pairs
 that hit the residue profile exactly and respect the end-column sign
 cases, screens the pairs with the power-spectrum bound, and completes
-the other side by backtracking.  Two DFS kernels over symmetric position
-pairs, placed from the outside in, do the two jobs: ``_expand_pairs``
-prunes on residue-class budgets, and ``_complete_pairs`` on shift
-targets (high shifts of the summed autocorrelation become checkable
-first under that order) and optional row-sum targets.
+the other side by backtracking.  One cached table per (n, kind, side)
+describes a side: its levels, outside in, are the symmetric position
+pairs with their sign columns, then an odd length's middle with its
+options (``_levels``).  Two DFS kernels over those levels do the two
+jobs: ``_expand_pairs`` prunes on residue-class budgets, and
+``_complete_pairs`` on shift targets (high shifts of the summed
+autocorrelation become checkable first under that order) and optional
+row-sum targets.
 
-Expansion lists its innermost levels once: the innermost position
-pairs and the middle, at most ``_INNER_FILLS`` fills, each keyed by the
-class sums it pays (``_inner_fills``, cached per length, modulus and
-column options).  The outer DFS prunes on class budgets as before and,
-at the first tabulated level, looks up the exact remaining debt over
-every class and emits the fills listed under it.  The order is that of
-the full DFS: budget pruning only cuts fills that cannot pay the debt,
-so the full DFS's leaves below that level are exactly the fills whose
-class sums equal it, and the table lists them in the same lexicographic
-order.  A class without positions must owe 0, which the lookup enforces
-as well.
+Expansion lists its innermost levels once, at most ``_INNER_FILLS``
+fills, each keyed by the class sums it pays (``_inner_fills``, cached
+per side and modulus).  The outer DFS prunes on class budgets as before
+and, at the first tabulated level, looks up the exact remaining debt
+over every class and emits the fills listed under it.  The order is
+that of the full DFS: budget pruning only cuts fills that cannot pay
+the debt, so the full DFS's leaves below that level are exactly the
+fills whose class sums equal it, and the table lists them in the same
+lexicographic order.  A class without positions must owe 0, which the
+lookup enforces as well.
 
 The completion kernel keeps the partial fill packed in one int, the
 "-1" bits of both sequences with a gap between them.  Placing pair t of
 a length-L fill completes shift L-t, which one popcount checks; the
 even-length last pair and the middle position check every shift still
-open the same way.  Per-level tables, built once per call, hold each
-column option's bits and row-sum deltas, and the four running row sums
-are tested against their targets plus or minus the positions left (the
-parity part of that test does not depend on depth and is made once).
+open the same way.  Each option's bits and row-sum deltas are cached
+per side (``_kernel_rows``); a call builds only the sum bounds and the
+shift checks.  The four running row sums are tested against their
+targets plus or minus the positions left (the parity part of that test
+does not depend on depth and is made once).
 
 Bookkeeping invariant: the task for (sum profile S, residue half H)
 finds exactly the valid quads whose raw row sums equal S and whose
@@ -126,94 +129,84 @@ class SearchConfig:
 # --- candidate generation ---------------------------------------------------
 
 
-Column = tuple[int, int, int, int]  # (x_i, x_mirror, y_i, y_mirror)
-
 # the innermost levels of an expansion are listed in one table of at
 # most this many fills (see _inner_fills)
 _INNER_FILLS = 1024
 
 
 @lru_cache(maxsize=256)
-def _pair_columns(n: int, kind: Kind, side: str) -> tuple[tuple[Column, ...], ...]:
-    table = numfilter.column_cases(n, side, kind if side == SIDE_AB else Kind.BS)
+def _levels(n: int, kind: Kind, side: str) -> tuple[int, tuple]:
+    """A side's fill length and its levels, outside in.  A level is
+    ``(positions, options)``, each option the x entries, then the y entries
+    at those positions: pair t (1-based) is at ``(t-1, length-t)`` with the
+    end-column cases, and an odd length ends with the middle ``(mid,)``.
+    Options are listed + before -, entry by entry."""
     length = n + 1 if side == SIDE_AB else n
-    # + before -, column by column: the reverse of tuple order
-    return tuple(tuple(sorted(table.cases[i], reverse=True))
-                 for i in range(1, length // 2 + 1))
-
-
-@lru_cache(maxsize=256)
-def _middle_options(n: int, kind: Kind, side: str) -> Optional[tuple[tuple[int, int], ...]]:
-    length = n + 1 if side == SIDE_AB else n
-    if length % 2 == 0:
-        return None
-    if side == SIDE_CD or kind is Kind.BS:
-        return ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    mid = (length + 1) // 2
-    flip = 1 if (kind is Kind.NS or mid % 2 == 1) else -1
-    return ((1, flip), (-1, -flip))
+    cases = numfilter.column_cases(n, side, kind if side == SIDE_AB else Kind.BS).cases
+    levels = [((t - 1, length - t), cases[t]) for t in range(1, length // 2 + 1)]
+    if length % 2:
+        mid = length // 2
+        if side == SIDE_CD or kind is Kind.BS:
+            options = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        else:  # the derived partner: NNS negates B at even 1-based positions
+            flip = -1 if kind is Kind.NNS and mid % 2 else 1
+            options = ((1, flip), (-1, -flip))
+        levels.append(((mid,), options))
+    return length, tuple(levels)
 
 
 @lru_cache(maxsize=64)
-def _inner_fills(length: int, pair_cols: tuple[tuple[Column, ...], ...],
-                 middle_opts: Optional[tuple[tuple[int, int], ...]], m: int,
+def _inner_fills(n: int, kind: Kind, side: str, m: int,
                  ) -> tuple[int, dict[tuple[int, ...], tuple]]:
-    """The innermost position pairs and the middle, tabulated.
+    """The innermost levels of ``_levels``, tabulated.
 
-    Returns the first tabulated pair index ``first`` (1-based, as in
-    ``_expand_pairs``) and a map from the class sums a fill pays (those
-    of x, then those of y, over all ``m`` classes) to the fills that pay
-    them.  A fill is the pair (x, y) of sign tuples over the contiguous
-    positions ``first-1 .. length-first``; the fills under each key are
-    in DFS order: pair by pair outside in, then the middle, each level
-    in its listed column order.  Levels are taken from the inside out
-    while the fills number at most ``_INNER_FILLS``.
+    Returns the index ``first`` of the first tabulated level and a map
+    from the class sums a fill pays (those of x, then those of y, over
+    all ``m`` classes) to the fills that pay them.  A fill is the pair
+    (x, y) of sign tuples over the contiguous positions ``first ..
+    length-1-first``; the fills under each key are in DFS order: level by
+    level outside in, each in its listed option order.  Levels are taken
+    from the inside out while the fills number at most ``_INNER_FILLS``.
     """
-    npairs = length // 2
-    first = npairs + 1
-    size = len(middle_opts) if middle_opts else 1
-    while first > 1 and size * len(pair_cols[first - 2]) <= _INNER_FILLS:
+    length, levels = _levels(n, kind, side)
+    first, size = len(levels), 1
+    while first > 0 and size * len(levels[first - 1][1]) <= _INNER_FILLS:
         first -= 1
-        size *= len(pair_cols[first - 1])
-    lo, hi = first - 1, length - first + 1
-    # each level as its options, an option as the (position, x, y) it sets
-    levels = [[((t - 1, xi, yi), (length - t, xj, yj)) for xi, xj, yi, yj in pair_cols[t - 1]]
-              for t in range(first, npairs + 1)]
-    if middle_opts:
-        levels.append([((npairs, xv, yv),) for xv, yv in middle_opts])
+        size *= len(levels[first][1])
+    inner = levels[first:]
     table: dict[tuple[int, ...], list] = {}
     x, y = [0] * length, [0] * length
-    for fill in itertools.product(*levels):
+    for fill in itertools.product(*(options for _, options in inner)):
         sums = [0] * (2 * m)
-        for option in fill:
-            for p, xv, yv in option:
+        for (positions, _), option in zip(inner, fill):
+            for p, xv, yv in zip(positions, option, option[len(positions):]):
                 x[p], y[p] = xv, yv
                 sums[p % m] += xv
                 sums[m + p % m] += yv
-        table.setdefault(tuple(sums), []).append((tuple(x[lo:hi]), tuple(y[lo:hi])))
+        table.setdefault(tuple(sums), []).append((tuple(x[first:length - first]),
+                                                  tuple(y[first:length - first])))
     return first, {key: tuple(fills) for key, fills in table.items()}
 
 
-def _expand_pairs(length: int,
-                  pair_cols: tuple[tuple[Column, ...], ...],
-                  middle_opts: Optional[tuple[tuple[int, int], ...]],
-                  m: int, need_x: tuple[int, ...], need_y: tuple[int, ...],
-                  cnt: tuple[int, ...],
+def _expand_pairs(n: int, kind: Kind, side: str, m: int,
+                  need_x: tuple[int, ...], need_y: tuple[int, ...],
                   ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """DFS over symmetric position pairs, outside in, under class budgets.
+    """DFS over the levels of one side, outside in, under class budgets.
 
     ``need_x[c]``, ``need_y[c]`` are the sums still owed by residue class
-    ``c`` mod ``m`` of each sequence and ``cnt[c]`` its free positions; a
-    placement survives while every touched class can still pay its debt
-    with the positions it has left.  At the first level of the
-    ``_inner_fills`` table the remaining debt must be paid exactly, so
-    the DFS looks it up there and emits the listed fills in their order.
+    ``c`` mod ``m`` of each sequence; a placement survives while every
+    touched class can still pay its debt with the positions it has left.
+    At the first level of the ``_inner_fills`` table the remaining debt
+    must be paid exactly, so the DFS looks it up there and emits the
+    listed fills in their order.
     """
-    first, table = _inner_fills(length, pair_cols, middle_opts, m)
-    lo, hi = first - 1, length - first + 1
+    length, levels = _levels(n, kind, side)
+    first, table = _inner_fills(n, kind, side, m)
+    lo, hi = first, length - first
     x = [0] * length
     y = [0] * length
-    need_x, need_y, cnt = list(need_x), list(need_y), list(cnt)
+    need_x, need_y = list(need_x), list(need_y)
+    cnt = list(numfilter.class_sizes(length, m))
 
     def rec(t: int):
         if t == first:
@@ -221,9 +214,9 @@ def _expand_pairs(length: int,
             for xs, ys in table.get((*need_x, *need_y), ()):
                 yield (*left_x, *xs, *right_x), (*left_y, *ys, *right_y)
             return
-        i, j = t - 1, length - t
+        (i, j), columns = levels[t]  # the middle level is always tabulated
         ci, cj = i % m, j % m
-        for xi, xj, yi, yj in pair_cols[t - 1]:
+        for xi, xj, yi, yj in columns:
             cnt[ci] -= 1
             need_x[ci] -= xi
             need_y[ci] -= yi
@@ -244,16 +237,30 @@ def _expand_pairs(length: int,
             need_x[cj] += xj
             need_y[cj] += yj
 
-    return rec(1)
+    return rec(0)
 
 
-def _complete_pairs(length: int,
-                    pair_cols: tuple[tuple[Column, ...], ...],
-                    middle_opts: Optional[tuple[tuple[int, int], ...]],
+@lru_cache(maxsize=256)
+def _kernel_rows(n: int, kind: Kind, side: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Each level's options as completion-kernel rows: the z bits, then
+    the deltas of the row sums x, y and alternated row sums x', y'."""
+    length, levels = _levels(n, kind, side)
+
+    def row(cells: list[tuple[int, int, int]]) -> tuple[int, ...]:
+        return (sum((xv < 0) << p | (yv < 0) << 2 * length + p for p, xv, yv in cells),
+                sum(xv for _, xv, _ in cells), sum(yv for _, _, yv in cells),
+                sum(-xv if p % 2 else xv for p, xv, _ in cells),
+                sum(-yv if p % 2 else yv for p, _, yv in cells))
+
+    return tuple(tuple(row(list(zip(positions, option, option[len(positions):])))
+                       for option in options) for positions, options in levels)
+
+
+def _complete_pairs(n: int, kind: Kind, side: str,
                     shift_targets: tuple[int, ...],
                     sum_targets: Optional[tuple[int, int, int, int]],
                     ) -> Iterator[int]:
-    """DFS over symmetric position pairs, outside in, under shift targets.
+    """DFS over the levels of one side, outside in, under shift targets.
 
     ``shift_targets[s-1]`` is the required N_x(s)+N_y(s); a shift is
     checked as soon as every product in it is assigned.  ``sum_targets``,
@@ -266,7 +273,7 @@ def _complete_pairs(length: int,
     the gap between the halves keeps shifted y bits off x's mask.  Each
     completed fill is yielded in that form.
     """
-    npairs = length // 2
+    length, levels = _levels(n, kind, side)
     both = 1 | 1 << 2 * length
     exact = sum_targets is not None
     if not exact:
@@ -279,40 +286,23 @@ def _complete_pairs(length: int,
         half, odd = divmod(2 * (length - s) - shift_targets[s - 1], 2)
         return s, ((1 << length - s) - 1) * both, -1 if odd else half
 
-    def bounds(placed: int) -> tuple[int, ...]:
-        """Range of each running sum from which its target is reachable;
-        without targets, a range no running sum can leave."""
+    # per level: its rows, the range of each running sum from which its
+    # target is reachable (without targets, one no sum can leave), and the
+    # shifts it completes: after `placed` positions, those down to
+    # length - placed//2, or all of them once every position is placed
+    steps = []
+    placed, low = 0, length
+    for (positions, _), rows in zip(levels, _kernel_rows(n, kind, side)):
+        placed += len(positions)
         rem = length - placed if exact else length
-        return tuple(b for want in sum_targets for b in (want - rem, want + rem))
-
-    def weight(p: int) -> int:
-        return 1 if p % 2 == 0 else -1
-
-    def bit(p: int, v: int) -> int:
-        return 1 << p if v < 0 else 0
-
-    # one level per pair and one for the middle: the column options as
-    # (z bits, sum deltas), the sum bounds after the level, and the
-    # shifts it completes
-    levels = []
-    for t in range(1, npairs + 1):
-        i, j = t - 1, length - t
-        rows = [(bit(i, xi) | bit(j, xj) | (bit(i, yi) | bit(j, yj)) << 2 * length,
-                 xi + xj, yi + yj, weight(i) * xi + weight(j) * xj,
-                 weight(i) * yi + weight(j) * yj)
-                for xi, xj, yi, yj in pair_cols[t - 1]]
-        last = t == npairs and middle_opts is None
-        levels.append((rows, bounds(2 * t),
-                       [check(s) for s in range(j, 0 if last else j - 1, -1)]))
-    if middle_opts is not None:
-        w = weight(npairs)
-        rows = [(bit(npairs, xv) | bit(npairs, yv) << 2 * length, xv, yv, w * xv, w * yv)
-                for xv, yv in middle_opts]
-        levels.append((rows, bounds(length), [check(s) for s in range(npairs, 0, -1)]))
-    depth = len(levels)
+        new_low = 1 if placed == length else length - placed // 2
+        steps.append((rows, tuple(b for want in sum_targets for b in (want - rem, want + rem)),
+                      [check(s) for s in range(low - 1, new_low - 1, -1)]))
+        low = new_low
+    depth = len(steps)
 
     def rec(t: int, z: int, sx: int, sy: int, ax: int, ay: int):
-        rows, (lx, hx, ly, hy, lax, hax, lay, hay), checks = levels[t]
+        rows, (lx, hx, ly, hy, lax, hax, lay, hay), checks = steps[t]
         for bits, dx, dy, dax, day in rows:
             nx, ny, nax, nay = sx + dx, sy + dy, ax + dax, ay + day
             if not (lx <= nx <= hx and ly <= ny <= hy
@@ -340,16 +330,9 @@ def expand_candidates(prof: ResidueProfile, n: int, kind: Kind,
     derived partner of the first.  The stream is exhaustive and
     duplicate-free for the profile, in a fixed order.
     """
-    m = prof.modulus
-    if side == SIDE_AB:
-        length = n + 1
-        tx, ty = prof.a_class_sums, prof.b_class_sums
-    else:
-        length = n
-        tx, ty = prof.c_class_sums, prof.d_class_sums
-    for xs, ys in _expand_pairs(length, _pair_columns(n, kind, side),
-                                _middle_options(n, kind, side), m, tx, ty,
-                                numfilter.class_sizes(length, m)):
+    tx, ty = ((prof.a_class_sums, prof.b_class_sums) if side == SIDE_AB
+              else (prof.c_class_sums, prof.d_class_sums))
+    for xs, ys in _expand_pairs(n, kind, side, prof.modulus, tx, ty):
         yield SignSeq(xs), SignSeq(ys)
 
 
@@ -360,16 +343,13 @@ def candidate_matches_profile(pair: tuple[SignSeq, SignSeq], prof: ResidueProfil
     m = prof.modulus
     want = ((prof.a_class_sums, prof.b_class_sums) if side == SIDE_AB
             else (prof.c_class_sums, prof.d_class_sums))
-    if (numfilter.sequence_class_sums(first, m),
-            numfilter.sequence_class_sums(second, m)) != want:
+    length, levels = _levels(n, kind, side)
+    if len(first) != length or len(second) != length or \
+            (numfilter.sequence_class_sums(first, m),
+             numfilter.sequence_class_sums(second, m)) != want:
         return False
-    cols = _pair_columns(n, kind, side)
-    length = len(first)
-    for t in range(1, length // 2 + 1):
-        col = (first[t - 1], first[length - t], second[t - 1], second[length - t])
-        if col not in cols[t - 1]:
-            return False
-    return True
+    return all((*(first[p] for p in positions), *(second[p] for p in positions)) in options
+               for positions, options in levels)
 
 
 def backtrack_complete(fixed: tuple[SignSeq, SignSeq], n: int, kind: Kind,
@@ -405,9 +385,7 @@ def backtrack_complete(fixed: tuple[SignSeq, SignSeq], n: int, kind: Kind,
             return []  # shift n involves only the fixed side
         targets = targets[:n - 1]
     out = []
-    for z in _complete_pairs(length, _pair_columns(n, kind, side_to_fill),
-                             _middle_options(n, kind, side_to_fill),
-                             tuple(targets), sum_targets):
+    for z in _complete_pairs(n, kind, side_to_fill, tuple(targets), sum_targets):
         x = SignSeq.from_packed(z & (1 << length) - 1, length)
         y = SignSeq.from_packed(z >> 2 * length, length)
         if side_to_fill == SIDE_AB:
@@ -517,6 +495,21 @@ def save_checkpoint(path: str, cfg: SearchConfig,
             fh.write(json.dumps({"finds": texts, "stats": stats, "digest": digest}) + "\n")
 
 
+def _journal_finds(texts, cfg: SearchConfig) -> Optional[list[equiv.Signs]]:
+    """A journal line's finds as sign tuples, or None unless each is four
+    +/- strings of lengths n+1, n+1, n, n that ``verify`` accepts."""
+    shape = [cfg.n + 1, cfg.n + 1, cfg.n, cfg.n]
+    if not isinstance(texts, list) or not all(
+            isinstance(q, list) and len(q) == 4 and all(
+                isinstance(t, str) and len(t) == k and set(t) <= {"+", "-"}
+                for t, k in zip(q, shape)) for q in texts):
+        return None
+    quads = [SeqQuad(*map(SignSeq.from_text, q), cfg.kind) for q in texts]
+    if not all(verify(quad).valid for quad in quads):
+        return None
+    return [tuple(seq.elements for seq in quad.seqs()) for quad in quads]
+
+
 def load_checkpoint(path: str, cfg: SearchConfig,
                     tasks_total: int) -> tuple[list[list[equiv.Signs]], dict]:
     """Read back a journal's finds per task and its summed counters,
@@ -549,7 +542,12 @@ def load_checkpoint(path: str, cfg: SearchConfig,
             raise ResumeError(f"checkpoint line for task {index} has no certificate counters")
         if entry.get("digest") != _line_digest(cfg_digest, index, texts, stats):
             raise ResumeError(f"checkpoint digest mismatch at task {index}")
-        results.append([tuple(SignSeq.from_text(t).elements for t in q) for q in texts])
+        # the digest is unkeyed, so each find is checked as a quad of this search
+        finds = _journal_finds(texts, cfg)
+        if finds is None:
+            raise ResumeError(f"checkpoint line for task {index} has a find that is not "
+                              f"a valid {cfg.kind.value} quad of n={cfg.n}")
+        results.append(finds)
         for key in total:
             total[key] += stats[key]
     if end < len(data):

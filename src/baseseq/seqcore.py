@@ -111,9 +111,6 @@ class SignSeq:
     def reversed_(self) -> "SignSeq":
         return SignSeq(tuple(reversed(self.elements)))
 
-    def alternated(self) -> "SignSeq":
-        return SignSeq(tuple(x if j % 2 == 0 else -x for j, x in enumerate(self.elements)))
-
     def text(self) -> str:
         return "".join(_CHAR_OF[x] for x in self.elements)
 
@@ -266,9 +263,9 @@ def _structural_violation(quad: SeqQuad) -> Optional[str]:
         return "last entry of A must be +1"
     if quad.b[n] != -1:
         return "last entry of B must be -1"
+    want = partner_elements(quad.a.elements, quad.kind)
     for j in range(n):
-        want = quad.a[j] if quad.kind is Kind.NS else (quad.a[j] if j % 2 == 0 else -quad.a[j])
-        if quad.b[j] != want:
+        if quad.b[j] != want[j]:
             rule = "B[i]=A[i]" if quad.kind is Kind.NS else "B[i]=(-1)^(i-1)A[i]"
             return f"coupling {rule} fails at position {j + 1}"
     return None

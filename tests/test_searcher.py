@@ -10,8 +10,8 @@ from baseseq import numfilter
 from baseseq.errors import PreconditionError, ResumeError, SearchInterrupted
 from baseseq.numfilter import ResidueProfile, quad_residue_profile
 from baseseq.refdata import known_quad
-from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, _middle_options,
-                              _pair_columns, backtrack_complete, build_tasks,
+from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, _levels, _line_digest,
+                              backtrack_complete, build_tasks,
                               candidate_matches_profile, expand_candidates,
                               load_checkpoint, residue_halves, search)
 from baseseq.seqcore import Kind, SeqQuad, SignSeq, row_sums, verify
@@ -61,19 +61,15 @@ def test_expand_candidates_empty_class_must_owe_nothing():
 
 
 def _brute_expansion(n: int, kind: Kind, side: str, m: int) -> dict:
-    """Every fill of the column and middle options in product order,
-    grouped by its class sums (those of x, then those of y)."""
-    length = n + 1 if side == SIDE_AB else n
-    cols = _pair_columns(n, kind, side)
-    middle = _middle_options(n, kind, side)
-    levels = list(cols) + ([middle] if middle else [])
+    """Every fill of the level options in product order, grouped by its
+    class sums (those of x, then those of y)."""
+    length, levels = _levels(n, kind, side)
     groups = {}
-    for fill in itertools.product(*levels):
+    for fill in itertools.product(*(options for _, options in levels)):
         x, y = [0] * length, [0] * length
-        for t, (xi, xj, yi, yj) in enumerate(fill[:len(cols)], 1):
-            x[t - 1], x[length - t], y[t - 1], y[length - t] = xi, xj, yi, yj
-        if middle:
-            x[length // 2], y[length // 2] = fill[-1]
+        for (positions, _), option in zip(levels, fill):
+            for k, p in enumerate(positions):
+                x[p], y[p] = option[k], option[len(positions) + k]
         key = tuple(tuple(sum(seq[c::m]) for c in range(m)) for seq in (x, y))
         groups.setdefault(key, []).append((tuple(x), tuple(y)))
     return groups
@@ -117,6 +113,19 @@ def test_expand_candidates_exhaustive_and_admissible(ns_pool):
     for first, second in stream:
         assert candidate_matches_profile((first, second), prof, 5, Kind.NS, SIDE_AB)
         assert numfilter.sequence_class_sums(first, 6) == prof.a_class_sums
+
+
+def test_oracle_quads_are_members_of_both_sides(ns_pool, nns_pool):
+    # an odd length (n + 1 for even n, n for odd n) reaches the middle level
+    for pool in (ns_pool, nns_pool):
+        for n, quads in pool.items():
+            for quad in quads:
+                for m in (1, 2, 3, 6):
+                    prof = quad_residue_profile(quad, m)
+                    assert candidate_matches_profile((quad.a, quad.b), prof, n,
+                                                     quad.kind, SIDE_AB)
+                    assert candidate_matches_profile((quad.c, quad.d), prof, n,
+                                                     quad.kind, SIDE_CD)
 
 
 def test_expand_candidates_published_membership():
@@ -657,6 +666,32 @@ def test_checkpoint_damaged_lines_are_refused(tmp_path):
         with pytest.raises(ResumeError, match=match):
             load_checkpoint(path, cfg, tasks_total)
         with pytest.raises(ResumeError, match=match):
+            search(cfg, checkpoint_path=path)
+        assert _read_bytes(path) == blob
+
+
+def test_checkpoint_finds_are_validated(tmp_path):
+    # each edited line carries a recomputed digest, so only the check of
+    # the finds themselves can refuse it
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=4, kind=Kind.BS)
+    tasks_total = len(build_tasks(cfg))
+    with pytest.raises(SearchInterrupted):
+        search(cfg, checkpoint_path=path, interrupt_after_tasks=3)
+    header, *lines = _journal(path)
+    edits = [
+        5,                                  # not a list of finds
+        [["++", "+-", "+", "-"]],           # a valid quad, but of n = 1
+        [["+++++", "+++++", "++++", "++++"]],  # right lengths, not a base quad
+    ]
+    for finds in edits:
+        line = dict(lines[1], finds=finds)
+        line["digest"] = _line_digest(cfg.digest(), 1, finds, line["stats"])
+        _write_journal(path, [header, lines[0], line, *lines[2:]])
+        blob = _read_bytes(path)
+        with pytest.raises(ResumeError, match="task 1"):
+            load_checkpoint(path, cfg, tasks_total)
+        with pytest.raises(ResumeError, match="task 1"):
             search(cfg, checkpoint_path=path)
         assert _read_bytes(path) == blob
 

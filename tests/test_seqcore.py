@@ -138,6 +138,28 @@ def test_verify_structural_rules():
     assert verify(nns).structural_violation is None
 
 
+# (kind, A, B, message): where several rules fail, the first in the order
+# last entry of A, last entry of B, coupling from position 1 up is reported
+STRUCTURAL_MESSAGES = [
+    (Kind.NS, "+--", "+--", "last entry of A must be +1"),
+    (Kind.NS, "+--", "-++", "last entry of A must be +1"),
+    (Kind.NS, "+-+", "-++", "last entry of B must be -1"),
+    (Kind.NS, "+-+", "++-", "coupling B[i]=A[i] fails at position 2"),
+    (Kind.NS, "+-+", "-+-", "coupling B[i]=A[i] fails at position 1"),
+    (Kind.NNS, "++-", "+--", "last entry of A must be +1"),
+    (Kind.NNS, "+++", "+-+", "last entry of B must be -1"),
+    (Kind.NNS, "+++", "++-", "coupling B[i]=(-1)^(i-1)A[i] fails at position 2"),
+    (Kind.NNS, "+++", "-+-", "coupling B[i]=(-1)^(i-1)A[i] fails at position 1"),
+    (Kind.NNS, "+-+", "++-", None),
+]
+
+
+@pytest.mark.parametrize("kind,a,b,message", STRUCTURAL_MESSAGES)
+def test_verify_structural_messages_pinned(kind, a, b, message):
+    quad = SeqQuad(seq(a), seq(b), seq("++"), seq("+-"), kind)
+    assert verify(quad).structural_violation == message
+
+
 def test_verify_includes_shift_n():
     # At shift n only A and B contribute; a pair violating it must fail.
     q = SeqQuad(seq("++"), seq("++"), seq("+"), seq("+"), Kind.BS)
