@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from baseseq import numfilter
@@ -83,6 +85,19 @@ def test_column_cases_hold_on_oracle(small_quads):
         for i in range(1, n // 2 + 1):
             col = (quad.c[i - 1], quad.c[n - i], quad.d[i - 1], quad.d[n - i])
             assert col in cd[i]
+
+
+def test_level_tables_pinned():
+    """Every side's level table for n = 1..59, as hashed before the
+    columns and the middle options moved into one table builder."""
+    from baseseq.searcher import _levels
+    digest = hashlib.sha256()
+    for n in range(1, 60):
+        for kind in Kind:
+            for side in ("AB", "CD"):
+                digest.update(repr(_levels(n, kind, side)).encode())
+    assert digest.hexdigest() == \
+        "36a626c7b30b461cdc5f0572258c4fc099f86e918cf2535364559874a3236d2b"
 
 
 def test_class_sizes():
