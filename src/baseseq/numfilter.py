@@ -1,4 +1,4 @@
-"""Arithmetic pruning: sum quadruples, residue-class profiles, column cases.
+"""Arithmetic pruning: sum quadruples, residue-class profiles, sign levels.
 
 Every valid quad obeys a stack of integer constraints that can be
 enumerated long before any sequence is materialized:
@@ -21,7 +21,11 @@ enumerated long before any sequence is materialized:
     A,B (positions i and n+2-i) sum to 2 mod 4 at i = 1 and to 0 mod 4
     for i = 2..[(n+1)/2]; paired columns of C,D (positions i and n+1-i)
     sum to 0 mod 4 for i = 2..[n/2].  Eight of the sixteen sign columns
-    survive at each constrained index.
+    survive at each constrained index.  On the A,B side of a normal or
+    near-normal quad, B is also A's derived partner, which couples the
+    two signs at every position, the middle of an odd length included.
+    ``column_cases`` lists a side's sign levels under both rules; the
+    searcher's expansion, membership test and completion all read it.
 
 The class-level end-column congruence is enforced per unordered class
 pair: the pair containing class 1 on the A,B side carries the 2 mod 4
@@ -34,12 +38,14 @@ strictly weaker, and the mismatch is intentional.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .equiv import profile_orbit
 from .errors import PreconditionError
-from .seqcore import Kind, SeqQuad, SumProfile
+from .seqcore import Kind, SeqQuad, SumProfile, partner_elements
 
 # --- sum-quadruple feasibility and enumeration -----------------------------
 
@@ -189,85 +195,52 @@ def ns_parity_obstruction(n: int) -> bool:
     return n % 8 == 6
 
 
-# --- end-column sign cases --------------------------------------------------
+# --- sign levels ------------------------------------------------------------
+
+SIDE_AB = "AB"
+SIDE_CD = "CD"
 
 
-@dataclass(frozen=True)
-class ColumnCaseTable:
-    """Admissible sign columns (x_i, x_mirror, y_i, y_mirror) per pair index.
+@lru_cache(maxsize=256)
+def column_cases(n: int, side: str, kind: Kind) -> tuple[int, tuple]:
+    """A side's fill length and its sign levels, outside in.
 
-    The A,B side pairs positions (i, n+2-i) for i = 1..[(n+1)/2]; the C,D
-    side pairs (i, n+1-i) for i = 1..[n/2].  A middle self-paired position
-    (odd sequence length) is not part of the table and is unconstrained.
-    Each index lists its columns + before -, column entry by entry.
+    A level is ``(positions, options)`` over 0-based positions, each
+    option the x entries, then the y entries, at those positions.  On a
+    side of length L (n+1 for A,B, n for C,D), pair t (1-based) is at
+    ``(t-1, L-t)`` and an odd L ends with the middle ``(L // 2,)``.  The
+    options are the sign tuples + before -, entry by entry, that obey
+    both rules: a pair's four entries sum to 2 mod 4 at A,B pair 1 and
+    to 0 mod 4 at every other pair but C,D pair 1, which is free; on the
+    A,B side of a structured kind, B is A's derived partner
+    (``partner_elements``) and A ends in +1.
     """
-
-    side: str
-    n: int
-    kind: Kind
-    cases: dict[int, tuple[tuple[int, int, int, int], ...]]
-
-
-_PM = (1, -1)
-
-
-def _ab_columns(n: int, i: int, kind: Kind) -> list[tuple[int, int, int, int]]:
-    want = 2 if i == 1 else 0
-    cols = []
-    mirror_is_last = (i == 1)  # position n+2-i = n+1
-    for x in _PM:
-        for z in _PM:
-            if kind is Kind.NS:
-                y = x
-                w = -1 if mirror_is_last else z
-                if mirror_is_last and z != 1:
-                    continue
-            elif kind is Kind.NNS:
-                y = x if i % 2 == 1 else -x
-                if mirror_is_last:
-                    if z != 1:
-                        continue
-                    w = -1
-                else:
-                    w = z if (n + 2 - i) % 2 == 1 else -z
-            else:
-                y, w = None, None
-            if kind is Kind.BS:
-                for y2 in _PM:
-                    for w2 in _PM:
-                        if (x + z + y2 + w2) % 4 == want:
-                            cols.append((x, z, y2, w2))
-            else:
-                if (x + z + y + w) % 4 == want:
-                    cols.append((x, z, y, w))
-    return sorted(set(cols), reverse=True)
-
-
-def _cd_columns(i: int) -> list[tuple[int, int, int, int]]:
-    cols = []
-    for x in _PM:
-        for z in _PM:
-            for y in _PM:
-                for w in _PM:
-                    if i == 1 or (x + z + y + w) % 4 == 0:
-                        cols.append((x, z, y, w))
-    return cols
-
-
-def column_cases(n: int, side: str, kind: Kind) -> ColumnCaseTable:
-    """Admissible end-column sign patterns for one side of a quad."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    if side not in ("AB", "CD"):
+    if side not in (SIDE_AB, SIDE_CD):
         raise PreconditionError("side must be AB or CD")
-    cases = {}
-    if side == "AB":
-        for i in range(1, (n + 1) // 2 + 1):
-            cases[i] = tuple(_ab_columns(n, i, kind))
-    else:
-        for i in range(1, n // 2 + 1):
-            cases[i] = tuple(_cd_columns(i))
-    return ColumnCaseTable(side, n, kind, cases)
+    length = n + 1 if side == SIDE_AB else n
+    # y = factor[p] * x at every position p when B is derived from A
+    factor = (partner_elements((1,) * length, kind)
+              if side == SIDE_AB and kind is not Kind.BS else None)
+
+    def admissible(positions: tuple[int, ...], option: tuple[int, ...]) -> bool:
+        if factor is not None and not all(
+                y == factor[p] * x and (x == 1 or p < length - 1)
+                for p, x, y in zip(positions, option, option[len(positions):])):
+            return False
+        if len(positions) == 1 or (side == SIDE_CD and positions[0] == 0):
+            return True  # the middle and C,D pair 1 obey no congruence
+        return sum(option) % 4 == (2 if positions[0] == 0 else 0)
+
+    groups = [(t, length - 1 - t) for t in range(length // 2)]
+    if length % 2:
+        groups.append((length // 2,))
+    levels = []
+    for positions in groups:
+        options = itertools.product((1, -1), repeat=2 * len(positions))
+        levels.append((positions, tuple(o for o in options if admissible(positions, o))))
+    return length, tuple(levels)
 
 
 # --- residue-class profiles --------------------------------------------------
@@ -447,8 +420,8 @@ class _Refiner:
         alt = m % 2 == 0
         # per side: class sizes, pairing offset, alternated-sum targets
         self.sides = {
-            "AB": (class_sizes(n + 1, m), n + 2, (s.a_alt, s.b_alt) if alt else (None, None)),
-            "CD": (class_sizes(n, m), n + 1, (s.c_alt, s.d_alt) if alt else (None, None)),
+            SIDE_AB: (class_sizes(n + 1, m), n + 2, (s.a_alt, s.b_alt) if alt else (None, None)),
+            SIDE_CD: (class_sizes(n, m), n + 1, (s.c_alt, s.d_alt) if alt else (None, None)),
         }
         self._vectors: dict[tuple, list[tuple[int, ...]]] = {}
         self._sigs: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -469,12 +442,12 @@ class _Refiner:
     def halves(self, side: str, coarse: Half) -> dict[tuple[int, ...], list[Half]]:
         """All halves of one side at modulus m that merge to ``coarse``, by signature.
 
-        A half is the pair of class-sum vectors of A,B (``side`` "AB") or
-        of C,D ("CD"); its signature is the sum of the two vectors'
-        signatures.  Enforced per half: class bounds and parities, the
-        merge, alternated sums when m is even, and the class-pair
-        end-column congruence.  For structured kinds the B vector is
-        derived from the A vector.
+        A half is the pair of class-sum vectors of A,B (``side``
+        ``SIDE_AB``) or of C,D (``SIDE_CD``); its signature is the sum of
+        the two vectors' signatures.  Enforced per half: class bounds and
+        parities, the merge, alternated sums when m is even, and the
+        class-pair end-column congruence.  For structured kinds the B
+        vector is derived from the A vector.
         """
         key = (side, coarse)
         if key in self._halves:
@@ -482,7 +455,7 @@ class _Refiner:
         n, m, kind = self.n, self.m, self.kind
         sizes, offset, alts = self.sides[side]
         xs = self._fine(coarse[0], sizes, alts[0])
-        if side == "CD" or kind is Kind.BS:
+        if side == SIDE_CD or kind is Kind.BS:
             ys = self._fine(coarse[1], sizes, alts[1])
             pairs = ((x, y) for x in xs for y in ys)
         else:
@@ -492,7 +465,7 @@ class _Refiner:
                      and (alts[1] is None or _vector_alt_sum(y) == alts[1]))
         by_sig: dict[tuple[int, ...], list[Half]] = {}
         for x, y in pairs:
-            if _pairs_congruent(x, y, n, m, offset, end_correction=side == "AB"):
+            if _pairs_congruent(x, y, n, m, offset, end_correction=side == SIDE_AB):
                 sig = tuple(a + b for a, b in zip(self._sig(x), self._sig(y)))
                 by_sig.setdefault(sig, []).append((x, y))
         self._halves[key] = by_sig
@@ -526,8 +499,8 @@ def _refine(n: int, m: int, profs: list[ResidueProfile], s: SumProfile, kind: Ki
     refiner = _Refiner(n, m, s, kind)
     out = []
     for prof in profs:
-        ab = refiner.halves("AB", (prof.a_class_sums, prof.b_class_sums))
-        cd = refiner.halves("CD", (prof.c_class_sums, prof.d_class_sums))
+        ab = refiner.halves(SIDE_AB, (prof.a_class_sums, prof.b_class_sums))
+        cd = refiner.halves(SIDE_CD, (prof.c_class_sums, prof.d_class_sums))
         out.extend(_join(ab, cd, n, m, project))
     if project is None:
         return sorted(out, key=ResidueProfile.as_flat)

@@ -4,11 +4,11 @@ The pipeline enumerates sum profiles, then residue-class profiles at the
 configured moduli, expands one side of the quad into candidate pairs
 that hit the residue profile exactly and respect the end-column sign
 cases, screens the pairs with the power-spectrum bound, and completes
-the other side by backtracking.  One cached table per (n, kind, side)
-describes a side: its levels, outside in, are the symmetric position
-pairs with their sign columns, then an odd length's middle with its
-options (``_levels``).  Two DFS kernels over those levels do the two
-jobs: ``_expand_pairs`` prunes on residue-class budgets, and
+the other side by backtracking.  One cached table per (n, side, kind),
+``numfilter.column_cases``, describes a side: its levels, outside in,
+are the symmetric position pairs with their sign columns, then an odd
+length's middle with its options.  Two DFS kernels over those levels do
+the two jobs: ``_expand_pairs`` prunes on residue-class budgets, and
 ``_complete_pairs`` on shift targets (high shifts of the summed
 autocorrelation become checkable first under that order) and optional
 row-sum targets.
@@ -60,11 +60,8 @@ from typing import Iterator, Optional
 
 from . import equiv, numfilter, specfilter
 from .errors import PreconditionError, ResumeError, SearchInterrupted
-from .numfilter import ResidueProfile
+from .numfilter import SIDE_AB, SIDE_CD, ResidueProfile
 from .seqcore import Kind, SeqQuad, SignSeq, SumProfile, verify
-
-SIDE_AB = "AB"
-SIDE_CD = "CD"
 
 _DEFAULT_MODULI = {Kind.BS: (3, 6), Kind.NS: (3, 6), Kind.NNS: (6,)}
 _DEFAULT_GRIDS = {Kind.BS: ("pi-over-100",), Kind.NS: ("l=50", "l=1000"),
@@ -103,6 +100,8 @@ class SearchConfig:
             raise PreconditionError("start_side must be AB or CD")
         if not self.moduli:
             object.__setattr__(self, "moduli", _DEFAULT_MODULI[self.kind])
+        if any(m < 2 for m in self.moduli):
+            raise PreconditionError("every modulus must be >= 2")
         for prev, cur in zip(self.moduli, self.moduli[1:]):
             if cur != 2 * prev:
                 raise PreconditionError("each modulus must double the previous one")
@@ -134,31 +133,10 @@ class SearchConfig:
 _INNER_FILLS = 1024
 
 
-@lru_cache(maxsize=256)
-def _levels(n: int, kind: Kind, side: str) -> tuple[int, tuple]:
-    """A side's fill length and its levels, outside in.  A level is
-    ``(positions, options)``, each option the x entries, then the y entries
-    at those positions: pair t (1-based) is at ``(t-1, length-t)`` with the
-    end-column cases, and an odd length ends with the middle ``(mid,)``.
-    Options are listed + before -, entry by entry."""
-    length = n + 1 if side == SIDE_AB else n
-    cases = numfilter.column_cases(n, side, kind if side == SIDE_AB else Kind.BS).cases
-    levels = [((t - 1, length - t), cases[t]) for t in range(1, length // 2 + 1)]
-    if length % 2:
-        mid = length // 2
-        if side == SIDE_CD or kind is Kind.BS:
-            options = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-        else:  # the derived partner: NNS negates B at even 1-based positions
-            flip = -1 if kind is Kind.NNS and mid % 2 else 1
-            options = ((1, flip), (-1, -flip))
-        levels.append(((mid,), options))
-    return length, tuple(levels)
-
-
 @lru_cache(maxsize=64)
 def _inner_fills(n: int, kind: Kind, side: str, m: int,
                  ) -> tuple[int, dict[tuple[int, ...], tuple]]:
-    """The innermost levels of ``_levels``, tabulated.
+    """The innermost levels of ``numfilter.column_cases``, tabulated.
 
     Returns the index ``first`` of the first tabulated level and a map
     from the class sums a fill pays (those of x, then those of y, over
@@ -168,7 +146,7 @@ def _inner_fills(n: int, kind: Kind, side: str, m: int,
     level outside in, each in its listed option order.  Levels are taken
     from the inside out while the fills number at most ``_INNER_FILLS``.
     """
-    length, levels = _levels(n, kind, side)
+    length, levels = numfilter.column_cases(n, side, kind)
     first, size = len(levels), 1
     while first > 0 and size * len(levels[first - 1][1]) <= _INNER_FILLS:
         first -= 1
@@ -200,7 +178,7 @@ def _expand_pairs(n: int, kind: Kind, side: str, m: int,
     must be paid exactly, so the DFS looks it up there and emits the
     listed fills in their order.
     """
-    length, levels = _levels(n, kind, side)
+    length, levels = numfilter.column_cases(n, side, kind)
     first, table = _inner_fills(n, kind, side, m)
     lo, hi = first, length - first
     x = [0] * length
@@ -244,7 +222,7 @@ def _expand_pairs(n: int, kind: Kind, side: str, m: int,
 def _kernel_rows(n: int, kind: Kind, side: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Each level's options as completion-kernel rows: the z bits, then
     the deltas of the row sums x, y and alternated row sums x', y'."""
-    length, levels = _levels(n, kind, side)
+    length, levels = numfilter.column_cases(n, side, kind)
 
     def row(cells: list[tuple[int, int, int]]) -> tuple[int, ...]:
         return (sum((xv < 0) << p | (yv < 0) << 2 * length + p for p, xv, yv in cells),
@@ -273,7 +251,7 @@ def _complete_pairs(n: int, kind: Kind, side: str,
     the gap between the halves keeps shifted y bits off x's mask.  Each
     completed fill is yielded in that form.
     """
-    length, levels = _levels(n, kind, side)
+    length, levels = numfilter.column_cases(n, side, kind)
     both = 1 | 1 << 2 * length
     exact = sum_targets is not None
     if not exact:
@@ -343,7 +321,7 @@ def candidate_matches_profile(pair: tuple[SignSeq, SignSeq], prof: ResidueProfil
     m = prof.modulus
     want = ((prof.a_class_sums, prof.b_class_sums) if side == SIDE_AB
             else (prof.c_class_sums, prof.d_class_sums))
-    length, levels = _levels(n, kind, side)
+    length, levels = numfilter.column_cases(n, side, kind)
     if len(first) != length or len(second) != length or \
             (numfilter.sequence_class_sums(first, m),
              numfilter.sequence_class_sums(second, m)) != want:
@@ -534,6 +512,8 @@ def load_checkpoint(path: str, cfg: SearchConfig,
         raise ResumeError("checkpoint was written by a different configuration")
     if header.get("tasks_total") != tasks_total:
         raise ResumeError("checkpoint task count does not match this configuration")
+    if len(lines) > tasks_total:
+        raise ResumeError(f"checkpoint has {len(lines)} task lines for {tasks_total} tasks")
     results, total = [], dict.fromkeys(_STAT_KEYS, 0)
     for index, entry in enumerate(lines):
         stats, texts = entry.get("stats"), entry.get("finds")

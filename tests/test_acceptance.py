@@ -192,15 +192,15 @@ def test_criterion_08_filter_soundness(small_quads):
             assert quad_residue_profile(quad, m).as_flat() in res_cache[rkey]
 
         if key not in col_cache:
-            col_cache[key] = (numfilter.column_cases(n, "AB", kind).cases,
-                              numfilter.column_cases(n, "CD", kind).cases)
-        ab, cd = col_cache[key]
+            col_cache[key] = (numfilter.column_cases(n, SIDE_AB, kind)[1],
+                              numfilter.column_cases(n, SIDE_CD, kind)[1])
+        ab, cd = col_cache[key]  # pair i is level i-1
         for i in range(1, (n + 1) // 2 + 1):
             col = (quad.a[i - 1], quad.a[n + 1 - i], quad.b[i - 1], quad.b[n + 1 - i])
-            assert col in ab[i]
+            assert col in ab[i - 1][1]
         for i in range(1, n // 2 + 1):
             col = (quad.c[i - 1], quad.c[n - i], quad.d[i - 1], quad.d[n - i])
-            assert col in cd[i]
+            assert col in cd[i - 1][1]
 
         bound = 4 * n + 2
         assert specfilter.pair_filter(quad.a, quad.b, bound, grid)

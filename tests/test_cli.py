@@ -155,6 +155,23 @@ def test_search_and_canon_reject_orbit_cap_zero(tmp_path):
     assert err.startswith("error:") and "cap" in err
 
 
+def test_search_refuses_journal_longer_than_task_list(tmp_path):
+    from baseseq.searcher import _line_digest
+    ck = tmp_path / "ck.json"
+    assert run_cli(["search", "--n", "4", "--kind", "bs", "--checkpoint", str(ck)])[0] == 0
+    header, *lines = [json.loads(line) for line in ck.read_text().splitlines()]
+    # one more task line, its digest recomputed for index tasks_total
+    extra = dict(lines[-1])
+    extra["digest"] = _line_digest(header["config_digest"], header["tasks_total"],
+                                   extra["finds"], extra["stats"])
+    with ck.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(extra) + "\n")
+    blob = ck.read_bytes()
+    code, out, err = run_cli(["search", "--n", "4", "--kind", "bs", "--checkpoint", str(ck)])
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert ck.read_bytes() == blob
+
+
 def test_search_rejects_bad_grid_before_building_tasks(tmp_path, monkeypatch):
     from baseseq import searcher
 

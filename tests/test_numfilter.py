@@ -4,7 +4,8 @@ import pytest
 
 from baseseq import numfilter
 from baseseq.errors import PreconditionError
-from baseseq.numfilter import (ResidueProfile, canonical_sum_profile, class_sizes,
+from baseseq.numfilter import (SIDE_AB, SIDE_CD, ResidueProfile,
+                               canonical_sum_profile, class_sizes,
                                column_cases, feasible_sum_profile,
                                ns_parity_obstruction, quad_residue_profile,
                                refine_all, refine_profiles, residue_profiles,
@@ -51,34 +52,40 @@ def test_feasible_on_published_quads():
         assert not feasible_sum_profile(sums, n + 2, Kind.BS)
 
 
+def _pair_cases(n, side, kind):
+    """Sign columns of each position pair, by 1-based pair index."""
+    length, levels = column_cases(n, side, kind)
+    return {t: options for t, (_, options) in enumerate(levels[:length // 2], 1)}
+
+
 def test_column_cases_counts():
-    table_ab = column_cases(9, "AB", Kind.BS)
-    table_cd = column_cases(9, "CD", Kind.BS)
-    for i, cols in table_ab.cases.items():
+    cases_ab = _pair_cases(9, SIDE_AB, Kind.BS)
+    cases_cd = _pair_cases(9, SIDE_CD, Kind.BS)
+    for i, cols in cases_ab.items():
         assert len(cols) == 8
-    assert (1, 1, 1, 1) not in table_ab.cases[1]   # sums to 4, needs 2 mod 4
-    assert (1, 1, 1, 1) in table_ab.cases[2]
-    assert len(table_cd.cases[1]) == 16            # printed range starts at i=2
+    assert (1, 1, 1, 1) not in cases_ab[1]   # sums to 4, needs 2 mod 4
+    assert (1, 1, 1, 1) in cases_ab[2]
+    assert len(cases_cd[1]) == 16            # printed range starts at i=2
     for i in range(2, 5):
-        assert len(table_cd.cases[i]) == 8
+        assert len(cases_cd[i]) == 8
 
 
 def test_column_cases_structured_ab():
-    ns = column_cases(7, "AB", Kind.NS)
-    assert len(ns.cases[1]) == 2                   # ends of A and B are fixed
+    ns = _pair_cases(7, SIDE_AB, Kind.NS)
+    assert len(ns[1]) == 2                   # ends of A and B are fixed
     for i in range(2, 5):
-        assert len(ns.cases[i]) == 4               # B is determined by A
-        for x, z, y, w in ns.cases[i]:
+        assert len(ns[i]) == 4               # B is determined by A
+        for x, z, y, w in ns[i]:
             assert (y, w) == (x, z)
-    nns = column_cases(8, "AB", Kind.NNS)
-    for i, cols in nns.cases.items():
+    nns = _pair_cases(8, SIDE_AB, Kind.NNS)
+    for i, cols in nns.items():
         assert len(cols) == (2 if i == 1 else 4)
 
 
 def test_column_cases_hold_on_oracle(small_quads):
     for n, quad in small_quads:
-        ab = column_cases(n, "AB", quad.kind).cases
-        cd = column_cases(n, "CD", quad.kind).cases
+        ab = _pair_cases(n, SIDE_AB, quad.kind)
+        cd = _pair_cases(n, SIDE_CD, quad.kind)
         for i in range(1, (n + 1) // 2 + 1):
             col = (quad.a[i - 1], quad.a[n + 1 - i], quad.b[i - 1], quad.b[n + 1 - i])
             assert col in ab[i]
@@ -90,12 +97,11 @@ def test_column_cases_hold_on_oracle(small_quads):
 def test_level_tables_pinned():
     """Every side's level table for n = 1..59, as hashed before the
     columns and the middle options moved into one table builder."""
-    from baseseq.searcher import _levels
     digest = hashlib.sha256()
     for n in range(1, 60):
         for kind in Kind:
-            for side in ("AB", "CD"):
-                digest.update(repr(_levels(n, kind, side)).encode())
+            for side in (SIDE_AB, SIDE_CD):
+                digest.update(repr(column_cases(n, side, kind)).encode())
     assert digest.hexdigest() == \
         "36a626c7b30b461cdc5f0572258c4fc099f86e918cf2535364559874a3236d2b"
 

@@ -10,7 +10,7 @@ from baseseq import numfilter
 from baseseq.errors import PreconditionError, ResumeError, SearchInterrupted
 from baseseq.numfilter import ResidueProfile, quad_residue_profile
 from baseseq.refdata import known_quad
-from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, _levels, _line_digest,
+from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, _line_digest,
                               backtrack_complete, build_tasks,
                               candidate_matches_profile, expand_candidates,
                               load_checkpoint, residue_halves, search)
@@ -28,6 +28,9 @@ def test_config_defaults_and_validation():
         SearchConfig(n=5, kind=Kind.NNS)
     with pytest.raises(PreconditionError):
         SearchConfig(n=7, kind=Kind.NS, start_side=SIDE_CD)
+    for moduli in ((1,), (0,), (1, 2)):
+        with pytest.raises(PreconditionError, match="must be >= 2"):
+            SearchConfig(n=14, kind=Kind.NS, moduli=moduli)
     with pytest.raises(PreconditionError):
         SearchConfig(n=5, kind=Kind.BS, moduli=(3, 5))
     with pytest.raises(PreconditionError):
@@ -63,7 +66,7 @@ def test_expand_candidates_empty_class_must_owe_nothing():
 def _brute_expansion(n: int, kind: Kind, side: str, m: int) -> dict:
     """Every fill of the level options in product order, grouped by its
     class sums (those of x, then those of y)."""
-    length, levels = _levels(n, kind, side)
+    length, levels = numfilter.column_cases(n, side, kind)
     groups = {}
     for fill in itertools.product(*(options for _, options in levels)):
         x, y = [0] * length, [0] * length
@@ -694,6 +697,25 @@ def test_checkpoint_finds_are_validated(tmp_path):
         with pytest.raises(ResumeError, match="task 1"):
             search(cfg, checkpoint_path=path)
         assert _read_bytes(path) == blob
+
+
+def test_checkpoint_longer_than_task_list_is_refused(tmp_path):
+    # the extra line carries a recomputed digest, so only the line count
+    # can refuse it
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=4, kind=Kind.BS)
+    tasks_total = len(build_tasks(cfg))
+    search(cfg, checkpoint_path=path)
+    header, *lines = _journal(path)
+    extra = dict(lines[-1], finds=[])
+    extra["digest"] = _line_digest(cfg.digest(), tasks_total, [], extra["stats"])
+    _write_journal(path, [header, *lines, extra])
+    blob = _read_bytes(path)
+    with pytest.raises(ResumeError, match=f"{tasks_total + 1} task lines"):
+        load_checkpoint(path, cfg, tasks_total)
+    with pytest.raises(ResumeError, match="task lines"):
+        search(cfg, checkpoint_path=path)
+    assert _read_bytes(path) == blob
 
 
 def test_checkpoint_two_stage_resume_on_two_workers(tmp_path):
