@@ -84,6 +84,23 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _read_quads(path: str, kind: Kind) -> list[SeqQuad]:
+    """Quads from result records when every non-empty line is one, else
+    from the quad text form."""
+    text = _read_text(path)
+    try:
+        records = [ResultRecord.parse(ln) for ln in text.splitlines() if ln.strip()]
+    except (MalformedInputError, ValueError):
+        records = []
+    if not records:
+        return parse_quads(text, kind)
+    for rec in records:
+        if rec.kind is not kind:
+            raise MalformedInputError(
+                f"record of kind {rec.kind.value} where --kind is {kind.value}")
+    return [rec.quad() for rec in records]
+
+
 def _parse_kind(value: str) -> Kind:
     try:
         return Kind(value)
@@ -93,7 +110,7 @@ def _parse_kind(value: str) -> Kind:
 
 def _cmd_verify(args, out) -> int:
     kind = _parse_kind(args.kind)
-    quads = parse_quads(_read_text(args.file), kind)
+    quads = _read_quads(args.file, kind)
     all_valid = True
     for quad in quads:
         report = verify(quad)
@@ -120,7 +137,7 @@ def _cmd_sums(args, out) -> int:
 
 def _cmd_profiles(args, out) -> int:
     kind = _parse_kind(args.kind)
-    m = args.m if args.m else (6 if kind is Kind.NNS else 3)
+    m = args.m if args.m is not None else (6 if kind is Kind.NNS else 3)
     if args.sums:
         sums = [SumProfile.from_tuple([int(v) for v in args.sums.split(",")])]
     else:
@@ -152,7 +169,7 @@ def _cmd_psd(args, out) -> int:
 
 def _cmd_canon(args, out) -> int:
     kind = _parse_kind(args.kind)
-    quads = parse_quads(_read_text(args.file), kind)
+    quads = _read_quads(args.file, kind)
     for quad in quads:
         if not verify(quad).valid:
             raise MalformedInputError("canon requires valid quads")
@@ -213,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify, canonicalize and search base/normal/near-normal sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="verify quads from a file in the quad text form")
+    p = sub.add_parser("verify", help="verify quads (quad text form or result records)")
     p.add_argument("--kind", required=True)
     p.add_argument("--file", required=True, help="path or - for stdin")
 
@@ -224,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profiles", help="enumerate residue-class profiles")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", required=True)
-    p.add_argument("--m", type=int, default=0, help="modulus (default 3, nns 6)")
+    p.add_argument("--m", type=int, default=None, help="modulus (default 3, nns 6)")
     p.add_argument("--sums", default="", help="restrict to one sum profile (8 ints)")
 
     p = sub.add_parser("psd", help="power-spectrum peak and keep/reject per sequence")
@@ -255,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", default="", help="write the certificate JSON to this file")
     p.add_argument("--orbit-cap", type=int, default=equiv.DEFAULT_ORBIT_CAP)
 
-    p = sub.add_parser("canon", help="canonical representative per input class")
+    p = sub.add_parser("canon", help="canonical representative per input class "
+                                     "(quad text form or result records)")
     p.add_argument("--kind", required=True)
     p.add_argument("--file", required=True)
     p.add_argument("--orbit-cap", type=int, default=equiv.DEFAULT_ORBIT_CAP)

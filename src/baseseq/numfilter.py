@@ -34,13 +34,23 @@ parity statement, and every other pair sums to 0 mod 4.  On the C,D side
 the congruence holds for all class pairs including the one containing
 position 1; the sign-level list keeps the printed i >= 2 range, which is
 strictly weaker, and the mismatch is intentional.
+
+Profiles are refined in *blocks*.  A block is a list of A,B halves and
+a list of C,D halves (a half is one side's two class-sum vectors) such
+that every pairing of the two is a profile; the sum profile itself is
+the one block at modulus 1.  Refining a block to a multiple modulus
+splits each of its halves once, groups each side's results by
+signature (square sum and periodic autocorrelations), and emits one
+block per pair of signatures that add up to (4n+2, 0, ..., 0).  Blocks
+refined from disjoint blocks are disjoint, so a modulus chain refines
+every half once and never lists the full profiles between its steps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional
 
 from .equiv import profile_orbit
@@ -392,9 +402,9 @@ def _derive_partner_sums(k: tuple[int, ...], n: int, m: int,
         r = list(k)
         r[l0] -= 2
         return tuple(r)
-    # near-normal: n even and m even put position n+1 in an odd-position
-    # class, so the sign factor on the special class is +1
-    assert l0 % 2 == 0
+    # near-normal: n even and m even (``_refine_blocks`` checks both) put
+    # position n+1 in an odd-position class, so the sign factor on the
+    # special class is +1
     r = [v if i % 2 == 0 else -v for i, v in enumerate(k)]
     r[l0] = k[l0] - 2
     return tuple(r)
@@ -405,106 +415,72 @@ def _vector_fits(v: tuple[int, ...], sizes: tuple[int, ...]) -> bool:
 
 
 Half = tuple[tuple[int, ...], tuple[int, ...]]
+# A,B halves and C,D halves; every pairing of the two is a profile
+Block = tuple[list[Half], list[Half]]
 
 
-class _Refiner:
-    """Refinement of the profiles of one sum profile to modulus m.
+def _refine_blocks(n: int, m: int, blocks: list[Block], s: SumProfile,
+                   kind: Kind) -> list[Block]:
+    """The blocks at modulus m whose profiles merge onto those of ``blocks``.
 
-    Every distinct coarse vector is split once, every fine vector signed
-    once and every distinct coarse half refined once.  The memos live as
-    long as the refiner, which serves a single call.
+    Each side's halves in a block are split into all halves at modulus m
+    that merge onto them, and grouped by signature: the sum of the two
+    vectors' ``_signature``.  Enforced per half: class bounds and
+    parities, the merge, alternated sums when m is even, and the
+    class-pair end-column congruence; for structured kinds the B vector
+    is derived from the A vector.  One block is emitted per A,B and C,D
+    signature pair that adds up to (4n+2, 0, ..., 0): the square-sum
+    identity and vanishing periodic autocorrelations.  Blocks refined
+    from disjoint blocks are disjoint, so every half is refined once.
     """
-
-    def __init__(self, n: int, m: int, s: SumProfile, kind: Kind):
-        self.n, self.m, self.kind = n, m, kind
-        alt = m % 2 == 0
-        # per side: class sizes, pairing offset, alternated-sum targets
-        self.sides = {
-            SIDE_AB: (class_sizes(n + 1, m), n + 2, (s.a_alt, s.b_alt) if alt else (None, None)),
-            SIDE_CD: (class_sizes(n, m), n + 1, (s.c_alt, s.d_alt) if alt else (None, None)),
-        }
-        self._vectors: dict[tuple, list[tuple[int, ...]]] = {}
-        self._sigs: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._halves: dict[tuple[str, Half], dict] = {}
-
-    def _fine(self, coarse: tuple[int, ...], sizes: tuple[int, ...],
-              alt_total: Optional[int]) -> list[tuple[int, ...]]:
-        key = (coarse, sizes, alt_total)
-        if key not in self._vectors:
-            self._vectors[key] = _fine_vectors(coarse, sizes, alt_total)
-        return self._vectors[key]
-
-    def _sig(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        if v not in self._sigs:
-            self._sigs[v] = _signature(v, self.m)
-        return self._sigs[v]
-
-    def halves(self, side: str, coarse: Half) -> dict[tuple[int, ...], list[Half]]:
-        """All halves of one side at modulus m that merge to ``coarse``, by signature.
-
-        A half is the pair of class-sum vectors of A,B (``side``
-        ``SIDE_AB``) or of C,D (``SIDE_CD``); its signature is the sum of
-        the two vectors' signatures.  Enforced per half: class bounds and
-        parities, the merge, alternated sums when m is even, and the
-        class-pair end-column congruence.  For structured kinds the B
-        vector is derived from the A vector.
-        """
-        key = (side, coarse)
-        if key in self._halves:
-            return self._halves[key]
-        n, m, kind = self.n, self.m, self.kind
-        sizes, offset, alts = self.sides[side]
-        xs = self._fine(coarse[0], sizes, alts[0])
-        if side == SIDE_CD or kind is Kind.BS:
-            ys = self._fine(coarse[1], sizes, alts[1])
-            pairs = ((x, y) for x in xs for y in ys)
-        else:
-            derived = ((x, _derive_partner_sums(x, n, m, kind)) for x in xs)
-            pairs = ((x, y) for x, y in derived
-                     if _vector_fits(y, sizes) and _merge(y, len(coarse[1])) == coarse[1]
-                     and (alts[1] is None or _vector_alt_sum(y) == alts[1]))
-        by_sig: dict[tuple[int, ...], list[Half]] = {}
-        for x, y in pairs:
-            if _pairs_congruent(x, y, n, m, offset, end_correction=side == SIDE_AB):
-                sig = tuple(a + b for a, b in zip(self._sig(x), self._sig(y)))
-                by_sig.setdefault(sig, []).append((x, y))
-        self._halves[key] = by_sig
-        return by_sig
-
-
-def _join(ab: dict, cd: dict, n: int, m: int, project: Optional[str]) -> list:
-    """Full profiles (or one side's halves) from halves whose signatures add
-    up to (4n+2, 0, ..., 0): the square-sum identity and vanishing periodic
-    autocorrelations at modulus m."""
+    if kind is Kind.NNS and (n % 2 or m % 2):
+        raise PreconditionError("near-normal residue profiles require even n and even m")
+    fine = cache(_fine_vectors)
+    signature = cache(lambda v: _signature(v, m))
     target = (4 * n + 2,) + (0,) * (m // 2)
+
+    def by_signature(side: str, halves: list[Half]) -> dict[tuple[int, ...], list[Half]]:
+        length, alts = ((n + 1, (s.a_alt, s.b_alt)) if side == SIDE_AB
+                        else (n, (s.c_alt, s.d_alt)))
+        sizes = class_sizes(length, m)
+        if m % 2:
+            alts = (None, None)
+        groups: dict[tuple[int, ...], list[Half]] = {}
+        for coarse in halves:
+            xs = fine(coarse[0], sizes, alts[0])
+            if side == SIDE_CD or kind is Kind.BS:
+                ys = fine(coarse[1], sizes, alts[1])
+                pairs = ((x, y) for x in xs for y in ys)
+            else:
+                derived = ((x, _derive_partner_sums(x, n, m, kind)) for x in xs)
+                pairs = ((x, y) for x, y in derived
+                         if _vector_fits(y, sizes) and _merge(y, len(coarse[1])) == coarse[1]
+                         and (alts[1] is None or _vector_alt_sum(y) == alts[1]))
+            for x, y in pairs:
+                if _pairs_congruent(x, y, n, m, length + 1, end_correction=side == SIDE_AB):
+                    sig = tuple(a + b for a, b in zip(signature(x), signature(y)))
+                    groups.setdefault(sig, []).append((x, y))
+        return groups
+
     out = []
-    for sig, ab_halves in ab.items():
-        cd_halves = cd.get(tuple(t - x for t, x in zip(target, sig)))
-        if cd_halves is None:
-            continue
-        if project == "kr":
-            out.extend(ab_halves)
-        elif project == "pq":
-            out.extend(cd_halves)
-        else:
-            out.extend(ResidueProfile(m, k, r, p, q)
-                       for k, r in ab_halves for p, q in cd_halves)
+    for ab, cd in blocks:
+        cd_groups = by_signature(SIDE_CD, cd)
+        for sig, ab_halves in by_signature(SIDE_AB, ab).items():
+            cd_halves = cd_groups.get(tuple(t - x for t, x in zip(target, sig)))
+            if cd_halves:
+                out.append((ab_halves, cd_halves))
     return out
 
 
-def _refine(n: int, m: int, profs: list[ResidueProfile], s: SumProfile, kind: Kind,
-            project: Optional[str]) -> list:
-    """Profiles at modulus m that merge onto one of ``profs``, sorted, or the
-    sorted distinct halves of one side of them (``project`` "kr"/"pq")."""
-    refiner = _Refiner(n, m, s, kind)
-    out = []
-    for prof in profs:
-        ab = refiner.halves(SIDE_AB, (prof.a_class_sums, prof.b_class_sums))
-        cd = refiner.halves(SIDE_CD, (prof.c_class_sums, prof.d_class_sums))
-        out.extend(_join(ab, cd, n, m, project))
-    if project is None:
-        return sorted(out, key=ResidueProfile.as_flat)
-    return sorted(set(out))
+def _whole(s: SumProfile) -> Block:
+    """The sum profile as the one block at modulus 1."""
+    return [((s.a,), (s.b,))], [((s.c,), (s.d,))]
+
+
+def _profiles(m: int, blocks: list[Block]) -> list[ResidueProfile]:
+    return sorted((ResidueProfile(m, k, r, p, q)
+                   for ab, cd in blocks for k, r in ab for p, q in cd),
+                  key=ResidueProfile.as_flat)
 
 
 def residue_profiles(n: int, m: int, s: SumProfile, kind: Kind,
@@ -515,41 +491,23 @@ def residue_profiles(n: int, m: int, s: SumProfile, kind: Kind,
     alternated sums when m is even), the class-pair end-column
     congruences, the square-sum identity and the vanishing periodic
     autocorrelation sums.  For structured kinds the B vector is derived
-    from the A vector (near-normal derivation needs even m).
+    from the A vector (near-normal derivation needs even n and m).
     """
     if m < 2:
         raise PreconditionError("modulus must be >= 2")
-    if kind is Kind.NNS and m % 2 != 0:
-        raise PreconditionError("near-normal residue profiles require even m")
-    # the sum profile is the (only) profile at modulus 1
-    whole = ResidueProfile(1, (s.a,), (s.b,), (s.c,), (s.d,))
-    return _refine(n, m, [whole], s, kind, None)
+    return _profiles(m, _refine_blocks(n, m, [_whole(s)], s, kind))
 
 
-def _check_parent(n: int, prof: ResidueProfile, s: SumProfile) -> None:
-    sums = tuple(sum(v) for v in prof.vectors())
-    if sums != (s.a, s.b, s.c, s.d):
-        raise PreconditionError("profile column sums do not match the sum profile")
-    if prof.square_sum() != 4 * n + 2:
-        raise PreconditionError("profile square sum must equal 4n+2")
-
-
-def refine_all(n: int, profs: list[ResidueProfile], s: SumProfile, kind: Kind,
-               project: Optional[str] = None) -> list:
-    """Sorted union of ``refine_profiles`` over profiles of one sum profile.
-
-    All of ``profs`` share one modulus m and belong to ``s``; each distinct
-    (A,B) or (C,D) half among them is refined to modulus 2m only once.
-    """
-    if project not in (None, "pq", "kr"):
-        raise PreconditionError("project must be None, 'pq' or 'kr'")
-    if len({prof.modulus for prof in profs}) > 1:
-        raise PreconditionError("profiles must share one modulus")
-    for prof in profs:
-        _check_parent(n, prof, s)
-    if not profs:
-        return []
-    return _refine(n, 2 * profs[0].modulus, profs, s, kind, project)
+def residue_halves(n: int, moduli: tuple[int, ...], s: SumProfile, kind: Kind,
+                   side: str) -> list[Half]:
+    """Sorted halves of one side (``SIDE_AB`` or ``SIDE_CD``) of the profiles
+    of s at ``moduli[-1]``, refined through each modulus of the chain in turn."""
+    if side not in (SIDE_AB, SIDE_CD):
+        raise PreconditionError("side must be AB or CD")
+    blocks = [_whole(s)]
+    for m in moduli:
+        blocks = _refine_blocks(n, m, blocks, s, kind)
+    return sorted(h for block in blocks for h in block[side == SIDE_CD])
 
 
 def refine_profiles(n: int, prof: ResidueProfile, s: SumProfile, kind: Kind,
@@ -562,4 +520,15 @@ def refine_profiles(n: int, prof: ResidueProfile, s: SumProfile, kind: Kind,
     (C, D) halves that admit at least one (A, B) half, "kr" for the
     mirror image of that.
     """
-    return refine_all(n, [prof], s, kind, project)
+    if project not in (None, "pq", "kr"):
+        raise PreconditionError("project must be None, 'pq' or 'kr'")
+    if tuple(sum(v) for v in prof.vectors()) != (s.a, s.b, s.c, s.d):
+        raise PreconditionError("profile column sums do not match the sum profile")
+    if prof.square_sum() != 4 * n + 2:
+        raise PreconditionError("profile square sum must equal 4n+2")
+    m = 2 * prof.modulus
+    blocks = _refine_blocks(n, m, [([(prof.a_class_sums, prof.b_class_sums)],
+                                     [(prof.c_class_sums, prof.d_class_sums)])], s, kind)
+    if project is None:
+        return _profiles(m, blocks)
+    return sorted(h for block in blocks for h in block[project == "pq"])

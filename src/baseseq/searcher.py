@@ -381,19 +381,8 @@ def backtrack_complete(fixed: tuple[SignSeq, SignSeq], n: int, kind: Kind,
 
 
 def residue_halves(cfg: SearchConfig, s: SumProfile) -> list[tuple[tuple, tuple]]:
-    """Deduplicated residue-vector halves for the start side, sorted."""
-    chain = cfg.moduli
-    profs = numfilter.residue_profiles(cfg.n, chain[0], s, cfg.kind)
-    for _ in chain[1:-1]:
-        profs = numfilter.refine_all(cfg.n, profs, s, cfg.kind)
-    want = "pq" if cfg.start_side == SIDE_CD else "kr"
-    if len(chain) == 1:
-        if want == "pq":
-            halves = {(p.c_class_sums, p.d_class_sums) for p in profs}
-        else:
-            halves = {(p.a_class_sums, p.b_class_sums) for p in profs}
-        return sorted(halves)
-    return numfilter.refine_all(cfg.n, profs, s, cfg.kind, project=want)
+    """Residue-vector halves of the start side at the last modulus, sorted."""
+    return numfilter.residue_halves(cfg.n, cfg.moduli, s, cfg.kind, cfg.start_side)
 
 
 def build_tasks(cfg: SearchConfig) -> list[tuple]:

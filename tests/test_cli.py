@@ -100,6 +100,23 @@ def test_canon_dedups_input(tmp_path):
     assert out.count("X=") == 1
 
 
+def test_canon_and_verify_read_result_records(tmp_path):
+    code, records, _ = run_cli(["oracle", "--n", "4", "--kind", "bs"])
+    assert code == 0
+    path = tmp_path / "oracle.txt"
+    path.write_text(records)
+    code, out, _ = run_cli(["verify", "--kind", "bs", "--file", str(path)])
+    assert code == 0 and out.count("valid") == len(records.splitlines())
+    code, canon, _ = run_cli(["canon", "--kind", "bs", "--file", str(path)])
+    assert code == 0
+    code, found, _ = run_cli(["search", "--n", "4", "--kind", "bs"])
+    assert code == 0
+    labelled = [f for f in found.split() if f[:2] in ("X=", "Y=", "Z=", "W=")]
+    assert canon.split() == labelled
+    code, _, err = run_cli(["canon", "--kind", "ns", "--file", str(path)])
+    assert code == 2 and "kind" in err
+
+
 def test_oracle_records_roundtrip():
     code, out, _ = run_cli(["oracle", "--n", "2", "--kind", "ns"])
     assert code == 0
@@ -191,6 +208,18 @@ def test_profiles_rejects_wrong_sum_count():
     code, out, err = run_cli(["profiles", "--n", "5", "--kind", "bs", "--sums", "1,2,3"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "8" in err
+
+
+def test_profiles_refuses_near_normal_odd_n():
+    code, out, err = run_cli(["profiles", "--n", "5", "--kind", "nns",
+                              "--sums=-4,-2,-1,-1,-2,-4,-1,-1"])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_profiles_rejects_modulus_below_two():
+    for m in ("0", "1"):
+        code, out, err = run_cli(["profiles", "--n", "3", "--kind", "bs", "--m", m])
+        assert code == 2 and out == "" and err.startswith("error:"), m
 
 
 def test_record_parse_errors():

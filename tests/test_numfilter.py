@@ -8,8 +8,8 @@ from baseseq.numfilter import (SIDE_AB, SIDE_CD, ResidueProfile,
                                canonical_sum_profile, class_sizes,
                                column_cases, feasible_sum_profile,
                                ns_parity_obstruction, quad_residue_profile,
-                               refine_all, refine_profiles, residue_profiles,
-                               sum_profiles)
+                               refine_profiles, residue_halves,
+                               residue_profiles, sum_profiles)
 from baseseq.refdata import known_quad
 from baseseq.seqcore import Kind, SumProfile, row_sums
 
@@ -187,28 +187,44 @@ def test_refine_roundtrip_and_membership():
     assert (mine6.c_class_sums, mine6.d_class_sums) in halves
 
 
-def test_refine_all_is_union_of_refine_profiles():
+def test_residue_stage_pinned():
+    """Every residue profile and refinement for small n, byte for byte."""
+    digest = hashlib.sha256()
+    cases = ([(Kind.BS, n) for n in range(1, 7)] + [(Kind.NS, n) for n in range(1, 11)]
+             + [(Kind.NNS, n) for n in range(2, 11, 2)])
+    for kind, n in cases:
+        for s in sum_profiles(n, kind):
+            for m in (2, 3, 4, 6):
+                if kind is Kind.NNS and m % 2:
+                    continue
+                profs = residue_profiles(n, m, s, kind)
+                digest.update(repr([p.as_flat() for p in profs]).encode())
+                if m not in (2, 3):
+                    continue
+                for p in profs:
+                    for project in (None, "pq", "kr"):
+                        fine = refine_profiles(n, p, s, kind, project)
+                        if project is None:
+                            fine = [f.as_flat() for f in fine]
+                        digest.update(repr(fine).encode())
+    assert digest.hexdigest() == \
+        "1ff43e62e90ab2e0e27d61d1e5be2d569bff94d3d61f01961ef9f38ebc67720c"
+
+
+def test_residue_halves_is_union_of_refine_profiles():
     for n, kind in ((7, Kind.BS), (9, Kind.NS)):
         for s in sum_profiles(n, kind)[:3]:
             profs = residue_profiles(n, 3, s, kind)
-            full = refine_all(n, profs, s, kind)
-            assert full == sorted((p for prof in profs
-                                   for p in refine_profiles(n, prof, s, kind)),
-                                  key=ResidueProfile.as_flat)
-            for project in ("pq", "kr"):
-                assert refine_all(n, profs, s, kind, project=project) == sorted(
+            for side, project in ((SIDE_CD, "pq"), (SIDE_AB, "kr")):
+                assert residue_halves(n, (3, 6), s, kind, side) == sorted(
                     {h for prof in profs
                      for h in refine_profiles(n, prof, s, kind, project=project)})
 
 
-def test_refine_all_preconditions():
+def test_refine_profiles_rejects_unknown_projection():
     s = SumProfile.from_tuple((2, 0, 1, 1, 0, 2, 1, 1))
-    profs = residue_profiles(1, 2, s, Kind.BS)
-    assert refine_all(1, [], s, Kind.BS) == []
     with pytest.raises(PreconditionError):
-        refine_all(1, profs, s, Kind.BS, project="ab")
-    with pytest.raises(PreconditionError):
-        refine_all(1, profs + residue_profiles(1, 3, s, Kind.BS), s, Kind.BS)
+        refine_profiles(1, residue_profiles(1, 2, s, Kind.BS)[0], s, Kind.BS, project="ab")
 
 
 def test_refine_rejects_infeasible_parent():

@@ -250,6 +250,8 @@ def test_residue_halves_cover_published_quad_full_scale():
     mine = quad_residue_profile(quad, 6)
     assert (mine.c_class_sums, mine.d_class_sums) in halves
     assert len(halves) == 20904
+    assert hashlib.sha256(repr(halves).encode()).hexdigest() == \
+        "825131027b302d4ab93a56c0edbb4237f7e024ab8208e43a3ac4a96dabf97003"
 
 
 def test_build_tasks_deterministic():
