@@ -11,6 +11,7 @@ from baseseq.equiv import (ALTERNATE_ALL, COLUMN_SWAP, STRUCT_ALTERNATE,
 from baseseq.errors import (ApplicabilityError, MalformedInputError, OrbitCapExceeded,
                             PreconditionError)
 from baseseq.refdata import known_quad
+from baseseq.searcher import SearchConfig, build_tasks, run_task
 from baseseq.seqcore import Kind, SeqQuad, SignSeq, row_sums, verify
 
 
@@ -245,3 +246,38 @@ def test_orbit_cap_partial_pinned():
     with pytest.raises(OrbitCapExceeded) as err:
         orbit(known_quad(41), cap=300)
     assert _digest([_text(m) for m in err.value.partial]) == PARTIAL_DIGEST
+
+
+# first_visits is what searcher._finalize runs: each yielded index with its
+# orbit's members in BFS order, under NS_REGROW on the NS oracle quads for
+# n <= 8 (one call per n) and under the BS generators on the BS n = 8
+# search finds (in task order, as _finalize sees them)
+REGROW_VISITS = (16, "43f24e02461b0ee5e2b37630ff8c044d91b8f3817d2ed754fe00a71ca43bd439")
+BS8_VISITS = (27, "3f6703013e2095ca4d7213ce519ada9b239c8beceedcd888b065bd6dec743b73")
+
+
+def _member(quad):
+    return tuple(s.elements for s in quad.seqs())
+
+
+def _member_text(member):
+    return "|".join(SignSeq(x).text() for x in member)
+
+
+def _visit_lines(items, n, kind, moves=None):
+    return [f"{n} {i} " + " ".join(map(_member_text, cls))
+            for i, cls in equiv.first_visits(items, kind, moves=moves)]
+
+
+def test_first_visits_ns_regrow_pinned(ns_pool):
+    lines = [line for n in sorted(ns_pool)
+             for line in _visit_lines([_member(q) for q in ns_pool[n]], n, Kind.NS,
+                                      equiv.NS_REGROW)]
+    assert (len(lines), _digest(lines)) == REGROW_VISITS
+
+
+def test_first_visits_bs8_search_finds_pinned():
+    cfg = SearchConfig(n=8, kind=Kind.BS)
+    finds = [q for task in build_tasks(cfg) for q in run_task(cfg, task)[1]]
+    lines = _visit_lines(finds, 8, Kind.BS)
+    assert (len(lines), _digest(lines)) == BS8_VISITS
