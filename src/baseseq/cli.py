@@ -154,6 +154,8 @@ def _cmd_psd(args, out) -> int:
     grid = specfilter.ThetaGrid.from_spec(args.grid)
     lines = [ln.strip() for ln in _read_text(args.file).splitlines() if ln.strip()]
     seqs = [SignSeq.from_text(ln) for ln in lines]
+    if not seqs:
+        raise MalformedInputError("no sequences found in input")
     if args.pair:
         if len(seqs) % 2 != 0:
             raise MalformedInputError("--pair needs an even number of sequences")

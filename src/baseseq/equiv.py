@@ -17,13 +17,20 @@ re-derived, named here by what they do to the open part of A:
 Each kind has its own generator list (``GENERATORS``); orbits, canonical
 forms and deduplication are all relative to the kind's list.
 
-Orbits are closed over plain sign tuples: a member is the tuple
-``(a, b, c, d)`` of the four ``SignSeq.elements``, each move maps one
-such tuple to another, and ``SeqQuad`` objects are built only at the API
-edge.  The quad order (``SeqQuad.sort_key``: +1 sorts before -1) is the
-*reverse* of tuple order, since +1 > -1 and members of an orbit have
-equal lengths: the least member is the ``max`` tuple, and a sorted orbit
-is ``sorted(members, reverse=True)``.
+Orbits are closed over *packed quads*: a member is a tuple of four ints,
+one per sequence, where element j of a length-L sequence sits at bit
+L-1-j and -1 is a set bit.  Every move is a few integer operations on
+these ints (negation is an XOR with the full mask, reversal a memoised
+bit reversal, alternation an XOR with the odd-position mask), and
+``SeqQuad`` objects are built only at the API edge.  The first element
+is the most significant bit and +1 is the clear bit, so for ints of one
+length the order of packed values is the order of ``SeqQuad.sort_key``
+(+1 sorts before -1): the canonical (least) member of an orbit is the
+``min`` of its packed quads, and a sorted orbit is ``sorted(members)``;
+no member is unpacked to compare it.  A step takes a move list's images
+in list order, so the BFS order of an orbit, and with it the members of
+a capped partial orbit, depends on the move list alone and not on the
+encoding.
 
 The same moves act on the eight row sums of a quad as signed
 permutations; that cheap action is used to deduplicate sum profiles
@@ -33,19 +40,19 @@ without materializing sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
-from operator import mul, neg
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (ApplicabilityError, MalformedInputError, OrbitCapExceeded,
                      PreconditionError)
-from .seqcore import Kind, SeqQuad, SignSeq, partner_elements
+from .seqcore import Kind, SeqQuad, SignSeq
 
 DEFAULT_ORBIT_CAP = 10 ** 7
 
 # the element tuples (a, b, c, d) of a quad's four sequences
 Signs = tuple[tuple[int, ...], ...]
-Move = Callable[[Signs], Optional[Signs]]
+# the same quad packed, one int per sequence (see the module docstring)
+Packed = tuple[int, int, int, int]
+Move = Callable[[Packed], Optional[Packed]]
 
 
 @dataclass(frozen=True)
@@ -82,82 +89,91 @@ STRUCT_NEGATE = Transform("struct_negate")
 STRUCT_REVERSE = Transform("struct_reverse")
 STRUCT_ALTERNATE = Transform("struct_alternate")
 
-CHECKERBOARD = ((1, -1, -1, 1), (-1, 1, 1, -1))
+# --- moves on packed quads ---------------------------------------------------
+
+class _Reversal(dict):
+    """Bit reversal of ``length``-bit values, memoised: the members of an
+    orbit share few distinct sequences, so nearly every lookup hits.  One
+    instance lives as long as one move table, and its keys are parts of
+    the members its caller keeps (a sequence, A's body, a column-swap
+    hit mask), a few per member at most."""
+
+    def __init__(self, length: int):
+        super().__init__()
+        self.top = 1 << length
+
+    def __missing__(self, x: int) -> int:
+        self[x] = r = int(bin(x | self.top)[:2:-1] or "0", 2)
+        return r
 
 
-# --- moves on sign tuples -----------------------------------------------------
-
-def _neg(x: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(neg, x))
-
-
-def _rev(x: tuple[int, ...]) -> tuple[int, ...]:
-    return x[::-1]
+def _odd_mask(length: int) -> int:
+    """The bits of elements 1, 3, 5, ... of a packed length-``length`` sequence."""
+    return sum(1 << (length - 1 - j) for j in range(1, length, 2))
 
 
-def _alt(x: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(mul, x, cycle((1, -1))))
+def _move_table(kind: Kind, n: int) -> dict[Transform, Move]:
+    """Every move of ``kind`` on packed quads of ``n``, with fresh memos."""
+    full_a, full_c = (1 << n + 1) - 1, (1 << n) - 1
+    odd_a, odd_c = _odd_mask(n + 1), _odd_mask(n)
+    rev_a, rev_c = _Reversal(n + 1), _Reversal(n)
+    half = ((1 << n // 2) - 1) << (n - n // 2)  # C,D elements 0 .. n//2 - 1
 
+    def column_swap(q: Packed) -> Optional[Packed]:
+        """Flip every checkerboard block (c_i, c_{n+1-i}; d_i, d_{n+1-i}) at once.
 
-def _rev_odd_positions(x: tuple[int, ...]) -> tuple[int, ...]:
-    out = list(x)
-    out[0::2] = out[0::2][::-1]
-    return tuple(out)
+        Flipping a single block in isolation does not preserve validity; the
+        simultaneous flip of all matching blocks is an involution that does.
+        A block matches when c_i != c_{n+1-i}, d_i != d_{n+1-i} and c_i != d_i.
+        """
+        a, b, c, d = q
+        hits = (c ^ rev_c[c]) & (d ^ rev_c[d]) & (c ^ d) & half
+        if not hits:
+            return None
+        flip = hits | rev_c[hits]
+        return (a, b, c ^ flip, d ^ flip)
 
+    table = {
+        Transform.negate("a"): lambda q: (q[0] ^ full_a, q[1], q[2], q[3]),
+        Transform.reverse("a"): lambda q: (rev_a[q[0]], q[1], q[2], q[3]),
+        Transform.negate("b"): lambda q: (q[0], q[1] ^ full_a, q[2], q[3]),
+        Transform.reverse("b"): lambda q: (q[0], rev_a[q[1]], q[2], q[3]),
+        Transform.negate("c"): lambda q: (q[0], q[1], q[2] ^ full_c, q[3]),
+        Transform.reverse("c"): lambda q: (q[0], q[1], rev_c[q[2]], q[3]),
+        Transform.negate("d"): lambda q: (q[0], q[1], q[2], q[3] ^ full_c),
+        Transform.reverse("d"): lambda q: (q[0], q[1], q[2], rev_c[q[3]]),
+        SWAP_AB: lambda q: (q[1], q[0], q[2], q[3]),
+        SWAP_CD: lambda q: (q[0], q[1], q[3], q[2]),
+        NEG_AB_SWAP: lambda q: (q[1] ^ full_a, q[0] ^ full_a, q[2], q[3]),
+        ALTERNATE_ALL: lambda q: (q[0] ^ odd_a, q[1] ^ odd_a, q[2] ^ odd_c, q[3] ^ odd_c),
+        COLUMN_SWAP: column_swap,
+    }
+    if kind is Kind.BS:
+        return table
 
-def _column_swap(q: Signs) -> Optional[Signs]:
-    """Flip every checkerboard block (c_i, c_{n+1-i}; d_i, d_{n+1-i}) at once.
+    # A's body is its first n elements, bits n .. 1; B is A with the bits
+    # of ``partner`` flipped and its last element forced to -1
+    # (seqcore.partner_elements)
+    near = kind is Kind.NNS  # near-normal: odd positions only
+    partner = odd_c << 1 if near else 0
+    even_c = full_c ^ odd_c
 
-    Flipping a single block in isolation does not preserve validity; the
-    simultaneous flip of all matching blocks is an involution that does.
-    """
-    c, d = list(q[2]), list(q[3])
-    n = len(c)
-    hit = False
-    for i in range(n // 2):
-        j = n - 1 - i
-        if (c[i], c[j], d[i], d[j]) in CHECKERBOARD:
-            c[i], c[j], d[i], d[j] = -c[i], -c[j], -d[i], -d[j]
-            hit = True
-    return (q[0], q[1], tuple(c), tuple(d)) if hit else None
+    def struct(body: Callable[[int], int], cd_flip: int = 0) -> Move:
+        """A coupled move: ``body`` acts on the open part of A, B is
+        re-derived, and C,D are XORed with ``cd_flip``."""
+        def move(q: Packed) -> Packed:
+            if not n:
+                return q  # A has no open part
+            a = body(q[0] >> 1) << 1 | q[0] & 1
+            return (a, a ^ partner | 1, q[2] ^ cd_flip, q[3] ^ cd_flip)
+        return move
 
-
-def _on(i: int, fn: Callable[[tuple[int, ...]], tuple[int, ...]]) -> Move:
-    return lambda q: q[:i] + (fn(q[i]),) + q[i + 1:]
-
-
-def _struct(kind: Kind, body: Callable[[tuple[int, ...]], tuple[int, ...]],
-            alternate_cd: bool = False) -> Move:
-    """A coupled move: ``body`` acts on the open part of A, B is re-derived."""
-    def move(q: Signs) -> Signs:
-        a, _, c, d = q
-        if len(a) == 1:
-            return q  # n = 0: A has no open part
-        a = body(a[:-1]) + a[-1:]
-        if alternate_cd:
-            c, d = _alt(c), _alt(d)
-        return (a, partner_elements(a, kind), c, d)
-    return move
-
-
-def _move_table(kind: Kind) -> dict[Transform, Move]:
-    table = {Transform(op, w): _on(i, fn)
-             for op, fn in (("negate", _neg), ("reverse", _rev))
-             for i, w in enumerate("abcd")}
-    table[SWAP_AB] = lambda q: (q[1], q[0], q[2], q[3])
-    table[SWAP_CD] = lambda q: (q[0], q[1], q[3], q[2])
-    table[NEG_AB_SWAP] = lambda q: (_neg(q[1]), _neg(q[0]), q[2], q[3])
-    table[ALTERNATE_ALL] = lambda q: tuple(map(_alt, q))
-    table[COLUMN_SWAP] = _column_swap
-    if kind is not Kind.BS:
-        near = kind is Kind.NNS  # near-normal: odd positions only
-        table[STRUCT_NEGATE] = _struct(kind, (lambda x: _neg(_alt(x))) if near else _neg)
-        table[STRUCT_REVERSE] = _struct(kind, _rev_odd_positions if near else _rev)
-        table[STRUCT_ALTERNATE] = _struct(kind, _alt, alternate_cd=True)
+    table[STRUCT_NEGATE] = struct(lambda x: x ^ (even_c if near else full_c))
+    table[STRUCT_REVERSE] = struct((lambda x: rev_c[x & even_c] << 1 | x & odd_c)
+                                   if near else rev_c.__getitem__)
+    table[STRUCT_ALTERNATE] = struct(lambda x: x ^ odd_c, cd_flip=odd_c)
     return table
 
-
-_MOVES = {kind: _move_table(kind) for kind in Kind}
 
 _CD_MOVES = (Transform.negate("c"), Transform.reverse("c"),
              Transform.negate("d"), Transform.reverse("d"), SWAP_CD)
@@ -174,6 +190,15 @@ GENERATORS: dict[Kind, tuple[Transform, ...]] = {
 # weaker than the profile-dedup moves; closing a find under every
 # structure-preserving move regrows all of its raw-sum-profile variants.
 NS_REGROW = _CD_MOVES + _STRUCT_MOVES + (COLUMN_SWAP,)
+
+
+def _step(kind: Kind, n: int, moves: Optional[Iterable[Transform]] = None
+          ) -> Callable[[Packed], list[Optional[Packed]]]:
+    """The images of a packed quad under ``moves`` (default: the kind's
+    generators), in list order; None where a move does not apply."""
+    table = _move_table(kind, n)
+    fns = [table[t] for t in (GENERATORS[kind] if moves is None else moves)]
+    return lambda q: [fn(q) for fn in fns]
 
 
 def _closure(start, step: Callable[..., Iterable], cap: int) -> list:
@@ -193,39 +218,55 @@ def _closure(start, step: Callable[..., Iterable], cap: int) -> list:
     return members
 
 
-def _signs(quad: SeqQuad) -> Signs:
-    return tuple(s.elements for s in quad.seqs())
+def _pack_seq(elements: Iterable[int]) -> int:
+    value = 0
+    for x in elements:
+        value = value << 1 | (x < 0)
+    return value
 
 
-def _quad(q: Signs, kind: Kind) -> SeqQuad:
-    return SeqQuad(*map(SignSeq, q), kind)
+def pack(seqs: Iterable[Iterable[int]]) -> Packed:
+    """The packed quad of four +1/-1 sequences (see the module docstring)."""
+    return tuple(map(_pack_seq, seqs))
 
 
-def _class_of(q: Signs, kind: Kind, cap: int,
-              moves: Optional[Iterable[Transform]] = None) -> list[Signs]:
-    fns = [_MOVES[kind][t] for t in (GENERATORS[kind] if moves is None else moves)]
+def _unpack_seq(value: int, length: int) -> SignSeq:
+    return SignSeq(tuple(-1 if ch == "1" else 1 for ch in bin(value | 1 << length)[3:]))
+
+
+def unpack(q: Packed, n: int, kind: Kind) -> SeqQuad:
+    """The quad of ``kind`` whose packed form is ``q``; A,B have n+1 elements."""
+    return SeqQuad(_unpack_seq(q[0], n + 1), _unpack_seq(q[1], n + 1),
+                   _unpack_seq(q[2], n), _unpack_seq(q[3], n), kind)
+
+
+def _class_of(q: Packed, n: int, kind: Kind, cap: int,
+              step: Optional[Callable[[Packed], list]] = None) -> list[Packed]:
     try:
-        return _closure(q, lambda x: [fn(x) for fn in fns], cap)
+        return _closure(q, step or _step(kind, n), cap)
     except OrbitCapExceeded as exc:
-        exc.partial = [_quad(m, kind) for m in sorted(exc.partial, reverse=True)]
+        exc.partial = [unpack(m, n, kind) for m in sorted(exc.partial)]
         raise
 
 
-def first_visits(items: Iterable[Signs], kind: Kind, cap: int = DEFAULT_ORBIT_CAP,
+def first_visits(items: Iterable[Packed], n: int, kind: Kind,
+                 cap: int = DEFAULT_ORBIT_CAP,
                  moves: Optional[Iterable[Transform]] = None,
-                 ) -> Iterator[tuple[int, list[Signs]]]:
-    """``(i, orbit)`` for each input ``i`` that lies in no earlier input's
-    orbit, in input order, with the orbit's members in BFS order.
+                 ) -> Iterator[tuple[int, list[Packed]]]:
+    """``(i, orbit)`` for each packed quad ``i`` of ``n`` that lies in no
+    earlier input's orbit, in input order, with the orbit's members in BFS
+    order.
 
     ``moves`` defaults to the kind's generator list.  Every move is
     invertible, so orbits are disjoint and each class is yielded once,
     from its first input member.
     """
-    visited: set[Signs] = set()
+    step = _step(kind, n, moves)
+    visited: set[Packed] = set()
     for i, q in enumerate(items):
         if q in visited:
             continue
-        cls = _class_of(q, kind, cap, moves)
+        cls = _class_of(q, n, kind, cap, step)
         visited.update(cls)
         yield i, cls
 
@@ -246,20 +287,19 @@ def apply(quad: SeqQuad, t: Transform) -> SeqQuad:
             "alternate_all flips the fixed last entries for odd normal quads")
     if t in _STRUCT_MOVES and kind is Kind.BS:
         raise ApplicabilityError(f"{t.op} applies to ns/nns quads only")
-    move = _MOVES[kind].get(t)
+    move = _move_table(kind, quad.n).get(t)
     if move is None:
         raise ApplicabilityError(f"unknown transform {t.op!r}")
-    image = move(_signs(quad))
+    image = move(pack(quad.seqs()))
     if image is None:
         raise ApplicabilityError("no checkerboard column block to swap")
-    return _quad(image, kind)
+    return unpack(image, quad.n, kind)
 
 
 def kind_generators(quad: SeqQuad) -> list[SeqQuad]:
     """Images of ``quad`` under the generator list of its kind."""
-    q = _signs(quad)
-    images = (_MOVES[quad.kind][t](q) for t in GENERATORS[quad.kind])
-    return [_quad(img, quad.kind) for img in images if img is not None]
+    images = _step(quad.kind, quad.n)(pack(quad.seqs()))
+    return [unpack(img, quad.n, quad.kind) for img in images if img is not None]
 
 
 def orbit(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQuad]:
@@ -268,13 +308,14 @@ def orbit(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQuad]:
     Raises :class:`OrbitCapExceeded` (carrying the partial orbit) if the
     closure grows past ``cap``, :class:`PreconditionError` if ``cap`` < 1.
     """
-    members = _class_of(_signs(quad), quad.kind, cap)
-    return [_quad(m, quad.kind) for m in sorted(members, reverse=True)]
+    members = _class_of(pack(quad.seqs()), quad.n, quad.kind, cap)
+    return [unpack(m, quad.n, quad.kind) for m in sorted(members)]
 
 
 def canonical(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP) -> SeqQuad:
     """Least orbit member under the fixed total order (+1 sorts before -1)."""
-    return _quad(max(_class_of(_signs(quad), quad.kind, cap)), quad.kind)
+    return unpack(min(_class_of(pack(quad.seqs()), quad.n, quad.kind, cap)),
+                  quad.n, quad.kind)
 
 
 def dedup(quads: Iterable[SeqQuad], cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQuad]:
@@ -289,8 +330,8 @@ def dedup(quads: Iterable[SeqQuad], cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQua
     n, kind = quads[0].n, quads[0].kind
     if any(q.n != n or q.kind != kind for q in quads):
         raise MalformedInputError("dedup requires uniform n and kind")
-    reps = [max(cls) for _, cls in first_visits(map(_signs, quads), kind, cap)]
-    return [_quad(r, kind) for r in sorted(reps, reverse=True)]
+    reps = [min(cls) for _, cls in first_visits((pack(q.seqs()) for q in quads), n, kind, cap)]
+    return [unpack(r, n, kind) for r in sorted(reps)]
 
 
 # --- signed-permutation action on the eight row sums ----------------------

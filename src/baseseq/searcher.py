@@ -537,22 +537,22 @@ class SearchResult:
 def _finalize(cfg: SearchConfig, tasks: list[tuple],
               per_task: list[list[equiv.Signs]]) -> SearchResult:
     # finds come in task order, so the first find of a class has its
-    # least producing stage; classes are closed over sign tuples, whose
-    # reverse order is the quad order (see equiv)
-    finds = [q for task_finds in per_task for q in task_finds]
+    # least producing stage; classes are closed over packed quads, whose
+    # ascending order is the quad order (see equiv)
+    finds = [equiv.pack(q) for task_finds in per_task for q in task_finds]
     stages = [f"s{t[1]}.r{t[2]}" for t, task_finds in zip(tasks, per_task) for _ in task_finds]
 
     if cfg.orbit_dedup:
         if cfg.kind is Kind.NS:  # regrow first: see equiv.NS_REGROW
-            grown = list(equiv.first_visits(finds, cfg.kind, cfg.orbit_cap,
+            grown = list(equiv.first_visits(finds, cfg.n, cfg.kind, cfg.orbit_cap,
                                             equiv.NS_REGROW))
             stages = [stages[i] for i, cls in grown for _ in cls]
             finds = [q for _, cls in grown for q in cls]
-        reps = {max(cls): stages[i]
-                for i, cls in equiv.first_visits(finds, cfg.kind, cfg.orbit_cap)}
+        reps = {min(cls): stages[i]
+                for i, cls in equiv.first_visits(finds, cfg.n, cfg.kind, cfg.orbit_cap)}
         finds, stages = list(reps), list(reps.values())
-    order = sorted(range(len(finds)), key=finds.__getitem__, reverse=True)
-    return SearchResult(quads=[SeqQuad(*map(SignSeq, finds[i]), cfg.kind) for i in order],
+    order = sorted(range(len(finds)), key=finds.__getitem__)
+    return SearchResult(quads=[equiv.unpack(finds[i], cfg.n, cfg.kind) for i in order],
                         stages=[stages[i] for i in order])
 
 

@@ -90,6 +90,17 @@ def test_psd_command(tmp_path):
     assert out.count("keep") == 2
 
 
+def test_psd_refuses_empty_input(tmp_path):
+    # like verify and canon, psd exits 2 when its input holds nothing
+    path = tmp_path / "empty.txt"
+    for text in ("", "  \n\n \t\n"):
+        path.write_text(text)
+        for extra in ([], ["--pair"]):
+            code, out, err = run_cli(["psd", "--file", str(path), "--bound", "166", *extra])
+            assert code == 2 and out == ""
+            assert "error: no sequences found in input" in err
+
+
 def test_canon_dedups_input(tmp_path):
     from baseseq.equiv import SWAP_CD, apply
     q = known_quad(41)

@@ -108,6 +108,16 @@ def test_orbit_cap_reports_partial(bs_pool):
     assert len(err.value.partial) == 3
 
 
+def test_orbit_cap_boundary(bs_pool, ns_pool, nns_pool):
+    # a cap equal to the orbit size closes it; one less stops at cap members
+    for q in (bs_pool[4][17], ns_pool[7][300], nns_pool[8][200]):
+        k = len(orbit(q))
+        assert len(orbit(q, cap=k)) == k
+        with pytest.raises(OrbitCapExceeded) as err:
+            orbit(q, cap=k - 1)
+        assert len(err.value.partial) == k - 1
+
+
 def test_published_quad_orbit_sample_valid():
     # full closure at n=41 is large; the capped partial orbit must still
     # consist of valid quads only
@@ -256,28 +266,20 @@ REGROW_VISITS = (16, "43f24e02461b0ee5e2b37630ff8c044d91b8f3817d2ed754fe00a71ca4
 BS8_VISITS = (27, "3f6703013e2095ca4d7213ce519ada9b239c8beceedcd888b065bd6dec743b73")
 
 
-def _member(quad):
-    return tuple(s.elements for s in quad.seqs())
-
-
-def _member_text(member):
-    return "|".join(SignSeq(x).text() for x in member)
-
-
 def _visit_lines(items, n, kind, moves=None):
-    return [f"{n} {i} " + " ".join(map(_member_text, cls))
-            for i, cls in equiv.first_visits(items, kind, moves=moves)]
+    return [f"{n} {i} " + " ".join(_text(equiv.unpack(m, n, kind)) for m in cls)
+            for i, cls in equiv.first_visits(items, n, kind, moves=moves)]
 
 
 def test_first_visits_ns_regrow_pinned(ns_pool):
     lines = [line for n in sorted(ns_pool)
-             for line in _visit_lines([_member(q) for q in ns_pool[n]], n, Kind.NS,
+             for line in _visit_lines([equiv.pack(q.seqs()) for q in ns_pool[n]], n, Kind.NS,
                                       equiv.NS_REGROW)]
     assert (len(lines), _digest(lines)) == REGROW_VISITS
 
 
 def test_first_visits_bs8_search_finds_pinned():
     cfg = SearchConfig(n=8, kind=Kind.BS)
-    finds = [q for task in build_tasks(cfg) for q in run_task(cfg, task)[1]]
+    finds = [equiv.pack(q) for task in build_tasks(cfg) for q in run_task(cfg, task)[1]]
     lines = _visit_lines(finds, 8, Kind.BS)
     assert (len(lines), _digest(lines)) == BS8_VISITS
