@@ -40,6 +40,7 @@ without materializing sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (ApplicabilityError, MalformedInputError, OrbitCapExceeded,
@@ -91,18 +92,21 @@ STRUCT_ALTERNATE = Transform("struct_alternate")
 
 # --- moves on packed quads ---------------------------------------------------
 
+_REVERSAL_MEMO = 1 << 12  # values a reversal memo holds before it starts over
+
+
 class _Reversal(dict):
     """Bit reversal of ``length``-bit values, memoised: the members of an
-    orbit share few distinct sequences, so nearly every lookup hits.  One
-    instance lives as long as one move table, and its keys are parts of
-    the members its caller keeps (a sequence, A's body, a column-swap
-    hit mask), a few per member at most."""
+    orbit share few distinct sequences, so nearly every lookup hits.  The
+    memo starts over once it holds ``_REVERSAL_MEMO`` values."""
 
     def __init__(self, length: int):
         super().__init__()
         self.top = 1 << length
 
     def __missing__(self, x: int) -> int:
+        if len(self) >= _REVERSAL_MEMO:
+            self.clear()
         self[x] = r = int(bin(x | self.top)[:2:-1] or "0", 2)
         return r
 
@@ -112,8 +116,9 @@ def _odd_mask(length: int) -> int:
     return sum(1 << (length - 1 - j) for j in range(1, length, 2))
 
 
+@lru_cache(maxsize=16)
 def _move_table(kind: Kind, n: int) -> dict[Transform, Move]:
-    """Every move of ``kind`` on packed quads of ``n``, with fresh memos."""
+    """Every move of ``kind`` on packed quads of ``n`` (shared: do not modify)."""
     full_a, full_c = (1 << n + 1) - 1, (1 << n) - 1
     odd_a, odd_c = _odd_mask(n + 1), _odd_mask(n)
     rev_a, rev_c = _Reversal(n + 1), _Reversal(n)
@@ -230,8 +235,11 @@ def pack(seqs: Iterable[Iterable[int]]) -> Packed:
     return tuple(map(_pack_seq, seqs))
 
 
+_SIGN_OF_BIT = {"0": 1, "1": -1}
+
+
 def _unpack_seq(value: int, length: int) -> SignSeq:
-    return SignSeq(tuple(-1 if ch == "1" else 1 for ch in bin(value | 1 << length)[3:]))
+    return SignSeq(tuple(map(_SIGN_OF_BIT.__getitem__, bin(value | 1 << length)[3:])))
 
 
 def unpack(q: Packed, n: int, kind: Kind) -> SeqQuad:
@@ -241,9 +249,9 @@ def unpack(q: Packed, n: int, kind: Kind) -> SeqQuad:
 
 
 def _class_of(q: Packed, n: int, kind: Kind, cap: int,
-              step: Optional[Callable[[Packed], list]] = None) -> list[Packed]:
+              moves: Optional[Iterable[Transform]] = None) -> list[Packed]:
     try:
-        return _closure(q, step or _step(kind, n), cap)
+        return _closure(q, _step(kind, n, moves), cap)
     except OrbitCapExceeded as exc:
         exc.partial = [unpack(m, n, kind) for m in sorted(exc.partial)]
         raise
@@ -261,12 +269,11 @@ def first_visits(items: Iterable[Packed], n: int, kind: Kind,
     invertible, so orbits are disjoint and each class is yielded once,
     from its first input member.
     """
-    step = _step(kind, n, moves)
     visited: set[Packed] = set()
     for i, q in enumerate(items):
         if q in visited:
             continue
-        cls = _class_of(q, n, kind, cap, step)
+        cls = _class_of(q, n, kind, cap, moves)
         visited.update(cls)
         yield i, cls
 

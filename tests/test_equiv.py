@@ -118,6 +118,15 @@ def test_orbit_cap_boundary(bs_pool, ns_pool, nns_pool):
         assert len(err.value.partial) == k - 1
 
 
+def test_reversal_memo_is_exact_and_bounded():
+    assert equiv._Reversal(0)[0] == 0
+    rev = equiv._Reversal(13)
+    for x in range(2 * equiv._REVERSAL_MEMO + 7):
+        x %= 1 << 13
+        assert rev[x] == int(f"{x:013b}"[::-1], 2)
+        assert len(rev) <= equiv._REVERSAL_MEMO
+
+
 def test_published_quad_orbit_sample_valid():
     # full closure at n=41 is large; the capped partial orbit must still
     # consist of valid quads only
