@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from baseseq.cli import ResultRecord
 from baseseq.equiv import orbit
 from baseseq.errors import PreconditionError
 from baseseq.oracle import brute_bs, brute_structured
@@ -84,3 +87,24 @@ def test_deterministic_order(ns_pool):
     assert again == ns_pool[7]
     keys = [q.sort_key() for q in again]
     assert keys == sorted(keys)
+
+
+# count and sha256 of the oracle's record lines (as `baseseq oracle`
+# prints them), n by n in output order: BS n = 0..5, NS n = 0..8 and
+# NNS n = 0, 2, 4, 6, 8
+ORACLE_RECORDS = {
+    Kind.BS: (5412, "fe1bad456c91965cbb6cc9a4e1f1df649ae07768b67c000f6ad75d306de96fe4"),
+    Kind.NS: (1913, "9dc4cd7b8b35cc0f36f301092e9cba7b2d00cdb28640c0d7d9465638ffe2712c"),
+    Kind.NNS: (481, "7e91938450742adef7922318f98a8c61db361b32a0d77e4039c2c872ce68c652"),
+}
+
+
+def test_oracle_records_pinned(bs_pool, ns_pool, nns_pool):
+    pools = {Kind.BS: {0: brute_bs(0), **bs_pool},
+             Kind.NS: {0: brute_structured(0, Kind.NS), **ns_pool},
+             Kind.NNS: {0: brute_structured(0, Kind.NNS), **nns_pool}}
+    for kind, pool in pools.items():
+        lines = [ResultRecord.from_quad(q, canonical=False, stage="oracle").line()
+                 for n in sorted(pool) for q in pool[n]]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == ORACLE_RECORDS[kind]

@@ -606,6 +606,18 @@ def test_checkpoint_without_whole_header_is_refused(tmp_path):
 # --- the append-only journal -------------------------------------------------
 
 
+# size, line count and sha256 of the whole journal of a fresh NS n = 7
+# run with a checkpoint
+NS7_JOURNAL = (3839, 15, "db6efeec455bdfc94dac0646626acdfb88c36d9d1ee07ca912c0fd6eb8a2b053")
+
+
+def test_checkpoint_journal_bytes_pinned(tmp_path):
+    path = os.fspath(tmp_path / "ck.json")
+    search(SearchConfig(n=7, kind=Kind.NS), checkpoint_path=path)
+    blob = _read_bytes(path)
+    assert (len(blob), blob.count(b"\n"), hashlib.sha256(blob).hexdigest()) == NS7_JOURNAL
+
+
 def test_checkpoint_journal_is_append_only(tmp_path):
     path = os.fspath(tmp_path / "ck.json")
     cfg = SearchConfig(n=7, kind=Kind.NS)
