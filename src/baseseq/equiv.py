@@ -17,15 +17,12 @@ re-derived, named here by what they do to the open part of A:
 Each kind has its own generator list (``GENERATORS``); orbits, canonical
 forms and deduplication are all relative to the kind's list.
 
-Orbits are closed over *packed quads*: a member is a tuple of four ints,
-one per sequence, where element j of a length-L sequence sits at bit
-L-1-j and -1 is a set bit.  Every move is a few integer operations on
-these ints (negation is an XOR with the full mask, reversal a memoised
+Orbits are closed over packed quads (``SeqQuad.packed``; the layout is
+set out in ``seqcore``).  Every move is a few integer operations on the
+four ints (negation is an XOR with the full mask, reversal a memoised
 bit reversal, alternation an XOR with the odd-position mask), and
-``SeqQuad`` objects are built only at the API edge.  The first element
-is the most significant bit and +1 is the clear bit, so for ints of one
-length the order of packed values is the order of ``SeqQuad.sort_key``
-(+1 sorts before -1): the canonical (least) member of an orbit is the
+``SeqQuad`` objects are built only at the API edge.  Packed order is
+``SeqQuad.sort_key``, so the canonical (least) member of an orbit is the
 ``min`` of its packed quads, and a sorted orbit is ``sorted(members)``;
 no member is unpacked to compare it.  A step takes a move list's images
 in list order, so the BFS order of an orbit, and with it the members of
@@ -45,14 +42,10 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (ApplicabilityError, MalformedInputError, OrbitCapExceeded,
                      PreconditionError)
-from .seqcore import Kind, SeqQuad, SignSeq
+from .seqcore import Kind, Packed, SeqQuad
 
 DEFAULT_ORBIT_CAP = 10 ** 7
 
-# the element tuples (a, b, c, d) of a quad's four sequences
-Signs = tuple[tuple[int, ...], ...]
-# the same quad packed, one int per sequence (see the module docstring)
-Packed = tuple[int, int, int, int]
 Move = Callable[[Packed], Optional[Packed]]
 
 
@@ -223,37 +216,12 @@ def _closure(start, step: Callable[..., Iterable], cap: int) -> list:
     return members
 
 
-def _pack_seq(elements: Iterable[int]) -> int:
-    value = 0
-    for x in elements:
-        value = value << 1 | (x < 0)
-    return value
-
-
-def pack(seqs: Iterable[Iterable[int]]) -> Packed:
-    """The packed quad of four +1/-1 sequences (see the module docstring)."""
-    return tuple(map(_pack_seq, seqs))
-
-
-_SIGN_OF_BIT = {"0": 1, "1": -1}
-
-
-def _unpack_seq(value: int, length: int) -> SignSeq:
-    return SignSeq(tuple(map(_SIGN_OF_BIT.__getitem__, bin(value | 1 << length)[3:])))
-
-
-def unpack(q: Packed, n: int, kind: Kind) -> SeqQuad:
-    """The quad of ``kind`` whose packed form is ``q``; A,B have n+1 elements."""
-    return SeqQuad(_unpack_seq(q[0], n + 1), _unpack_seq(q[1], n + 1),
-                   _unpack_seq(q[2], n), _unpack_seq(q[3], n), kind)
-
-
 def _class_of(q: Packed, n: int, kind: Kind, cap: int,
               moves: Optional[Iterable[Transform]] = None) -> list[Packed]:
     try:
         return _closure(q, _step(kind, n, moves), cap)
     except OrbitCapExceeded as exc:
-        exc.partial = [unpack(m, n, kind) for m in sorted(exc.partial)]
+        exc.partial = [SeqQuad.from_packed(m, n, kind) for m in sorted(exc.partial)]
         raise
 
 
@@ -297,16 +265,16 @@ def apply(quad: SeqQuad, t: Transform) -> SeqQuad:
     move = _move_table(kind, quad.n).get(t)
     if move is None:
         raise ApplicabilityError(f"unknown transform {t.op!r}")
-    image = move(pack(quad.seqs()))
+    image = move(quad.packed())
     if image is None:
         raise ApplicabilityError("no checkerboard column block to swap")
-    return unpack(image, quad.n, kind)
+    return SeqQuad.from_packed(image, quad.n, kind)
 
 
 def kind_generators(quad: SeqQuad) -> list[SeqQuad]:
     """Images of ``quad`` under the generator list of its kind."""
-    images = _step(quad.kind, quad.n)(pack(quad.seqs()))
-    return [unpack(img, quad.n, quad.kind) for img in images if img is not None]
+    images = _step(quad.kind, quad.n)(quad.packed())
+    return [SeqQuad.from_packed(img, quad.n, quad.kind) for img in images if img is not None]
 
 
 def orbit(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQuad]:
@@ -315,14 +283,14 @@ def orbit(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQuad]:
     Raises :class:`OrbitCapExceeded` (carrying the partial orbit) if the
     closure grows past ``cap``, :class:`PreconditionError` if ``cap`` < 1.
     """
-    members = _class_of(pack(quad.seqs()), quad.n, quad.kind, cap)
-    return [unpack(m, quad.n, quad.kind) for m in sorted(members)]
+    members = _class_of(quad.packed(), quad.n, quad.kind, cap)
+    return [SeqQuad.from_packed(m, quad.n, quad.kind) for m in sorted(members)]
 
 
 def canonical(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP) -> SeqQuad:
     """Least orbit member under the fixed total order (+1 sorts before -1)."""
-    return unpack(min(_class_of(pack(quad.seqs()), quad.n, quad.kind, cap)),
-                  quad.n, quad.kind)
+    n, kind = quad.n, quad.kind
+    return SeqQuad.from_packed(min(_class_of(quad.packed(), n, kind, cap)), n, kind)
 
 
 def dedup(quads: Iterable[SeqQuad], cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQuad]:
@@ -337,8 +305,8 @@ def dedup(quads: Iterable[SeqQuad], cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQua
     n, kind = quads[0].n, quads[0].kind
     if any(q.n != n or q.kind != kind for q in quads):
         raise MalformedInputError("dedup requires uniform n and kind")
-    reps = [min(cls) for _, cls in first_visits((pack(q.seqs()) for q in quads), n, kind, cap)]
-    return [unpack(r, n, kind) for r in sorted(reps)]
+    reps = [min(cls) for _, cls in first_visits((q.packed() for q in quads), n, kind, cap)]
+    return [SeqQuad.from_packed(r, n, kind) for r in sorted(reps)]
 
 
 # --- signed-permutation action on the eight row sums ----------------------

@@ -44,16 +44,6 @@ def _cd_groups(n: int) -> dict[tuple[int, ...], list[tuple[int, int]]]:
     return groups
 
 
-def _assemble(xa: int, xb: int, xc: int, xd: int, n: int, kind: Kind) -> SeqQuad:
-    return SeqQuad(
-        SignSeq.from_packed(xa, n + 1),
-        SignSeq.from_packed(xb, n + 1),
-        SignSeq.from_packed(xc, n),
-        SignSeq.from_packed(xd, n),
-        kind,
-    )
-
-
 def brute_bs(n: int) -> list[SeqQuad]:
     """All valid base quads for the given n, in deterministic order."""
     if n < 0:
@@ -62,7 +52,7 @@ def brute_bs(n: int) -> list[SeqQuad]:
         raise PreconditionError(
             f"brute_bs is capped at n <= {BRUTE_BS_MAX_N} (cost 2^(4n+2))")
     if n == 0:
-        return [_assemble(xa, xb, 0, 0, 0, Kind.BS)
+        return [SeqQuad.from_packed((xa, xb, 0, 0), 0, Kind.BS)
                 for xa in range(2) for xb in range(2)]
     groups = _cd_groups(n)
     length = n + 1
@@ -77,7 +67,7 @@ def brute_bs(n: int) -> list[SeqQuad]:
                 continue
             key = tuple(-(ta[i] + tb[i]) for i in range(n - 1))
             for xc, xd in groups.get(key, ()):
-                found.append(_assemble(xa, xb, xc, xd, n, Kind.BS))
+                found.append(SeqQuad.from_packed((xa, xb, xc, xd), n, Kind.BS))
     found.sort(key=SeqQuad.sort_key)
     return found
 
@@ -94,13 +84,13 @@ def brute_structured(n: int, kind: Kind) -> list[SeqQuad]:
     if kind is Kind.NNS and n % 2 != 0:
         raise PreconditionError("near-normal quads require even n")
     if n == 0:
-        return [_assemble(0, 1, 0, 0, 0, kind)]
+        return [SeqQuad.from_packed((0, 1, 0, 0), 0, kind)]
 
     groups = _cd_groups(n)
     length = n + 1
     found = []
     for prefix in range(1 << n):
-        seq_a = SignSeq.from_packed(prefix, length)  # last entry +1
+        seq_a = SignSeq.from_packed(prefix << 1, length)  # last entry +1
         seq_b = derive_partner(seq_a, kind)
         ta = seq_a.autocorr
         tb = seq_b.autocorr

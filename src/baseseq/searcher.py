@@ -61,7 +61,7 @@ from typing import Iterator, Optional
 from . import equiv, numfilter, specfilter
 from .errors import PreconditionError, ResumeError, SearchInterrupted
 from .numfilter import SIDE_AB, SIDE_CD, ResidueProfile
-from .seqcore import Kind, SeqQuad, SignSeq, SumProfile, verify
+from .seqcore import Kind, Packed, SeqQuad, SignSeq, SumProfile, verify
 
 _DEFAULT_MODULI = {Kind.BS: (3, 6), Kind.NS: (3, 6), Kind.NNS: (6,)}
 _DEFAULT_GRIDS = {Kind.BS: ("pi-over-100",), Kind.NS: ("l=50", "l=1000"),
@@ -223,9 +223,11 @@ def _kernel_rows(n: int, kind: Kind, side: str) -> tuple[tuple[tuple[int, ...], 
     """Each level's options as completion-kernel rows: the z bits, then
     the deltas of the row sums x, y and alternated row sums x', y'."""
     length, levels = numfilter.column_cases(n, side, kind)
+    top = length - 1
 
     def row(cells: list[tuple[int, int, int]]) -> tuple[int, ...]:
-        return (sum((xv < 0) << p | (yv < 0) << 2 * length + p for p, xv, yv in cells),
+        return (sum((xv < 0) << top - p | (yv < 0) << 2 * length + top - p
+                    for p, xv, yv in cells),
                 sum(xv for _, xv, _ in cells), sum(yv for _, _, yv in cells),
                 sum(-xv if p % 2 else xv for p, xv, _ in cells),
                 sum(-yv if p % 2 else yv for p, _, yv in cells))
@@ -244,11 +246,12 @@ def _complete_pairs(n: int, kind: Kind, side: str,
     checked as soon as every product in it is assigned.  ``sum_targets``,
     if given, are the plain and alternated row sums (x, y, x', y').
 
-    The partial fill is one int ``z``: bit p is set iff x[p] = -1 and bit
-    2*length+p iff y[p] = -1 (``SignSeq.packed`` of each half), unplaced
-    positions read 0.  Shift s over the low length-s bits of both halves
-    has N_x(s)+N_y(s) = 2(length-s) - 2*popcount((z ^ z>>s) & mask), and
-    the gap between the halves keeps shifted y bits off x's mask.  Each
+    The partial fill is one int ``z``: bit length-1-p is set iff x[p] = -1
+    and bit 3*length-1-p iff y[p] = -1, unplaced positions read 0, so the
+    low ``length`` bits and ``z >> 2*length`` are ``SignSeq.packed`` of x
+    and y.  Shift s over the low length-s bits of both halves has
+    N_x(s)+N_y(s) = 2(length-s) - 2*popcount((z ^ z>>s) & mask), and the
+    gap between the halves keeps shifted y bits off x's mask.  Each
     completed fill is yielded in that form.
     """
     length, levels = numfilter.column_cases(n, side, kind)
@@ -402,8 +405,9 @@ def _half_profile(cfg: SearchConfig, half: tuple[tuple, tuple]) -> ResidueProfil
     return ResidueProfile(m, half[0], half[1], zero, zero)
 
 
-def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[equiv.Signs], dict]:
-    """Expand, screen and complete one (sum profile, residue half) unit."""
+def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[Packed], dict]:
+    """Expand, screen and complete one (sum profile, residue half) unit;
+    its finds come as packed quads."""
     index, _si, _hi, s_tuple, half = task
     s = SumProfile.from_tuple(s_tuple)
     prof = _half_profile(cfg, half)
@@ -425,7 +429,7 @@ def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[equiv.Signs], di
         quads = backtrack_complete((first, second), cfg.n, cfg.kind, fill_side,
                                    mode=mode, sum_targets=fill_targets)
         stats["completions"] += len(quads)
-        found.extend(tuple(seq.elements for seq in q.seqs()) for q in quads)
+        found.extend(q.packed() for q in quads)
         if mode == "first" and found:
             break
     return index, found, stats
@@ -452,18 +456,19 @@ def _line_digest(cfg_digest: str, index: int, finds, stats) -> str:
 
 
 def save_checkpoint(path: str, cfg: SearchConfig,
-                    finished: list[tuple[int, list[equiv.Signs], dict]]) -> None:
+                    finished: list[tuple[int, list[Packed], dict]]) -> None:
     """Append a journal line for each ``run_task`` result in ``finished``."""
     cfg_digest = cfg.digest()
     with open(path, "a", encoding="utf-8") as fh:
         for index, finds, stats in finished:
-            texts = [[SignSeq(x).text() for x in q] for q in finds]
+            texts = [[seq.text() for seq in SeqQuad.from_packed(q, cfg.n, cfg.kind).seqs()]
+                     for q in finds]
             digest = _line_digest(cfg_digest, index, texts, stats)
             fh.write(json.dumps({"finds": texts, "stats": stats, "digest": digest}) + "\n")
 
 
-def _journal_finds(texts, cfg: SearchConfig) -> Optional[list[equiv.Signs]]:
-    """A journal line's finds as sign tuples, or None unless each is four
+def _journal_finds(texts, cfg: SearchConfig) -> Optional[list[Packed]]:
+    """A journal line's finds as packed quads, or None unless each is four
     +/- strings of lengths n+1, n+1, n, n that ``verify`` accepts."""
     shape = [cfg.n + 1, cfg.n + 1, cfg.n, cfg.n]
     if not isinstance(texts, list) or not all(
@@ -474,11 +479,11 @@ def _journal_finds(texts, cfg: SearchConfig) -> Optional[list[equiv.Signs]]:
     quads = [SeqQuad(*map(SignSeq.from_text, q), cfg.kind) for q in texts]
     if not all(verify(quad).valid for quad in quads):
         return None
-    return [tuple(seq.elements for seq in quad.seqs()) for quad in quads]
+    return [quad.packed() for quad in quads]
 
 
 def load_checkpoint(path: str, cfg: SearchConfig,
-                    tasks_total: int) -> tuple[list[list[equiv.Signs]], dict]:
+                    tasks_total: int) -> tuple[list[list[Packed]], dict]:
     """Read back a journal's finds per task and its summed counters,
     refusing any mismatch with the config.  A torn last line is cut off
     the file only once every check has passed."""
@@ -535,11 +540,11 @@ class SearchResult:
 
 
 def _finalize(cfg: SearchConfig, tasks: list[tuple],
-              per_task: list[list[equiv.Signs]]) -> SearchResult:
+              per_task: list[list[Packed]]) -> SearchResult:
     # finds come in task order, so the first find of a class has its
-    # least producing stage; classes are closed over packed quads, whose
-    # ascending order is the quad order (see equiv)
-    finds = [equiv.pack(q) for task_finds in per_task for q in task_finds]
+    # least producing stage; the ascending order of packed quads is the
+    # quad order (SeqQuad.sort_key)
+    finds = [q for task_finds in per_task for q in task_finds]
     stages = [f"s{t[1]}.r{t[2]}" for t, task_finds in zip(tasks, per_task) for _ in task_finds]
 
     if cfg.orbit_dedup:
@@ -552,7 +557,7 @@ def _finalize(cfg: SearchConfig, tasks: list[tuple],
                 for i, cls in equiv.first_visits(finds, cfg.n, cfg.kind, cfg.orbit_cap)}
         finds, stages = list(reps), list(reps.values())
     order = sorted(range(len(finds)), key=finds.__getitem__)
-    return SearchResult(quads=[equiv.unpack(finds[i], cfg.n, cfg.kind) for i in order],
+    return SearchResult(quads=[SeqQuad.from_packed(finds[i], cfg.n, cfg.kind) for i in order],
                         stages=[stages[i] for i in order])
 
 
@@ -560,7 +565,7 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
            interrupt_after_tasks: Optional[int] = None) -> SearchResult:
     """Run the pipeline; resuming from a checkpoint replays identically."""
     tasks = build_tasks(cfg)
-    done: list[list[equiv.Signs]] = []
+    done: list[list[Packed]] = []
     stats_total = dict.fromkeys(_STAT_KEYS, 0)
     if checkpoint_path and os.path.exists(checkpoint_path):
         done, stats_total = load_checkpoint(checkpoint_path, cfg, len(tasks))
@@ -576,7 +581,7 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
     with contextlib.ExitStack() as stack:
         if cfg.worker_count > 1 and pending:
             ctx = multiprocessing.get_context("fork")
-            pool = stack.enter_context(ctx.Pool(cfg.worker_count))
+            pool = stack.enter_context(ctx.Pool(min(cfg.worker_count, len(pending))))
             runs = pool.imap(_pool_entry, [(cfg, task) for task in pending], chunksize=1)
         else:
             runs = (run_task(cfg, task) for task in pending)

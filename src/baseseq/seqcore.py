@@ -13,9 +13,17 @@ zero at every shift s = 1..n.  Two structured subclasses tie B to A:
   * near-normal (NNS): B[i] = (-1)^(i-1) * A[i] for i <= n (n even),
                        A[n+1] = +1, B[n+1] = -1
 
-Sequences are stored both as an element tuple (I/O, indexing) and as a
-packed bit mask (one sign bit per element) used by the autocorrelation
-hot path; the two representations are exact mirrors of each other.
+A sequence is stored as an element tuple (I/O, indexing) and, packed,
+as one int: element j of a length-L sequence sits at bit L-1-j, and -1
+is a set bit.  ``SignSeq.packed``/``from_packed`` are the only
+sequence-level encoder and decoder of this layout, and a packed quad is
+the tuple of the four packed sequences (``SeqQuad.packed``/
+``from_packed``).  The first element is the most significant bit and +1
+the clear bit, so among quads of one n the order of packed quads is the
+quad order: ``sort_key`` is the packed quad.  The autocorrelation hot
+path reads this form; the completion kernel builds its fills in it and
+the orbit moves act on it, so the search carries each find as a packed
+quad from the kernel to the records.
 """
 
 from __future__ import annotations
@@ -39,6 +47,10 @@ class Kind(str, Enum):
 
 _CHAR_OF = {1: "+", -1: "-"}
 _SIGN_OF = {"+": 1, "-": -1}
+_SIGN_OF_DIGIT = {"0": 1, "1": -1}  # a binary digit of a packed sequence
+
+# a quad packed, one int per sequence (see the module docstring)
+Packed = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -65,16 +77,16 @@ class SignSeq:
 
     @classmethod
     def from_packed(cls, packed: int, length: int) -> "SignSeq":
-        """Inverse of ``packed``: bit j set means element j is -1."""
-        return cls(tuple(-1 if (packed >> j) & 1 else 1 for j in range(length)))
+        """Inverse of ``packed``: bit length-1-j set means element j is -1."""
+        return cls(tuple(map(_SIGN_OF_DIGIT.__getitem__, bin(packed | 1 << length)[3:])))
 
     @cached_property
     def packed(self) -> int:
-        """Bit mask with bit j set iff element j is -1 (least significant bit first)."""
+        """Bit mask with bit length-1-j set iff element j is -1 (first element
+        most significant)."""
         value = 0
-        for j, x in enumerate(self.elements):
-            if x < 0:
-                value |= 1 << j
+        for x in self.elements:
+            value = value << 1 | (x < 0)
         return value
 
     @cached_property
@@ -205,10 +217,18 @@ class SeqQuad:
     def seqs(self) -> tuple[SignSeq, SignSeq, SignSeq, SignSeq]:
         return (self.a, self.b, self.c, self.d)
 
-    def sort_key(self) -> tuple[int, ...]:
-        """Total order key: concatenated elements with +1 before -1."""
-        return tuple(0 if x > 0 else 1
-                     for seq in self.seqs() for x in seq.elements)
+    def packed(self) -> Packed:
+        """The four packed sequences (see the module docstring)."""
+        return (self.a.packed, self.b.packed, self.c.packed, self.d.packed)
+
+    @classmethod
+    def from_packed(cls, q: Packed, n: int, kind: Kind) -> "SeqQuad":
+        """The quad of ``kind`` whose packed form is ``q``; A,B have n+1 elements."""
+        return cls(SignSeq.from_packed(q[0], n + 1), SignSeq.from_packed(q[1], n + 1),
+                   SignSeq.from_packed(q[2], n), SignSeq.from_packed(q[3], n), kind)
+
+    # total order among quads of one n: the concatenated elements, +1 first
+    sort_key = packed
 
 
 def partner_elements(a: tuple[int, ...], kind: Kind) -> tuple[int, ...]:

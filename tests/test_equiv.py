@@ -276,19 +276,19 @@ BS8_VISITS = (27, "3f6703013e2095ca4d7213ce519ada9b239c8beceedcd888b065bd6dec743
 
 
 def _visit_lines(items, n, kind, moves=None):
-    return [f"{n} {i} " + " ".join(_text(equiv.unpack(m, n, kind)) for m in cls)
+    return [f"{n} {i} " + " ".join(_text(SeqQuad.from_packed(m, n, kind)) for m in cls)
             for i, cls in equiv.first_visits(items, n, kind, moves=moves)]
 
 
 def test_first_visits_ns_regrow_pinned(ns_pool):
     lines = [line for n in sorted(ns_pool)
-             for line in _visit_lines([equiv.pack(q.seqs()) for q in ns_pool[n]], n, Kind.NS,
+             for line in _visit_lines([q.packed() for q in ns_pool[n]], n, Kind.NS,
                                       equiv.NS_REGROW)]
     assert (len(lines), _digest(lines)) == REGROW_VISITS
 
 
 def test_first_visits_bs8_search_finds_pinned():
     cfg = SearchConfig(n=8, kind=Kind.BS)
-    finds = [equiv.pack(q) for task in build_tasks(cfg) for q in run_task(cfg, task)[1]]
+    finds = [q for task in build_tasks(cfg) for q in run_task(cfg, task)[1]]
     lines = _visit_lines(finds, 8, Kind.BS)
     assert (len(lines), _digest(lines)) == BS8_VISITS

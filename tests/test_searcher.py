@@ -1,20 +1,22 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import random
+import types
 
 import pytest
 
-from baseseq import numfilter
+from baseseq import numfilter, searcher
 from baseseq.errors import PreconditionError, ResumeError, SearchInterrupted
 from baseseq.numfilter import ResidueProfile, quad_residue_profile
 from baseseq.refdata import known_quad
-from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, _line_digest,
-                              backtrack_complete, build_tasks,
+from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, _complete_pairs,
+                              _line_digest, backtrack_complete, build_tasks,
                               candidate_matches_profile, expand_candidates,
                               load_checkpoint, residue_halves, search)
-from baseseq.seqcore import Kind, SeqQuad, SignSeq, row_sums, verify
+from baseseq.seqcore import Kind, SeqQuad, SignSeq, paf, row_sums, verify
 from baseseq.specfilter import ThetaGrid, pair_filter
 
 
@@ -178,6 +180,23 @@ def test_backtrack_sum_targets_restrict(bs_pool):
         got = row_sums(q)
         assert (got.a, got.b, got.a_alt, got.b_alt) == \
             (sums.a, sums.b, sums.a_alt, sums.b_alt)
+
+
+def test_complete_pairs_yields_packed_halves(bs_pool, ns_pool, nns_pool):
+    # a kernel fill z holds SignSeq.packed of x in its low `length` bits
+    # and that of y from bit 2*length up
+    cases = ([((q.c, q.d), 5, Kind.BS, SIDE_AB) for q in bs_pool[5][::300]]
+             + [((q.a, q.b), 5, Kind.BS, SIDE_CD) for q in bs_pool[5][::300]]
+             + [((q.a, q.b), 7, Kind.NS, SIDE_CD) for q in ns_pool[7][::200]]
+             + [((q.c, q.d), 8, Kind.NNS, SIDE_AB) for q in nns_pool[8][::60]])
+    for (f1, f2), n, kind, side in cases:
+        length = n + 1 if side == SIDE_AB else n
+        targets = tuple(-paf(f1, s) - paf(f2, s) for s in range(1, length))
+        fills = [(z & (1 << length) - 1, z >> 2 * length)
+                 for z in _complete_pairs(n, kind, side, targets, None)]
+        halves = [q.seqs()[:2] if side == SIDE_AB else q.seqs()[2:]
+                  for q in backtrack_complete((f1, f2), n, kind, side)]
+        assert fills and fills == [(x.packed, y.packed) for x, y in halves]
 
 
 def _fill_sums(quad, side):
@@ -526,6 +545,26 @@ def test_first_mode_same_on_one_and_two_workers():
     assert [q.sort_key() for q in two.quads] == [q.sort_key() for q in one.quads]
     assert two.stages == one.stages
     assert two.certificate == one.certificate
+
+
+def test_pool_is_no_larger_than_the_pending_tasks(tmp_path, monkeypatch):
+    fork, sizes = multiprocessing.get_context("fork"), []
+
+    def pool(size):
+        sizes.append(size)
+        return fork.Pool(size)
+
+    monkeypatch.setattr(searcher, "multiprocessing", types.SimpleNamespace(
+        get_context=lambda method: types.SimpleNamespace(Pool=pool)))
+    one, eight = SearchConfig(n=3, kind=Kind.BS), SearchConfig(n=3, kind=Kind.BS, worker_count=8)
+    assert len(build_tasks(one)) == 3
+    fresh = search(one)
+    assert _same_result(search(eight), fresh)
+    path = os.fspath(tmp_path / "ck.json")
+    with pytest.raises(SearchInterrupted):
+        search(one, checkpoint_path=path, interrupt_after_tasks=2)
+    assert _same_result(search(eight, checkpoint_path=path), fresh)
+    assert sizes == [3, 1]
 
 
 def test_checkpoint_interval_interrupt_resume(tmp_path):

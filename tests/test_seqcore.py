@@ -78,12 +78,27 @@ def test_signseq_rejects_bad_entries():
         SignSeq.from_text("+*-")
 
 
-def test_packed_roundtrip():
+def test_packed_roundtrip(bs_pool, ns_pool, nns_pool):
     rng = random.Random(5)
     for _ in range(50):
         n = rng.randint(0, 20)
         s = SignSeq(tuple(rng.choice((1, -1)) for _ in range(n)))
         assert SignSeq.from_packed(s.packed, len(s)) == s
+    # the layout: element j of a length-L sequence at bit L-1-j, -1 set
+    assert seq("+--").packed == 0b011 and seq("-++").packed == 0b100
+    assert SignSeq.from_packed(0b011, 3) == seq("+--")
+    for length in range(11):
+        for value in range(1 << length):
+            s = SignSeq.from_packed(value, length)
+            assert len(s) == length and s.packed == value
+    # the packed quad orders quads of one n as the concatenated elements
+    # with +1 before -1 do
+    for pool in (bs_pool, ns_pool, nns_pool):
+        for quads in pool.values():
+            old = sorted(quads, key=lambda q: tuple(0 if x > 0 else 1
+                                                    for part in q.seqs() for x in part))
+            assert old == sorted(quads, key=SeqQuad.sort_key) == quads
+            assert all(SeqQuad.from_packed(q.packed(), q.n, q.kind) == q for q in quads)
 
 
 def test_row_sums():
