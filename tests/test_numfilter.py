@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from baseseq import numfilter
+from baseseq.equiv import profile_orbit
 from baseseq.errors import PreconditionError
 from baseseq.numfilter import (SIDE_AB, SIDE_CD, ResidueProfile,
                                canonical_sum_profile, class_sizes,
@@ -10,7 +11,7 @@ from baseseq.numfilter import (SIDE_AB, SIDE_CD, ResidueProfile,
                                ns_parity_obstruction, quad_residue_profile,
                                refine_profiles, residue_halves,
                                residue_profiles, sum_profiles)
-from baseseq.refdata import known_quad
+from baseseq.refdata import KNOWN_BS_N, NS43_MISPRINTS, known_quad
 from baseseq.seqcore import Kind, SumProfile, row_sums
 
 
@@ -43,6 +44,44 @@ def test_sum_profiles_soundness_small(small_quads):
         assert feasible_sum_profile(sums, n, quad.kind)
         canon = canonical_sum_profile(sums, n, quad.kind)
         assert canon.as_tuple() in cache[key]
+
+
+def _listed_cases():
+    """(n, kind) for n = 1..30 and every kind (near-normal at even n only)."""
+    return [(n, kind) for kind in (Kind.BS, Kind.NS, Kind.NNS) for n in range(1, 31)
+            if kind is not Kind.NNS or n % 2 == 0]
+
+
+def test_sum_profiles_pinned():
+    """Every listed sum profile for n <= 30, byte for byte."""
+    digest, count = hashlib.sha256(), 0
+    for n, kind in _listed_cases():
+        profiles = [p.as_tuple() for p in sum_profiles(n, kind)]
+        count += len(profiles)
+        digest.update(repr(profiles).encode())
+    assert count == 3440
+    assert digest.hexdigest() == \
+        "77a827424c2d8dd2e19fff5368a4180267edd69ee436ad6e5a075974a2acaf7d"
+
+
+def test_sum_profile_orbits_stay_feasible():
+    """The orbit action preserves feasibility, and each listed profile is
+    its orbit's least member: the canonical form rests on both."""
+    for n, kind in _listed_cases():
+        for s in sum_profiles(n, kind):
+            orbit = profile_orbit(s.as_tuple(), n, kind)
+            assert orbit[0] == s.as_tuple()
+            assert all(feasible_sum_profile(SumProfile.from_tuple(v), n, kind)
+                       for v in orbit)
+
+
+@pytest.mark.parametrize("values,n,kind",
+                         [(v, 43, Kind.NS) for v in NS43_MISPRINTS]
+                         + [(row_sums(known_quad(n)).as_tuple(), n + 2, Kind.BS)
+                            for n in KNOWN_BS_N])
+def test_canonical_sum_profile_refuses_infeasible(values, n, kind):
+    with pytest.raises(PreconditionError, match="profile is not feasible for this kind"):
+        canonical_sum_profile(SumProfile.from_tuple(values), n, kind)
 
 
 def test_feasible_on_published_quads():

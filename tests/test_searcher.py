@@ -290,6 +290,11 @@ PINNED_TASKS = [
      "5afc3fa56fff8d9d888d84745e1f73a500de286303ed620c3aa93a92efe57ae3"),
     (SearchConfig(n=8, kind=Kind.NNS), 20,
      "8eb22735538889dc5508fcedf90db5527c647559421a9eb972d312a0a7729a10"),
+    # many derived partner halves on the A,B side
+    (SearchConfig(n=24, kind=Kind.NS), 144,
+     "5c656fea676773531c0814e23e9c1820000477776d4cb7de01365142b1f300f8"),
+    (SearchConfig(n=24, kind=Kind.NNS), 282,
+     "ff7a18a066c9c84ce09674bd442c655991d41091d49bc4e32d96775aeac3fc6e"),
     # three moduli: the middle level goes through the full refinement
     (SearchConfig(n=6, kind=Kind.BS, moduli=(3, 6, 12)), 36,
      "8db805ef75f3db0fa875ac7a131cba7b81be1c6f4441510388ee951ecabef86a"),
