@@ -216,8 +216,8 @@ def _closure(start, step: Callable[..., Iterable], cap: int) -> list:
     return members
 
 
-def _class_of(q: Packed, n: int, kind: Kind, cap: int,
-              moves: Optional[Iterable[Transform]] = None) -> list[Packed]:
+def _equivalence_class(q: Packed, n: int, kind: Kind, cap: int,
+                       moves: Optional[Iterable[Transform]] = None) -> list[Packed]:
     try:
         return _closure(q, _step(kind, n, moves), cap)
     except OrbitCapExceeded as exc:
@@ -241,7 +241,7 @@ def first_visits(items: Iterable[Packed], n: int, kind: Kind,
     for i, q in enumerate(items):
         if q in visited:
             continue
-        cls = _class_of(q, n, kind, cap, moves)
+        cls = _equivalence_class(q, n, kind, cap, moves)
         visited.update(cls)
         yield i, cls
 
@@ -283,14 +283,14 @@ def orbit(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQuad]:
     Raises :class:`OrbitCapExceeded` (carrying the partial orbit) if the
     closure grows past ``cap``, :class:`PreconditionError` if ``cap`` < 1.
     """
-    members = _class_of(quad.packed(), quad.n, quad.kind, cap)
+    members = _equivalence_class(quad.packed(), quad.n, quad.kind, cap)
     return [SeqQuad.from_packed(m, quad.n, quad.kind) for m in sorted(members)]
 
 
 def canonical(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP) -> SeqQuad:
     """Least orbit member under the fixed total order (+1 sorts before -1)."""
     n, kind = quad.n, quad.kind
-    return SeqQuad.from_packed(min(_class_of(quad.packed(), n, kind, cap)), n, kind)
+    return SeqQuad.from_packed(min(_equivalence_class(quad.packed(), n, kind, cap)), n, kind)
 
 
 def dedup(quads: Iterable[SeqQuad], cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQuad]:
@@ -341,6 +341,7 @@ def profile_generators(values: tuple[int, ...], n: int,
 
 def profile_orbit(values: tuple[int, ...], n: int,
                   kind: Kind = Kind.BS) -> list[tuple[int, ...]]:
-    """Closure of an eight-sum tuple under the signed-permutation action."""
+    """Closure of an eight-sum tuple under the signed-permutation action,
+    sorted, so its first member is the least."""
     return sorted(_closure(values, lambda v: profile_generators(v, n, kind),
                            DEFAULT_ORBIT_CAP))

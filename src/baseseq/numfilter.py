@@ -9,6 +9,9 @@ enumerated long before any sequence is materialized:
     force a = b+2 (and a' = b'-+2 by n's parity); near-normal quads force
     a = b'+2 and b = a'-2.  For n = 8k-2 the normal-quad system is
     unsolvable, which is the executable nonexistence obstruction.
+    Every move of the signed-permutation action on the eight sums maps
+    a feasible tuple to a feasible one, so the canonical sum profile is
+    simply the least member of its orbit.
 
   * Splitting positions into residue classes mod m turns each sequence
     into a short vector of class sums.  Reducing the polynomial norm
@@ -106,16 +109,10 @@ def feasible_sum_profile(profile: SumProfile, n: int, kind: Kind) -> bool:
 
 
 def canonical_sum_profile(profile: SumProfile, n: int, kind: Kind) -> SumProfile:
-    """Least feasible member of the profile's signed-permutation orbit."""
-    best = None
-    for img in profile_orbit(profile.as_tuple(), n, kind):
-        cand = SumProfile.from_tuple(img)
-        if feasible_sum_profile(cand, n, kind):
-            best = cand
-            break  # orbit is sorted; first feasible member is least
-    if best is None:
+    """Least member of a feasible profile's signed-permutation orbit."""
+    if not feasible_sum_profile(profile, n, kind):
         raise PreconditionError("profile is not feasible for this kind")
-    return best
+    return SumProfile.from_tuple(profile_orbit(profile.as_tuple(), n, kind)[0])
 
 
 def _half_tuples(n: int) -> list[tuple[int, int, int, int]]:
@@ -156,7 +153,7 @@ def sum_profiles(n: int, kind: Kind) -> list[SumProfile]:
     Orbits are taken under the signed-permutation action of the
     deduplication transforms (negate/reverse/interchange C,D, negate and
     interchange A,B, alternate all four); the representative is the least
-    feasible orbit member.
+    orbit member, feasible like every other.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
@@ -174,7 +171,7 @@ def sum_profiles(n: int, kind: Kind) -> list[SumProfile]:
     for t in starred:
         by_mod4.setdefault(tuple(v % 4 for v in t), []).append(t)
 
-    found = set()
+    found = []
     seen: set[tuple[int, ...]] = set()  # members of the orbits in found
     deltas = _mod4_delta(n)
     for t1 in plain:
@@ -183,12 +180,11 @@ def sum_profiles(n: int, kind: Kind) -> list[SumProfile]:
             if kind is Kind.NNS and (t1[0] != t2[1] + 2 or t1[1] != t2[0] - 2):
                 continue
             values = t1 + t2
-            if values in seen:
+            if values in seen or not feasible_sum_profile(SumProfile.from_tuple(values), n, kind):
                 continue
-            profile = SumProfile.from_tuple(values)
-            if feasible_sum_profile(profile, n, kind):
-                seen.update(profile_orbit(values, n, kind))
-                found.add(canonical_sum_profile(profile, n, kind).as_tuple())
+            orbit = profile_orbit(values, n, kind)
+            seen.update(orbit)
+            found.append(orbit[0])
     return [SumProfile.from_tuple(t) for t in sorted(found)]
 
 
@@ -260,7 +256,7 @@ def column_cases(n: int, side: str, kind: Kind) -> tuple[int, tuple]:
 class ResidueProfile:
     """Class sums of the four sequences modulo ``modulus``.
 
-    Classes are indexed 1..m; position j belongs to class ((j-1) mod m)+1.
+    Entry i of a vector sums the 0-based positions j with j mod m = i.
     """
 
     modulus: int
@@ -283,11 +279,6 @@ class ResidueProfile:
         return ",".join(str(x) for x in self.as_flat())
 
 
-def class_of(pos: int, m: int) -> int:
-    """0-based residue class of a 1-based position."""
-    return (pos - 1) % m
-
-
 def class_sizes(length: int, m: int) -> tuple[int, ...]:
     """Number of positions 1..length in each class (0-based class order)."""
     return tuple((length - i) // m + 1 for i in range(1, m + 1))
@@ -302,16 +293,6 @@ def sequence_class_sums(seq, m: int) -> tuple[int, ...]:
 
 def quad_residue_profile(quad: SeqQuad, m: int) -> ResidueProfile:
     return ResidueProfile(m, *(sequence_class_sums(s, m) for s in quad.seqs()))
-
-
-def _vector_alt_sum(v: tuple[int, ...]) -> int:
-    """Alternated row sum recovered from class sums (even modulus only)."""
-    return sum(x if i % 2 == 0 else -x for i, x in enumerate(v))
-
-
-def _merge(v: tuple[int, ...], c: int) -> tuple[int, ...]:
-    """Class sums at modulus c of a class-sum vector at a multiple of c."""
-    return tuple(sum(v[i::c]) for i in range(c))
 
 
 def _fine_vectors(coarse: tuple[int, ...], sizes: tuple[int, ...],
@@ -397,7 +378,7 @@ def _derive_partner_sums(k: tuple[int, ...], n: int, m: int,
     for near-normal quads every other class flips sign with the parity of
     its positions, which is well defined only for even m.
     """
-    l0 = class_of(n + 1, m)
+    l0 = n % m  # the class of position n+1
     if kind is Kind.NS:
         r = list(k)
         r[l0] -= 2
@@ -408,10 +389,6 @@ def _derive_partner_sums(k: tuple[int, ...], n: int, m: int,
     r = [v if i % 2 == 0 else -v for i, v in enumerate(k)]
     r[l0] = k[l0] - 2
     return tuple(r)
-
-
-def _vector_fits(v: tuple[int, ...], sizes: tuple[int, ...]) -> bool:
-    return all(abs(x) <= s and (x - s) % 2 == 0 for x, s in zip(v, sizes))
 
 
 Half = tuple[tuple[int, ...], tuple[int, ...]]
@@ -428,7 +405,8 @@ def _refine_blocks(n: int, m: int, blocks: list[Block], s: SumProfile,
     vectors' ``_signature``.  Enforced per half: class bounds and
     parities, the merge, alternated sums when m is even, and the
     class-pair end-column congruence; for structured kinds the B vector
-    is derived from the A vector.  One block is emitted per A,B and C,D
+    is derived from the A vector and must be one of the fine vectors of
+    the coarse B half.  One block is emitted per A,B and C,D
     signature pair that adds up to (4n+2, 0, ..., 0): the square-sum
     identity and vanishing periodic autocorrelations.  Blocks refined
     from disjoint blocks are disjoint, so every half is refined once.
@@ -448,14 +426,13 @@ def _refine_blocks(n: int, m: int, blocks: list[Block], s: SumProfile,
         groups: dict[tuple[int, ...], list[Half]] = {}
         for coarse in halves:
             xs = fine(coarse[0], sizes, alts[0])
+            ys = fine(coarse[1], sizes, alts[1])
             if side == SIDE_CD or kind is Kind.BS:
-                ys = fine(coarse[1], sizes, alts[1])
                 pairs = ((x, y) for x in xs for y in ys)
             else:
+                derivable = set(ys)
                 derived = ((x, _derive_partner_sums(x, n, m, kind)) for x in xs)
-                pairs = ((x, y) for x, y in derived
-                         if _vector_fits(y, sizes) and _merge(y, len(coarse[1])) == coarse[1]
-                         and (alts[1] is None or _vector_alt_sum(y) == alts[1]))
+                pairs = ((x, y) for x, y in derived if y in derivable)
             for x, y in pairs:
                 if _pairs_congruent(x, y, n, m, length + 1, end_correction=side == SIDE_AB):
                     sig = tuple(a + b for a, b in zip(signature(x), signature(y)))

@@ -361,12 +361,10 @@ def backtrack_complete(fixed: tuple[SignSeq, SignSeq], n: int, kind: Kind,
         t1 = f1.autocorr[s] if s < len(f1) else 0
         t2 = f2.autocorr[s] if s < len(f2) else 0
         targets.append(-(t1 + t2))
-    if side_to_fill == SIDE_CD:
-        if n >= 1 and targets[n - 1] != 0:
-            return []  # shift n involves only the fixed side
-        targets = targets[:n - 1]
+    if any(targets[length - 1:]):
+        return []  # shifts from `length` on involve only the fixed side
     out = []
-    for z in _complete_pairs(n, kind, side_to_fill, tuple(targets), sum_targets):
+    for z in _complete_pairs(n, kind, side_to_fill, tuple(targets[:length - 1]), sum_targets):
         x = SignSeq.from_packed(z & (1 << length) - 1, length)
         y = SignSeq.from_packed(z >> 2 * length, length)
         if side_to_fill == SIDE_AB:
@@ -579,7 +577,7 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
     pending = [] if stop_early else tasks[len(done):]
 
     with contextlib.ExitStack() as stack:
-        if cfg.worker_count > 1 and pending:
+        if cfg.worker_count > 1 and len(pending) > 1:
             ctx = multiprocessing.get_context("fork")
             pool = stack.enter_context(ctx.Pool(min(cfg.worker_count, len(pending))))
             runs = pool.imap(_pool_entry, [(cfg, task) for task in pending], chunksize=1)

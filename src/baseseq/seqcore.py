@@ -78,6 +78,8 @@ class SignSeq:
     @classmethod
     def from_packed(cls, packed: int, length: int) -> "SignSeq":
         """Inverse of ``packed``: bit length-1-j set means element j is -1."""
+        if not 0 <= packed < 1 << length:
+            raise MalformedInputError(f"packed value {packed} does not fit {length} signs")
         return cls(tuple(map(_SIGN_OF_DIGIT.__getitem__, bin(packed | 1 << length)[3:])))
 
     @cached_property

@@ -101,6 +101,15 @@ def test_packed_roundtrip(bs_pool, ns_pool, nns_pool):
             assert all(SeqQuad.from_packed(q.packed(), q.n, q.kind) == q for q in quads)
 
 
+@pytest.mark.parametrize("length", range(4))
+def test_from_packed_rejects_out_of_range(length):
+    for value in (-1, 1 << length, 1 << length + 1):
+        with pytest.raises(MalformedInputError):
+            SignSeq.from_packed(value, length)
+    with pytest.raises(MalformedInputError):
+        SeqQuad.from_packed((0, 0, 1 << length, 0), length, Kind.BS)
+
+
 def test_row_sums():
     q = SeqQuad(seq("++"), seq("+-"), seq("+"), seq("-"), Kind.BS)
     sums = row_sums(q)
