@@ -64,6 +64,19 @@ def test_sum_profiles_pinned():
         "77a827424c2d8dd2e19fff5368a4180267edd69ee436ad6e5a075974a2acaf7d"
 
 
+def test_bs_sum_profiles_at_paper_lengths_pinned():
+    """The base-sequence sum profiles for n = 41..45, byte for byte
+    (n = 41 holds the 543 profiles of the paper41 benchmark)."""
+    digest, count = hashlib.sha256(), 0
+    for n in range(41, 46):
+        profiles = [p.as_tuple() for p in sum_profiles(n, Kind.BS)]
+        count += len(profiles)
+        digest.update(repr(profiles).encode())
+    assert count == 2899
+    assert digest.hexdigest() == \
+        "98c572ecbff8ea8701c33024bc49c33d84c1bac2a944d1d261d5e4873aa9fea5"
+
+
 def test_sum_profile_orbits_stay_feasible():
     """The orbit action preserves feasibility, and each listed profile is
     its orbit's least member: the canonical form rests on both."""
