@@ -3,12 +3,16 @@
 Every valid quad obeys a stack of integer constraints that can be
 enumerated long before any sequence is materialized:
 
-  * The eight row sums satisfy a^2+b^2+c^2+d^2 = 4n+2 (plain and
-    alternated), fixed parities, and mod-4 laws tying the plain sums to
-    the alternated ones according to n mod 4.  Normal quads additionally
-    force a = b+2 (and a' = b'-+2 by n's parity); near-normal quads force
-    a = b'+2 and b = a'-2.  For n = 8k-2 the normal-quad system is
-    unsolvable, which is the executable nonexistence obstruction.
+  * The eight row sums, a plain half (a, b, c, d) and an alternated
+    half (a', b', c', d'), obey three laws.  ``_is_half``: each half has
+    bounded sums of fixed parities, square sum 4n+2 and the end-column
+    law.  ``_mod4_delta``: the plain sums differ from the alternated ones
+    by a fixed vector mod 4 that depends on the sequence lengths.  The
+    kind's coupling: normal quads force a = b+2 (and a' = b'-+2 by n's
+    parity), near-normal quads a = b'+2 and b = a'-2.  ``_join_keys``
+    states the last two as keys a plain and an alternated half share.
+    For n = 8k-2 the normal-quad system is unsolvable, which is the
+    executable nonexistence obstruction.
     Every move of the signed-permutation action on the eight sums maps
     a feasible tuple to a feasible one, so the canonical sum profile is
     simply the least member of its orbit.
@@ -52,6 +56,7 @@ every half once and never lists the full profiles between its steps.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Optional
@@ -63,49 +68,48 @@ from .seqcore import Kind, SeqQuad, SumProfile, partner_elements
 # --- sum-quadruple feasibility and enumeration -----------------------------
 
 
-def _mod4_delta(n: int) -> tuple[int, int, int, int]:
-    """Required (plain - alternated) mod 4 for (a, b, c, d) given n mod 4."""
-    return {
-        0: (0, 0, 0, 0),
-        1: (2, 2, 0, 0),
-        2: (2, 2, 2, 2),
-        3: (0, 0, 2, 2),
-    }[n % 4]
+def _is_half(t: tuple[int, ...], n: int) -> bool:
+    """One half, plain or alternated: each sum within its length with that
+    length's parity, square sum 4n+2, and the end-column law."""
+    a, b, c, d = t
+    return (max(abs(a), abs(b)) <= n + 1 and max(abs(c), abs(d)) <= n
+            and (a - n - 1) % 2 == (b - n - 1) % 2 == (c - n) % 2 == (d - n) % 2 == 0
+            and a * a + b * b + c * c + d * d == 4 * n + 2
+            and ((c - d) % 4 == 0 if n % 2 == 0 else (a - b - 2) % 4 == 0))
+
+
+def _mod4_delta(n: int) -> tuple[int, ...]:
+    """Plain minus alternated sum mod 4 for (a, b, c, d)."""
+    # the difference is twice the sum of the floor(L/2) signs at odd
+    # positions of a length-L sequence, and that sum has their count's parity
+    return tuple(2 * (length // 2) % 4 for length in (n + 1, n + 1, n, n))
+
+
+def _join_keys(t: tuple[int, ...], n: int, kind: Kind) -> tuple[tuple, tuple]:
+    """Half t's key as a plain half and its key as an alternated half.
+
+    A plain half p and an alternated half q are linked and coupled iff
+    ``_join_keys(p)[0] == _join_keys(q)[1]``: p - q = ``_mod4_delta(n)``
+    mod 4 entrywise, and normal quads have a = b+2 and a' = b' -/+ 2 (by
+    n's parity), near-normal ones a = b'+2 and b = a'-2.
+    """
+    a, b = t[:2]
+    if kind is Kind.NS:
+        coupling = (a - b, 2 if n % 2 == 0 else -2), (2, a - b)
+    elif kind is Kind.NNS:
+        coupling = (a, b), (b + 2, a - 2)
+    else:
+        coupling = (), ()
+    return (tuple([(v - e) % 4 for v, e in zip(t, _mod4_delta(n))]) + coupling[0],
+            tuple([v % 4 for v in t]) + coupling[1])
 
 
 def feasible_sum_profile(profile: SumProfile, n: int, kind: Kind) -> bool:
-    """Full feasibility check for an eight-sum tuple."""
-    a, b, c, d, aa, ba, ca, da = profile.as_tuple()
-    target = 4 * n + 2
-    if profile.square_sum() != target or profile.alt_square_sum() != target:
-        return False
-    for v in (a, b, aa, ba):
-        if abs(v) > n + 1 or (v - (n + 1)) % 2 != 0:
-            return False
-    for v in (c, d, ca, da):
-        if abs(v) > n or (v - n) % 2 != 0:
-            return False
-    if n % 2 == 0:
-        if (c - d) % 4 != 0 or (ca - da) % 4 != 0:
-            return False
-    else:
-        if (a - b - 2) % 4 != 0 or (aa - ba - 2) % 4 != 0:
-            return False
-    deltas = _mod4_delta(n)
-    for plain, alt, delta in zip((a, b, c, d), (aa, ba, ca, da), deltas):
-        if (plain - alt - delta) % 4 != 0:
-            return False
-    if kind is Kind.NS:
-        if a != b + 2:
-            return False
-        if n % 2 == 1 and aa != ba - 2:
-            return False
-        if n % 2 == 0 and aa != ba + 2:
-            return False
-    elif kind is Kind.NNS:
-        if a != ba + 2 or b != aa - 2:
-            return False
-    return True
+    """Whether an eight-sum tuple obeys the three sum laws."""
+    values = profile.as_tuple()
+    plain, alt = values[:4], values[4:]
+    return (_is_half(plain, n) and _is_half(alt, n)
+            and _join_keys(plain, n, kind)[0] == _join_keys(alt, n, kind)[1])
 
 
 def canonical_sum_profile(profile: SumProfile, n: int, kind: Kind) -> SumProfile:
@@ -116,75 +120,56 @@ def canonical_sum_profile(profile: SumProfile, n: int, kind: Kind) -> SumProfile
 
 
 def _half_tuples(n: int) -> list[tuple[int, int, int, int]]:
-    """All (a, b, c, d) with the right parities, bounds, square sum and
-    the mod-4 law for one half (plain or alternated)."""
+    """Every half that ``_is_half`` accepts, sorted: (a, b, c) run over the
+    sums of the right parity whose squares fit in 4n+2, and d takes the rest."""
     target = 4 * n + 2
-    ab_par = (n + 1) % 2
-    cd_par = n % 2
     out = []
-    for a in range(-(n + 1), n + 2):
-        if a % 2 != ab_par or a * a > target:
+    for a in range(-(n + 1), n + 2, 2):
+        if a * a > target:
             continue
-        for b in range(-(n + 1), n + 2):
-            if b % 2 != ab_par or a * a + b * b > target:
-                continue
-            if n % 2 == 1 and (a - b - 2) % 4 != 0:
-                continue
+        for b in range(-(n + 1), n + 2, 2):
             rest = target - a * a - b * b
-            for c in range(-n, n + 1):
-                if c % 2 != cd_par or c * c > rest:
+            if rest < 0:
+                continue
+            for c in range(-n, n + 1, 2):
+                if c * c > rest:
                     continue
                 dd = rest - c * c
-                droot = int(round(dd ** 0.5))
-                if droot * droot != dd:
+                d = math.isqrt(dd)
+                if d * d != dd:
                     continue
-                for d in (-droot, droot) if droot else (0,):
-                    if d % 2 != cd_par:
-                        continue
-                    if n % 2 == 0 and (c - d) % 4 != 0:
-                        continue
-                    out.append((a, b, c, d))
-    return sorted(set(out))
+                for t in ((a, b, c, -d), (a, b, c, d)) if d else ((a, b, c, 0),):
+                    if _is_half(t, n):
+                        out.append(t)
+    return out
 
 
 def sum_profiles(n: int, kind: Kind) -> list[SumProfile]:
     """All feasible sum profiles for (n, kind), one per orbit, sorted.
 
-    Orbits are taken under the signed-permutation action of the
-    deduplication transforms (negate/reverse/interchange C,D, negate and
-    interchange A,B, alternate all four); the representative is the least
-    orbit member, feasible like every other.
+    A plain and an alternated half meet on their ``_join_keys``.  Orbits
+    are taken under the signed-permutation action of the deduplication
+    transforms (negate/reverse/interchange C,D, negate and interchange
+    A,B, alternate all four); the representative is the least orbit
+    member, feasible like every other.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
     if kind is Kind.NNS and n % 2 != 0:
         raise PreconditionError("near-normal profiles require even n")
-    halves = _half_tuples(n)
-    plain = halves
-    starred = halves
-    if kind is Kind.NS:
-        plain = [t for t in plain if t[0] == t[1] + 2]
-        want = -2 if n % 2 == 1 else 2
-        starred = [t for t in starred if t[0] == t[1] + want]
-
-    by_mod4: dict[tuple[int, int, int, int], list[tuple[int, int, int, int]]] = {}
-    for t in starred:
-        by_mod4.setdefault(tuple(v % 4 for v in t), []).append(t)
+    halves = {t: _join_keys(t, n, kind) for t in _half_tuples(n)}
+    alts: dict[tuple, list[tuple[int, ...]]] = {}
+    for t, (_, as_alt) in halves.items():
+        alts.setdefault(as_alt, []).append(t)
 
     found = []
     seen: set[tuple[int, ...]] = set()  # members of the orbits in found
-    deltas = _mod4_delta(n)
-    for t1 in plain:
-        key = tuple((v - delta) % 4 for v, delta in zip(t1, deltas))
-        for t2 in by_mod4.get(key, ()):
-            if kind is Kind.NNS and (t1[0] != t2[1] + 2 or t1[1] != t2[0] - 2):
-                continue
-            values = t1 + t2
-            if values in seen or not feasible_sum_profile(SumProfile.from_tuple(values), n, kind):
-                continue
-            orbit = profile_orbit(values, n, kind)
-            seen.update(orbit)
-            found.append(orbit[0])
+    for plain, (as_plain, _) in halves.items():
+        for alt in alts.get(as_plain, ()):
+            if plain + alt not in seen:
+                orbit = profile_orbit(plain + alt, n, kind)
+                seen.update(orbit)
+                found.append(orbit[0])
     return [SumProfile.from_tuple(t) for t in sorted(found)]
 
 
