@@ -577,9 +577,10 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
     pending = [] if stop_early else tasks[len(done):]
 
     with contextlib.ExitStack() as stack:
-        if cfg.worker_count > 1 and len(pending) > 1:
+        workers = min(cfg.worker_count, len(pending), os.cpu_count() or 1)
+        if workers > 1:
             ctx = multiprocessing.get_context("fork")
-            pool = stack.enter_context(ctx.Pool(min(cfg.worker_count, len(pending))))
+            pool = stack.enter_context(ctx.Pool(workers))
             runs = pool.imap(_pool_entry, [(cfg, task) for task in pending], chunksize=1)
         else:
             runs = (run_task(cfg, task) for task in pending)
@@ -611,7 +612,7 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
         "start_side": cfg.start_side,
         "moduli": list(cfg.moduli),
         "grids": list(cfg.grids),
-        "sum_profiles": len({t[1] for t in tasks}),
+        "sum_profiles": len(numfilter.sum_profiles(cfg.n, cfg.kind)),
         "tasks": len(tasks),
         "tasks_completed": len(done),
         "exhaustive": (not cfg.first_solution_only) and completed,

@@ -348,6 +348,13 @@ def test_search_certificate_accounts_tasks():
     assert cert["candidates"] >= cert["psd_rejected"]
 
 
+@pytest.mark.parametrize("n,kind,listed", [(4, Kind.BS, 19), (7, Kind.NS, 6), (4, Kind.NNS, 4)])
+def test_certificate_counts_every_sum_profile(n, kind, listed):
+    """Profiles that yield no task count too."""
+    assert len(numfilter.sum_profiles(n, kind)) == listed
+    assert search(SearchConfig(n=n, kind=kind)).certificate["sum_profiles"] == listed
+
+
 def test_checkpoint_interrupt_resume(tmp_path):
     path = os.fspath(tmp_path / "ck.json")
     cfg = SearchConfig(n=7, kind=Kind.NS)
@@ -561,6 +568,7 @@ def test_pool_is_no_larger_than_the_pending_tasks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(searcher, "multiprocessing", types.SimpleNamespace(
         get_context=lambda method: types.SimpleNamespace(Pool=pool)))
+    monkeypatch.setattr(searcher.os, "cpu_count", lambda: 8)
     one, eight = SearchConfig(n=3, kind=Kind.BS), SearchConfig(n=3, kind=Kind.BS, worker_count=8)
     assert len(build_tasks(one)) == 3
     fresh = search(one)
@@ -570,6 +578,33 @@ def test_pool_is_no_larger_than_the_pending_tasks(tmp_path, monkeypatch):
         search(one, checkpoint_path=path, interrupt_after_tasks=2)
     assert _same_result(search(eight, checkpoint_path=path), fresh)
     assert sizes == [3]  # the one task left on resume runs in process
+
+
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    sizes = []
+
+    class InProcessPool:  # records its size and starts no process
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, items, chunksize):
+            return map(func, items)
+
+    monkeypatch.setattr(searcher, "multiprocessing", types.SimpleNamespace(
+        get_context=lambda method: types.SimpleNamespace(Pool=InProcessPool)))
+    cfg = SearchConfig(n=3, kind=Kind.BS, worker_count=10000)
+    fresh = search(SearchConfig(n=3, kind=Kind.BS))
+    for cpus, expected in ((2, [2]), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(searcher.os, "cpu_count", lambda: cpus)
+        assert _same_result(search(cfg), fresh)
+        assert sizes == expected, cpus
 
 
 def test_checkpoint_interval_interrupt_resume(tmp_path):
