@@ -17,6 +17,7 @@ is invalid); 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -208,21 +209,16 @@ def _cmd_search(args, out) -> int:
         checkpoint_interval=args.checkpoint_interval,
         orbit_cap=args.orbit_cap,
     )
-    result = search(cfg, checkpoint_path=args.checkpoint)
-    sink = open(args.out, "w", encoding="utf-8") if args.out else out
-    try:
+    with contextlib.ExitStack() as stack:
+        # opened before the search, so a bad path fails before any task is built
+        sink = stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else out
+        cert_sink = (stack.enter_context(open(args.cert, "w", encoding="utf-8"))
+                     if args.cert else sys.stderr)
+        result = search(cfg, checkpoint_path=args.checkpoint)
         for quad, stage in zip(result.quads, result.stages):
             record = ResultRecord.from_quad(quad, canonical=cfg.orbit_dedup, stage=stage)
             print(record.line(), file=sink)
-    finally:
-        if args.out:
-            sink.close()
-    cert = json.dumps(result.certificate, sort_keys=True)
-    if args.cert:
-        with open(args.cert, "w", encoding="utf-8") as fh:
-            fh.write(cert + "\n")
-    else:
-        print(cert, file=sys.stderr)
+        print(json.dumps(result.certificate, sort_keys=True), file=cert_sink)
     return 0 if result.quads else 1
 
 

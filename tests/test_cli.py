@@ -215,6 +215,19 @@ def test_search_rejects_bad_grid_before_building_tasks(tmp_path, monkeypatch):
         assert not ck.exists()
 
 
+def test_search_rejects_unwritable_outputs_before_searching(tmp_path, monkeypatch):
+    from baseseq import cli
+
+    def no_search(*_args, **_kwargs):
+        raise AssertionError("search ran with an unwritable output path")
+
+    monkeypatch.setattr(cli, "search", no_search)
+    bad = str(tmp_path / "missing" / "x.txt")
+    for flag in ("--out", "--cert"):
+        code, out, err = run_cli(["search", "--n", "10", "--kind", "bs", flag, bad])
+        assert code == 2 and out == "" and err.startswith("error:"), flag
+
+
 def test_profiles_rejects_wrong_sum_count():
     code, out, err = run_cli(["profiles", "--n", "5", "--kind", "bs", "--sums", "1,2,3"])
     assert code == 2 and out == ""
