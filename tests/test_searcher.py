@@ -602,7 +602,7 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch):
     fresh = search(SearchConfig(n=3, kind=Kind.BS))
     for cpus, expected in ((2, [2]), (None, [])):
         sizes.clear()
-        monkeypatch.setattr(searcher.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(searcher.os, "cpu_count", lambda cpus=cpus: cpus)
         assert _same_result(search(cfg), fresh)
         assert sizes == expected, cpus
 
