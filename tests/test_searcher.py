@@ -889,3 +889,51 @@ def test_search_certificate_counters_pinned(cfg, counts):
     assert (cert["candidates"], cert["psd_rejected"], cert["completions"],
             cert["classes"]) == counts
     assert cert["exhaustive"] is True and cert["tasks_completed"] == cert["tasks"]
+
+
+# counters (candidates, psd_rejected, completions, tasks_completed) and the
+# record count and sha256 of first-mode searches: the counters stop at the
+# candidate with the first verified find, so they pin where a first-mode
+# task stops as well as its find
+PINNED_FIRST_MODE = [
+    (SearchConfig(n=10, kind=Kind.BS, first_solution_only=True), (6, 2, 1, 4), 1,
+     "9f9d7afaf2b43e4b8d9cfb5bfa6b596db0a7627962cbc367ba7e5d0df2d0fad3"),
+    (SearchConfig(n=15, kind=Kind.NS, first_solution_only=True), (2062, 2027, 1, 53), 16,
+     "91b32b5fdbbb8ec9c4da873f16fa3ba985505384f1fa3972913152ee7f4a5509"),
+    (SearchConfig(n=14, kind=Kind.NNS, first_solution_only=True), (87, 74, 1, 9), 1,
+     "1388a18bdaed0258211bf5471d660931de048da71d79f0c5d004cc73984239fa"),
+    # no NS quad of n = 17 exists, so every task runs to its end
+    (SearchConfig(n=17, kind=Kind.NS, first_solution_only=True), (23742, 23542, 0, 172), 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+def _records_digest(res) -> tuple[int, str]:
+    lines = ["|".join(s.text() for s in q.seqs()) + f" {stage}"
+             for q, stage in zip(res.quads, res.stages)]
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cfg,counts,records,digest", PINNED_FIRST_MODE,
+                         ids=["bs10", "ns15", "nns14", "ns17"])
+def test_first_mode_certificate_pinned(cfg, counts, records, digest):
+    res = search(cfg)
+    cert = res.certificate
+    assert (cert["candidates"], cert["psd_rejected"], cert["completions"],
+            cert["tasks_completed"]) == counts
+    assert _records_digest(res) == (records, digest)
+
+
+# exhaustive NS 16 and NNS 16: (candidates, psd_rejected, completions, tasks)
+PINNED_EXHAUSTIVE_16 = [
+    (SearchConfig(n=16, kind=Kind.NS), (11862, 11594, 248, 112), 992),
+    (SearchConfig(n=16, kind=Kind.NNS), (11574, 10538, 136, 144), 80),
+]
+
+
+@pytest.mark.parametrize("cfg,counts,classes", PINNED_EXHAUSTIVE_16, ids=["ns16", "nns16"])
+def test_exhaustive_16_counters_pinned(cfg, counts, classes):
+    cert = search(cfg).certificate
+    assert (cert["candidates"], cert["psd_rejected"], cert["completions"],
+            cert["tasks_completed"]) == counts
+    assert cert["classes"] == classes and cert["tasks"] == cert["tasks_completed"]
