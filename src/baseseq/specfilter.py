@@ -18,6 +18,16 @@ first 40,000 candidates behind the published n = 41 half, it differs
 from the autocorrelation form by at most 4.6e-12 on each of
 pi-over-100, l=50 and l=1000.  The acceptance slack of 1e-9 lies above
 both, so a pair whose exact spectrum meets the bound is never rejected.
+
+``_spectrum`` is the only evaluation.  It takes a leading block axis, so
+``screen_block`` screens a whole block of pairs with one product per
+grid (each grid only on the pairs the earlier ones kept), and
+``pair_filter``, ``pair_max`` and ``psd_vector`` are blocks of one.  A
+real sequence has f(2*pi - theta) = f(theta), so the table holds a
+column only for the angles up to pi and for those whose mirror is not a
+grid angle (such as 2*pi); a mirrored angle reads its mirror's value.
+That halves the product on the standard grids, and the keep/reject
+decisions pinned in the tests are unchanged by it.
 """
 
 from __future__ import annotations
@@ -84,35 +94,68 @@ class ThetaGrid:
 
 
 @lru_cache(maxsize=32)
-def _dft_table(grid: ThetaGrid, length: int) -> np.ndarray:
-    """[cos(j*theta) | sin(j*theta)]: row j = 0..length-1, one column per
-    grid angle in each half."""
-    angles = np.outer(np.arange(length), np.asarray(grid.points))
-    return np.hstack((np.cos(angles), np.sin(angles)))
+def _dft_table(grid: ThetaGrid, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """[cos(j*theta) | sin(j*theta)] over the kept angles, row j =
+    0..length-1, and for every grid angle the column that holds its value.
+
+    A real sequence has f(2*pi - theta) = f(theta), so an angle above pi
+    whose mirror is a grid angle reads the mirror's column; the angles up
+    to pi and every unmatched one (such as 2*pi) are kept.
+    """
+    points = np.asarray(grid.points)
+    low = int(np.searchsorted(points, math.pi, side="right"))
+    kept, cols = list(range(low)), list(range(low))
+    for k in range(low, len(points)):
+        mirror = np.flatnonzero(np.abs(2.0 * math.pi - points[k] - points[:low]) <= 1e-12)
+        if mirror.size:
+            cols.append(int(mirror[0]))
+        else:
+            cols.append(len(kept))
+            kept.append(k)
+    angles = np.outer(np.arange(length), points[kept])
+    return np.hstack((np.cos(angles), np.sin(angles))), np.array(cols)
 
 
 def _spectrum(rows: np.ndarray, grid: ThetaGrid) -> np.ndarray:
-    """Sum of the spectra of the rows of signs at every grid angle."""
-    parts = rows @ _dft_table(grid, rows.shape[1])
+    """Summed spectrum of each block's sign rows at the kept grid angles.
+
+    ``rows`` has shape (blocks, rows, length); the result has shape
+    (blocks, kept angles), see ``_dft_table``.
+    """
+    table, _ = _dft_table(grid, rows.shape[-1])
+    parts = rows @ table
     parts *= parts
-    total = parts.sum(axis=0)
-    half = len(grid.points)
-    return total[:half] + total[half:]
+    total = parts.sum(axis=1)
+    half = table.shape[1] // 2
+    return total[:, :half] + total[:, half:]
 
 
 def psd_vector(seq: SignSeq, grid: ThetaGrid) -> np.ndarray:
     """Spectrum values of one sequence at every grid angle."""
-    return _spectrum(np.array([seq.elements], dtype=float), grid)
+    spectrum = _spectrum(np.array([[seq.elements]], dtype=float), grid)
+    return spectrum[0, _dft_table(grid, len(seq))[1]]
 
 
 def pair_max(a: SignSeq, b: SignSeq, grid: ThetaGrid) -> float:
     """Largest value of f_a + f_b over the grid."""
     length = max(len(a), len(b))
-    rows = np.array((a.elements + (0,) * (length - len(a)),
-                     b.elements + (0,) * (length - len(b))), dtype=float)
-    return float(np.max(_spectrum(rows, grid)))
+    rows = np.array(((a.elements + (0,) * (length - len(a)),
+                      b.elements + (0,) * (length - len(b))),), dtype=float)
+    return float(_spectrum(rows, grid).max())
 
 
 def pair_filter(a: SignSeq, b: SignSeq, bound: float, grid: ThetaGrid) -> bool:
     """True (keep) iff f_a + f_b stays within ``bound`` + slack everywhere."""
     return pair_max(a, b, grid) <= bound + EPS
+
+
+def screen_block(rows: np.ndarray, bound: float, grids) -> np.ndarray:
+    """Indices of the pairs that every grid keeps, as ``pair_filter`` would.
+
+    ``rows`` has shape (pairs, 2, length); the grids run in order, each
+    on the pairs that the earlier ones kept.
+    """
+    keep = np.arange(len(rows))
+    for grid in grids:
+        keep = keep[_spectrum(rows[keep], grid).max(axis=1) <= bound + EPS]
+    return keep
