@@ -151,8 +151,14 @@ def sum_profiles(n: int, kind: Kind) -> list[SumProfile]:
     are taken under the signed-permutation action of the deduplication
     transforms (negate/reverse/interchange C,D, negate and interchange
     A,B, alternate all four); the representative is the least orbit
-    member, feasible like every other.
+    member, feasible like every other.  The list is computed once per
+    (n, kind); each call returns a new list.
     """
+    return list(_sum_profiles(n, kind))
+
+
+@lru_cache(maxsize=64)
+def _sum_profiles(n: int, kind: Kind) -> tuple[SumProfile, ...]:
     if n < 1:
         raise PreconditionError("n must be >= 1")
     if kind is Kind.NNS and n % 2 != 0:
@@ -170,7 +176,7 @@ def sum_profiles(n: int, kind: Kind) -> list[SumProfile]:
                 orbit = profile_orbit(plain + alt, n, kind)
                 seen.update(orbit)
                 found.append(orbit[0])
-    return [SumProfile.from_tuple(t) for t in sorted(found)]
+    return tuple(SumProfile.from_tuple(t) for t in sorted(found))
 
 
 def ns_parity_obstruction(n: int) -> bool:
