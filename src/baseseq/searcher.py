@@ -4,14 +4,17 @@ The pipeline enumerates sum profiles, then residue-class profiles at the
 configured moduli, expands one side of the quad into candidate pairs
 that hit the residue profile exactly and respect the end-column sign
 cases, screens the pairs with the power-spectrum bound, and completes
-the other side by backtracking.  One cached table per (n, side, kind),
+the other side.  One cached table per (n, side, kind),
 ``numfilter.column_cases``, describes a side: its levels, outside in,
 are the symmetric position pairs with their sign columns, then an odd
-length's middle with its options.  Two DFS kernels over those levels do
-the two jobs: ``_expand_pairs`` prunes on residue-class budgets, and
-``_complete_pairs`` on shift targets (high shifts of the summed
-autocorrelation become checkable first under that order) and optional
-row-sum targets.
+length's middle with its options.  Two kernels over those levels do the
+two jobs: the DFS ``_expand_pairs`` prunes on residue-class budgets, and
+the level-synchronous ``_complete_block`` on shift targets (high shifts
+of the summed autocorrelation become checkable first under that order)
+and row-sum targets.  ``run_task`` takes the candidates ``_BLOCK`` at a
+time: it screens each block with one numpy product per grid, builds
+``SignSeq`` pairs only for the passers, and completes all of them in
+one kernel call.
 
 Expansion lists its innermost levels once, at most ``_INNER_FILLS``
 fills, each keyed by the class sums it pays (``_inner_fills``, cached
@@ -24,15 +27,28 @@ fills whose class sums equal it, and the table lists them in the same
 lexicographic order.  A class without positions must owe 0, which the
 lookup enforces as well.
 
-The completion kernel keeps the partial fill packed in one int, the
-"-1" bits of both sequences with a gap between them.  Placing pair t of
-a length-L fill completes shift L-t, which one popcount checks; the
+The completion kernel holds its frontier in numpy arrays: per row the
+x bits and the y bits of the partial fill (``SignSeq.packed`` layout,
+one uint64 each, unplaced positions 0), the four running row sums x, y,
+x', y' as their distance from the target, and the candidate the row
+completes.  Each level broadcasts its parents against the level's
+options (their bits and row-sum deltas are cached per side,
+``_kernel_rows``) and keeps a row while every |running - target| is at
+most the positions left (without sum targets the bound is ``length``,
+which prunes nothing).  Placing pair t of a length-L fill completes
+shift L-t; one broadcast ``np.bitwise_count`` of (z ^ z >> s) & mask
+over x and y checks every shift the level completes against each
+candidate's wanted count of sign changes, derived from the fixed pair
+once per block (a count no shift can reach becomes a sentinel).  The
 even-length last pair and the middle position check every shift still
-open the same way.  Each option's bits and row-sum deltas are cached
-per side (``_kernel_rows``); a call builds only the sum bounds and the
-shift checks.  The four running row sums are tested against their
-targets plus or minus the positions left (the parity part of that test
-does not depend on depth and is made once).
+open the same way.  Expansion is parent-major and filtering keeps
+order, so the leaves come out ordered by candidate and, within one
+candidate, lexicographically by option index, which is the order of a
+depth-first search over the levels; first mode depends on it.  The
+frontier is expanded in chunks of at most ``_FRONTIER`` rows, depth
+first over chunks, so memory is bounded by the depth times that bound
+whatever n is.  A sequence of the filled side has at most 64 signs, so
+searches support n <= 63 (the paper needs n <= 45).
 
 Bookkeeping invariant: the task for (sum profile S, residue half H)
 finds exactly the valid quads whose raw row sums equal S and whose
@@ -41,7 +57,7 @@ validity-preserving moves, the union over tasks hits at least one
 member of every equivalence class; a final closure/dedup step emits one
 canonical representative per class.
 
-Backtracking applies no symmetry breaking: restricting, say, the first
+Completion applies no symmetry breaking: restricting, say, the first
 free sign would lose completions whose row sums match the profile, and
 per-profile completeness is what the exhaustiveness argument rests on.
 """
@@ -57,6 +73,8 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional
+
+import numpy as np
 
 from . import equiv, numfilter, specfilter
 from .errors import PreconditionError, ResumeError, SearchInterrupted
@@ -88,6 +106,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.n < 1:
             raise PreconditionError("search requires n >= 1")
+        _check_length(self.n)
         if self.kind is Kind.NNS and self.n % 2 != 0:
             raise PreconditionError("near-normal search requires even n")
         if self.kind in (Kind.NS, Kind.NNS):
@@ -218,88 +237,141 @@ def _expand_pairs(n: int, kind: Kind, side: str, m: int,
     return rec(0)
 
 
+# candidates are screened and completed in blocks of at most this many
+_BLOCK = 128
+# the completion kernel expands at most this many rows at a time
+_FRONTIER = 8192
+# a wanted count of sign changes that no shift of two sequences of at
+# most 64 signs each can have
+_NO_COUNT = 255
+
+
+def _check_length(n: int) -> None:
+    if n > 63:
+        raise PreconditionError("searches support n <= 63: the completion kernel "
+                                "holds each sequence in 64 bits")
+
+
 @lru_cache(maxsize=256)
-def _kernel_rows(n: int, kind: Kind, side: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Each level's options as completion-kernel rows: the z bits, then
-    the deltas of the row sums x, y and alternated row sums x', y'."""
-    length, levels = numfilter.column_cases(n, side, kind)
-    top = length - 1
+def _kernel_rows(n: int, kind: Kind, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Each level of ``numfilter.column_cases`` as completion-kernel arrays.
 
-    def row(cells: list[tuple[int, int, int]]) -> tuple[int, ...]:
-        return (sum((xv < 0) << top - p | (yv < 0) << 2 * length + top - p
-                    for p, xv, yv in cells),
-                sum(xv for _, xv, _ in cells), sum(yv for _, _, yv in cells),
-                sum(-xv if p % 2 else xv for p, xv, _ in cells),
-                sum(-yv if p % 2 else yv for p, _, yv in cells))
-
-    return tuple(tuple(row(list(zip(positions, option, option[len(positions):])))
-                       for option in options) for positions, options in levels)
-
-
-def _complete_pairs(n: int, kind: Kind, side: str,
-                    shift_targets: tuple[int, ...],
-                    sum_targets: Optional[tuple[int, int, int, int]],
-                    ) -> Iterator[int]:
-    """DFS over the levels of one side, outside in, under shift targets.
-
-    ``shift_targets[s-1]`` is the required N_x(s)+N_y(s); a shift is
-    checked as soon as every product in it is assigned.  ``sum_targets``,
-    if given, are the plain and alternated row sums (x, y, x', y').
-
-    The partial fill is one int ``z``: bit length-1-p is set iff x[p] = -1
-    and bit 3*length-1-p iff y[p] = -1, unplaced positions read 0, so the
-    low ``length`` bits and ``z >> 2*length`` are ``SignSeq.packed`` of x
-    and y.  Shift s over the low length-s bits of both halves has
-    N_x(s)+N_y(s) = 2(length-s) - 2*popcount((z ^ z>>s) & mask), and the
-    gap between the halves keeps shifted y bits off x's mask.  Each
-    completed fill is yielded in that form.
+    Per level: the x bits and the y bits of each option (``SignSeq.packed``
+    layout, unplaced positions 0), the (options, 4) deltas of the row sums
+    x, y and alternated row sums x', y', the positions left after it, and
+    the shifts it completes with their masks.  After ``placed`` positions
+    the shifts down to length - placed//2 are complete, or all of them
+    once every position is placed.
     """
     length, levels = numfilter.column_cases(n, side, kind)
-    both = 1 | 1 << 2 * length
-    exact = sum_targets is not None
-    if not exact:
-        sum_targets = (0, 0, 0, 0)
-    elif any((want - length) % 2 for want in sum_targets):
-        return iter(())  # a row sum of `length` signs has the parity of `length`
-
-    def check(s: int) -> tuple[int, int, int]:
-        """Shift, mask and disagreement count that meet the shift target."""
-        half, odd = divmod(2 * (length - s) - shift_targets[s - 1], 2)
-        return s, ((1 << length - s) - 1) * both, -1 if odd else half
-
-    # per level: its rows, the range of each running sum from which its
-    # target is reachable (without targets, one no sum can leave), and the
-    # shifts it completes: after `placed` positions, those down to
-    # length - placed//2, or all of them once every position is placed
-    steps = []
+    top = length - 1
+    out = []
     placed, low = 0, length
-    for (positions, _), rows in zip(levels, _kernel_rows(n, kind, side)):
+    for positions, options in levels:
+        bx, by, deltas = [], [], []
+        for option in options:
+            cells = list(zip(positions, option, option[len(positions):]))
+            bx.append(sum((xv < 0) << top - p for p, xv, _ in cells))
+            by.append(sum((yv < 0) << top - p for p, _, yv in cells))
+            deltas.append((sum(xv for _, xv, _ in cells), sum(yv for _, _, yv in cells),
+                           sum(-xv if p % 2 else xv for p, xv, _ in cells),
+                           sum(-yv if p % 2 else yv for p, _, yv in cells)))
         placed += len(positions)
-        rem = length - placed if exact else length
         new_low = 1 if placed == length else length - placed // 2
-        steps.append((rows, tuple(b for want in sum_targets for b in (want - rem, want + rem)),
-                      [check(s) for s in range(low - 1, new_low - 1, -1)]))
+        shifts = range(low - 1, new_low - 1, -1)
+        out.append((np.array(bx, np.uint64), np.array(by, np.uint64),
+                    np.array(deltas, np.int8), length - placed,
+                    np.array(shifts, np.uint64),
+                    np.array([(1 << length - s) - 1 for s in shifts], np.uint64)))
         low = new_low
-    depth = len(steps)
+    return tuple(out)
 
-    def rec(t: int, z: int, sx: int, sy: int, ax: int, ay: int):
-        rows, (lx, hx, ly, hy, lax, hax, lay, hay), checks = steps[t]
-        for bits, dx, dy, dax, day in rows:
-            nx, ny, nax, nay = sx + dx, sy + dy, ax + dax, ay + day
-            if not (lx <= nx <= hx and ly <= ny <= hy
-                    and lax <= nax <= hax and lay <= nay <= hay):
-                continue
-            nz = z | bits
-            for s, mask, want in checks:
-                if ((nz ^ nz >> s) & mask).bit_count() != want:
-                    break
-            else:
-                if t + 1 == depth:
-                    yield nz
-                else:
-                    yield from rec(t + 1, nz, nx, ny, nax, nay)
 
-    return rec(0, 0, 0, 0, 0, 0)
+def _disagreements(x: np.ndarray, y: np.ndarray, shifts: np.ndarray,
+                   masks: np.ndarray) -> np.ndarray:
+    """Sign changes of packed x and y at each shift, summed: a (rows,
+    shifts) count with N_x(s) + N_y(s) = 2(length-s) - 2*count."""
+    x, y = x[:, None], y[:, None]
+    return (np.bitwise_count((x ^ x >> shifts) & masks)
+            + np.bitwise_count((y ^ y >> shifts) & masks))
+
+
+def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
+                    sum_targets: Optional[tuple[int, int, int, int]],
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Complete a block of fixed pairs on ``side``, level by level.
+
+    ``fixed`` holds the (blocks, 2) ``SignSeq.packed`` values of the pairs
+    on the opposite side; ``sum_targets``, if given, are the plain and
+    alternated row sums (x, y, x', y') of the filled side.  Yields arrays
+    (candidate, x, y) of completed fills, x and y packed, candidates in
+    block order and each candidate's fills in DFS order.
+    """
+    length = numfilter.column_cases(n, side, kind)[0]
+    fixed_len = n + 1 if side == SIDE_CD else n
+    levels = _kernel_rows(n, kind, side)
+    if sum_targets is not None and any(abs(want) > length or (want - length) % 2
+                                       for want in sum_targets):
+        return  # a row sum of `length` signs is within +-length, of its parity
+    # half_sums is (N_f1(s)+N_f2(s))/2 of the fixed pair; the fill has
+    # N_x(s)+N_y(s) = 2(length-s) - 2*count, so it must change sign
+    # length-s+half_sums times.  The shifts from `length` on involve only
+    # the fixed side, which must bring 0 there.
+    s = np.arange(1, n + 1)
+    masks = np.array([(1 << fixed_len - k) - 1 for k in range(1, n + 1)], np.uint64)
+    half_sums = (fixed_len - s) - _disagreements(fixed[:, 0], fixed[:, 1],
+                                                 s.astype(np.uint64), masks)
+    live = ~half_sums[:, length - 1:].any(axis=1)
+    span = length - s[:length - 1]
+    wants = span + half_sums[:, :length - 1]
+    wants = np.where((wants >= 0) & (wants <= 2 * span), wants, _NO_COUNT).astype(np.uint8)
+    level_wants = [wants[:, (shifts - 1).astype(np.intp)] for *_, shifts, _ in levels]
+
+    def descend(t, cand, x, y, dist):
+        bx, by, deltas, left, shifts, masks = levels[t]
+        bound = left if sum_targets is not None else length
+        step = max(1, _FRONTIER // len(bx))
+        for lo in range(0, len(cand), step):
+            # each (parent, option) whose four sums can still reach their
+            # targets: a row's four flags are bytes, so all of them hold
+            # iff they read 0x01010101 as one uint32
+            moved = dist[lo:lo + step, None, :] + deltas
+            reach = (np.abs(moved) <= bound).view(np.uint32)[..., 0] == 0x01010101
+            parent, option = np.nonzero(reach)
+            parent += lo
+            new_cand = cand[parent]
+            new_x = x[parent] | bx[option]
+            new_y = y[parent] | by[option]
+            ok = (_disagreements(new_x, new_y, shifts, masks)
+                  == level_wants[t][new_cand]).all(axis=1)
+            new_cand, new_x, new_y = new_cand[ok], new_x[ok], new_y[ok]
+            if t + 1 == len(levels):
+                yield new_cand, new_x, new_y
+            elif len(new_cand):
+                new_dist = moved.view(np.uint32)[..., 0][reach][ok]
+                yield from descend(t + 1, new_cand, new_x, new_y,
+                                   new_dist.view(np.int8).reshape(-1, 4))
+
+    cand = np.flatnonzero(live)
+    zeros = np.zeros(len(cand), np.uint64)
+    dist = np.tile(-np.array(sum_targets or (0, 0, 0, 0), np.int8), (len(cand), 1))
+    yield from descend(0, cand, zeros, zeros, dist)
+
+
+def _verified(fixed: list[tuple[SignSeq, SignSeq]], n: int, kind: Kind, side: str,
+              sum_targets: Optional[tuple[int, int, int, int]],
+              ) -> Iterator[tuple[int, SeqQuad]]:
+    """(index into ``fixed``, quad) for every completion of the fixed pairs
+    on ``side`` that ``verify`` accepts, in ``_complete_block`` order."""
+    length = numfilter.column_cases(n, side, kind)[0]
+    packed = np.array([(f1.packed, f2.packed) for f1, f2 in fixed], np.uint64).reshape(-1, 2)
+    for cand, xs, ys in _complete_block(n, kind, side, packed, sum_targets):
+        for c, x, y in zip(cand.tolist(), xs.tolist(), ys.tolist()):
+            filled = SignSeq.from_packed(x, length), SignSeq.from_packed(y, length)
+            quad = (SeqQuad(*filled, *fixed[c], kind) if side == SIDE_AB
+                    else SeqQuad(*fixed[c], *filled, kind))
+            if verify(quad).valid:
+                yield c, quad
 
 
 def expand_candidates(prof: ResidueProfile, n: int, kind: Kind,
@@ -347,34 +419,18 @@ def backtrack_complete(fixed: tuple[SignSeq, SignSeq], n: int, kind: Kind,
     """
     if mode not in ("all", "first"):
         raise PreconditionError("mode must be 'all' or 'first'")
+    _check_length(n)
     f1, f2 = fixed
     if side_to_fill == SIDE_AB:
         if len(f1) != n or len(f2) != n:
             raise PreconditionError("fixed C,D pair must have length n")
-        length = n + 1
-    else:
-        if len(f1) != n + 1 or len(f2) != n + 1:
-            raise PreconditionError("fixed A,B pair must have length n+1")
-        length = n
-    targets = []
-    for s in range(1, n + 1):
-        t1 = f1.autocorr[s] if s < len(f1) else 0
-        t2 = f2.autocorr[s] if s < len(f2) else 0
-        targets.append(-(t1 + t2))
-    if any(targets[length - 1:]):
-        return []  # shifts from `length` on involve only the fixed side
+    elif len(f1) != n + 1 or len(f2) != n + 1:
+        raise PreconditionError("fixed A,B pair must have length n+1")
     out = []
-    for z in _complete_pairs(n, kind, side_to_fill, tuple(targets[:length - 1]), sum_targets):
-        x = SignSeq.from_packed(z & (1 << length) - 1, length)
-        y = SignSeq.from_packed(z >> 2 * length, length)
-        if side_to_fill == SIDE_AB:
-            quad = SeqQuad(x, y, f1, f2, kind)
-        else:
-            quad = SeqQuad(f1, f2, x, y, kind)
-        if verify(quad).valid:
-            out.append(quad)
-            if mode == "first":
-                break
+    for _, quad in _verified([fixed], n, kind, side_to_fill, sum_targets):
+        out.append(quad)
+        if mode == "first":
+            break
     return out
 
 
@@ -395,41 +451,37 @@ def build_tasks(cfg: SearchConfig) -> list[tuple]:
     return tasks
 
 
-def _half_profile(cfg: SearchConfig, half: tuple[tuple, tuple]) -> ResidueProfile:
-    m = cfg.moduli[-1]
-    zero = (0,) * m
-    if cfg.start_side == SIDE_CD:
-        return ResidueProfile(m, zero, zero, half[0], half[1])
-    return ResidueProfile(m, half[0], half[1], zero, zero)
-
-
 def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[Packed], dict]:
-    """Expand, screen and complete one (sum profile, residue half) unit;
-    its finds come as packed quads."""
-    index, _si, _hi, s_tuple, half = task
+    """Expand, screen and complete one (sum profile, residue half) unit,
+    ``_BLOCK`` candidates at a time; its finds come as packed quads.
+
+    In first mode the counters stop at the candidate of the first find,
+    as if the candidates were taken one at a time."""
+    index, _si, _hi, s_tuple, (need_x, need_y) = task
     s = SumProfile.from_tuple(s_tuple)
-    prof = _half_profile(cfg, half)
     grids = [specfilter.ThetaGrid.from_spec(g) for g in cfg.grids]
     bound = 4 * cfg.n + 2
-    fill_side = SIDE_AB if cfg.start_side == SIDE_CD else SIDE_CD
-    if fill_side == SIDE_AB:
-        fill_targets = (s.a, s.b, s.a_alt, s.b_alt)
+    if cfg.start_side == SIDE_CD:
+        fill_side, fill_targets = SIDE_AB, (s.a, s.b, s.a_alt, s.b_alt)
     else:
-        fill_targets = (s.c, s.d, s.c_alt, s.d_alt)
-    mode = "first" if cfg.first_solution_only else "all"
+        fill_side, fill_targets = SIDE_CD, (s.c, s.d, s.c_alt, s.d_alt)
     stats = dict.fromkeys(_STAT_KEYS, 0)
     found = []
-    for first, second in expand_candidates(prof, cfg.n, cfg.kind, cfg.start_side):
-        stats["candidates"] += 1
-        if not all(specfilter.pair_filter(first, second, bound, g) for g in grids):
-            stats["psd_rejected"] += 1
-            continue
-        quads = backtrack_complete((first, second), cfg.n, cfg.kind, fill_side,
-                                   mode=mode, sum_targets=fill_targets)
-        stats["completions"] += len(quads)
-        found.extend(q.packed() for q in quads)
-        if mode == "first" and found:
+    pairs = _expand_pairs(cfg.n, cfg.kind, cfg.start_side, cfg.moduli[-1], need_x, need_y)
+    while block := list(itertools.islice(pairs, _BLOCK)):
+        keep = specfilter.screen_block(np.array(block, dtype=float), bound, grids)
+        fixed = [(SignSeq(block[k][0]), SignSeq(block[k][1])) for k in keep]
+        seen = len(block)
+        for p, quad in _verified(fixed, cfg.n, cfg.kind, fill_side, fill_targets):
+            found.append(quad.packed())
+            if cfg.first_solution_only:
+                seen = int(keep[p]) + 1
+                break
+        stats["candidates"] += seen
+        stats["psd_rejected"] += seen - int(np.count_nonzero(keep < seen))
+        if cfg.first_solution_only and found:
             break
+    stats["completions"] = len(found)
     return index, found, stats
 
 

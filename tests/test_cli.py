@@ -251,3 +251,17 @@ def test_record_parse_errors():
         ResultRecord.parse("n=3 kind=ns")
     with pytest.raises(MalformedInputError):
         ResultRecord.parse("gibberish")
+
+
+def test_search_refuses_n_above_63_before_building_tasks(tmp_path, monkeypatch):
+    # the completion kernel holds each sequence of up to 64 signs in one uint64
+    from baseseq import searcher
+
+    def no_build(_cfg):
+        raise AssertionError("build_tasks ran for n = 64")
+
+    monkeypatch.setattr(searcher, "build_tasks", no_build)
+    for kind in ("bs", "nns"):
+        code, out, err = run_cli(["search", "--n", "64", "--kind", kind,
+                                  "--out", str(tmp_path / "out.txt")])
+        assert code == 2 and out == "" and "n <= 63" in err, kind

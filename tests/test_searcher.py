@@ -6,17 +6,18 @@ import os
 import random
 import types
 
+import numpy as np
 import pytest
 
 from baseseq import numfilter, searcher
 from baseseq.errors import PreconditionError, ResumeError, SearchInterrupted
 from baseseq.numfilter import ResidueProfile, quad_residue_profile
 from baseseq.refdata import known_quad
-from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, _complete_pairs,
+from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, _complete_block,
                               _line_digest, backtrack_complete, build_tasks,
                               candidate_matches_profile, expand_candidates,
                               load_checkpoint, residue_halves, search)
-from baseseq.seqcore import Kind, SeqQuad, SignSeq, paf, row_sums, verify
+from baseseq.seqcore import Kind, SeqQuad, SignSeq, row_sums, verify
 from baseseq.specfilter import ThetaGrid, pair_filter
 
 
@@ -182,18 +183,16 @@ def test_backtrack_sum_targets_restrict(bs_pool):
             (sums.a, sums.b, sums.a_alt, sums.b_alt)
 
 
-def test_complete_pairs_yields_packed_halves(bs_pool, ns_pool, nns_pool):
-    # a kernel fill z holds SignSeq.packed of x in its low `length` bits
-    # and that of y from bit 2*length up
+def test_complete_block_yields_packed_halves(bs_pool, ns_pool, nns_pool):
+    # the kernel yields each fill as SignSeq.packed of x and of y
     cases = ([((q.c, q.d), 5, Kind.BS, SIDE_AB) for q in bs_pool[5][::300]]
              + [((q.a, q.b), 5, Kind.BS, SIDE_CD) for q in bs_pool[5][::300]]
              + [((q.a, q.b), 7, Kind.NS, SIDE_CD) for q in ns_pool[7][::200]]
              + [((q.c, q.d), 8, Kind.NNS, SIDE_AB) for q in nns_pool[8][::60]])
     for (f1, f2), n, kind, side in cases:
-        length = n + 1 if side == SIDE_AB else n
-        targets = tuple(-paf(f1, s) - paf(f2, s) for s in range(1, length))
-        fills = [(z & (1 << length) - 1, z >> 2 * length)
-                 for z in _complete_pairs(n, kind, side, targets, None)]
+        fixed = np.array([(f1.packed, f2.packed)], np.uint64)
+        fills = [(x, y) for _, xs, ys in _complete_block(n, kind, side, fixed, None)
+                 for x, y in zip(xs.tolist(), ys.tolist())]
         halves = [q.seqs()[:2] if side == SIDE_AB else q.seqs()[2:]
                   for q in backtrack_complete((f1, f2), n, kind, side)]
         assert fills and fills == [(x.packed, y.packed) for x, y in halves]
@@ -937,3 +936,41 @@ def test_exhaustive_16_counters_pinned(cfg, counts, classes):
     assert (cert["candidates"], cert["psd_rejected"], cert["completions"],
             cert["tasks_completed"]) == counts
     assert cert["classes"] == classes and cert["tasks"] == cert["tasks_completed"]
+
+
+# --- block size and frontier bound ---------------------------------------------
+#
+# run_task screens and completes _BLOCK candidates at a time, and the
+# completion kernel expands at most _FRONTIER rows at a time; neither may
+# change a record, a stage or a certificate counter.
+
+BLOCK_CASES = [
+    SearchConfig(n=9, kind=Kind.BS),
+    SearchConfig(n=15, kind=Kind.NS, first_solution_only=True),
+    SearchConfig(n=14, kind=Kind.NNS, first_solution_only=True),
+]
+
+
+@pytest.mark.parametrize("cfg", BLOCK_CASES, ids=["bs9", "ns15-first", "nns14-first"])
+def test_block_size_changes_nothing(cfg, monkeypatch):
+    default = search(cfg)
+    for size in (1, 7):
+        monkeypatch.setattr(searcher, "_BLOCK", size)
+        assert _same_result(search(cfg), default), size
+
+
+def test_frontier_bound_keeps_completion_order(monkeypatch):
+    # one parent's options per expansion step: the smallest bound there is
+    width = len(searcher._kernel_rows(8, Kind.BS, SIDE_AB)[1][0])
+    monkeypatch.setattr(searcher, "_FRONTIER", width)
+    test_backtrack_complete_order_pinned()
+    test_backtrack_complete_order_pinned_even_length()
+
+
+def test_search_refuses_n_above_63():
+    with pytest.raises(PreconditionError, match="n <= 63"):
+        SearchConfig(n=64, kind=Kind.BS)
+    assert SearchConfig(n=63, kind=Kind.BS).n == 63
+    seq = SignSeq((1,) * 64)
+    with pytest.raises(PreconditionError, match="n <= 63"):
+        backtrack_complete((seq, seq), 64, Kind.BS, SIDE_AB)
