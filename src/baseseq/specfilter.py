@@ -95,13 +95,9 @@ class ThetaGrid:
 
 @lru_cache(maxsize=32)
 def _dft_table(grid: ThetaGrid, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """[cos(j*theta) | sin(j*theta)] over the kept angles, row j =
-    0..length-1, and for every grid angle the column that holds its value.
-
-    A real sequence has f(2*pi - theta) = f(theta), so an angle above pi
-    whose mirror is a grid angle reads the mirror's column; the angles up
-    to pi and every unmatched one (such as 2*pi) are kept.
-    """
+    """[cos(j*theta) | sin(j*theta)] over the kept angles (up to pi, or
+    without a mirror 2*pi - theta in the grid), row j = 0..length-1, and
+    for every grid angle the column that holds its value."""
     points = np.asarray(grid.points)
     low = int(np.searchsorted(points, math.pi, side="right"))
     kept, cols = list(range(low)), list(range(low))
@@ -149,7 +145,7 @@ def pair_filter(a: SignSeq, b: SignSeq, bound: float, grid: ThetaGrid) -> bool:
     return pair_max(a, b, grid) <= bound + EPS
 
 
-def screen_block(rows: np.ndarray, bound: float, grids) -> np.ndarray:
+def screen_block(rows: np.ndarray, bound: float, grids: list[ThetaGrid]) -> np.ndarray:
     """Indices of the pairs that every grid keeps, as ``pair_filter`` would.
 
     ``rows`` has shape (pairs, 2, length); the grids run in order, each
