@@ -496,6 +496,32 @@ def test_expand_candidates_order_pinned_published_half():
         "982e4d3ce1348e92179831093a9ecd4997bd1ec560cd9d9f7d6a9eb34cc0c402"
 
 
+# sha256 of the expansion streams of every task of a search, concatenated
+# in task order, recorded before expansion moved onto the level kernel
+PINNED_TASK_STREAMS = [
+    (SearchConfig(n=16, kind=Kind.NS), 11862,
+     "81e37477ec18c8bed4cd88b9813e47c782701bec6303461d8af84f2ccde65212"),
+    (SearchConfig(n=16, kind=Kind.NNS), 11574,
+     "45b1f4c65ee46c640d08100a0ce0c2c75baff045de0793ffd1593ed04b5410da"),
+    (SearchConfig(n=9, kind=Kind.BS), 4676,
+     "c72ff98fccfd7c70700fe28cb6336864e4c4a159caef40a69cbca18d5a3901c2"),
+]
+
+
+@pytest.mark.parametrize("cfg,count,digest", PINNED_TASK_STREAMS,
+                         ids=["ns16", "nns16", "bs9"])
+def test_expand_candidates_task_streams_pinned(cfg, count, digest):
+    m = cfg.moduli[-1]
+    zero = (0,) * m
+    stream = []
+    for *_, (tx, ty) in build_tasks(cfg):
+        prof = (ResidueProfile(m, tx, ty, zero, zero) if cfg.start_side == SIDE_AB
+                else ResidueProfile(m, zero, zero, tx, ty))
+        stream += expand_candidates(prof, cfg.n, cfg.kind, cfg.start_side)
+    assert len(stream) == count
+    assert _pairs_digest(stream) == digest
+
+
 def test_backtrack_complete_order_pinned():
     # the filled sides have odd length (9 and 7), so the middle is covered
     bs_pairs = list(expand_candidates(BS8_CD, 8, Kind.BS, SIDE_CD))
@@ -965,6 +991,12 @@ def test_frontier_bound_keeps_completion_order(monkeypatch):
     monkeypatch.setattr(searcher, "_FRONTIER", width)
     test_backtrack_complete_order_pinned()
     test_backtrack_complete_order_pinned_even_length()
+    # the bound governs the order of expansion too
+    for prof, n, kind, side, count, digest in PINNED_STREAMS:
+        test_expand_candidates_order_pinned(prof, n, kind, side, count, digest)
+    test_expand_candidates_order_pinned_published_half()
+    for cfg, count, digest in PINNED_TASK_STREAMS:
+        test_expand_candidates_task_streams_pinned(cfg, count, digest)
 
 
 def test_search_refuses_n_above_63():
