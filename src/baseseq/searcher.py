@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import json
 import multiprocessing
 import os
@@ -144,102 +143,14 @@ class SearchConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-# --- candidate generation ---------------------------------------------------
-
-
-# the innermost levels of an expansion are listed in one table of at
-# most this many fills (see _inner_fills)
-_INNER_FILLS = 1024
-
-
-@lru_cache(maxsize=64)
-def _inner_fills(n: int, kind: Kind, side: str, m: int,
-                 ) -> tuple[int, dict[tuple[int, ...], tuple]]:
-    """The innermost levels of ``numfilter.column_cases``, tabulated.
-
-    Returns the index ``first`` of the first tabulated level and a map
-    from the class sums a fill pays (those of x, then those of y, over
-    all ``m`` classes) to the fills that pay them.  A fill is the pair
-    (x, y) of sign tuples over the contiguous positions ``first ..
-    length-1-first``; the fills under each key are in DFS order: level by
-    level outside in, each in its listed option order.  Levels are taken
-    from the inside out while the fills number at most ``_INNER_FILLS``.
-    """
-    length, levels = numfilter.column_cases(n, side, kind)
-    first, size = len(levels), 1
-    while first > 0 and size * len(levels[first - 1][1]) <= _INNER_FILLS:
-        first -= 1
-        size *= len(levels[first][1])
-    inner = levels[first:]
-    table: dict[tuple[int, ...], list] = {}
-    x, y = [0] * length, [0] * length
-    for fill in itertools.product(*(options for _, options in inner)):
-        sums = [0] * (2 * m)
-        for (positions, _), option in zip(inner, fill):
-            for p, xv, yv in zip(positions, option, option[len(positions):]):
-                x[p], y[p] = xv, yv
-                sums[p % m] += xv
-                sums[m + p % m] += yv
-        table.setdefault(tuple(sums), []).append((tuple(x[first:length - first]),
-                                                  tuple(y[first:length - first])))
-    return first, {key: tuple(fills) for key, fills in table.items()}
-
-
-def _expand_pairs(n: int, kind: Kind, side: str, m: int,
-                  need_x: tuple[int, ...], need_y: tuple[int, ...],
-                  ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """DFS over the levels of one side, outside in, under class budgets.
-
-    ``need_x[c]``, ``need_y[c]`` are the sums still owed by residue class
-    ``c`` mod ``m`` of each sequence; a placement survives while every
-    touched class can still pay its debt with the positions it has left.
-    At the first level of the ``_inner_fills`` table the remaining debt
-    must be paid exactly, so the DFS looks it up there and emits the
-    listed fills in their order.
-    """
-    length, levels = numfilter.column_cases(n, side, kind)
-    first, table = _inner_fills(n, kind, side, m)
-    lo, hi = first, length - first
-    x = [0] * length
-    y = [0] * length
-    need_x, need_y = list(need_x), list(need_y)
-    cnt = list(numfilter.class_sizes(length, m))
-
-    def rec(t: int):
-        if t == first:
-            left_x, right_x, left_y, right_y = x[:lo], x[hi:], y[:lo], y[hi:]
-            for xs, ys in table.get((*need_x, *need_y), ()):
-                yield (*left_x, *xs, *right_x), (*left_y, *ys, *right_y)
-            return
-        (i, j), columns = levels[t]  # the middle level is always tabulated
-        ci, cj = i % m, j % m
-        for xi, xj, yi, yj in columns:
-            cnt[ci] -= 1
-            need_x[ci] -= xi
-            need_y[ci] -= yi
-            cnt[cj] -= 1
-            need_x[cj] -= xj
-            need_y[cj] -= yj
-            for cls in (ci, cj):
-                c, nx, ny = cnt[cls], need_x[cls], need_y[cls]
-                if abs(nx) > c or abs(ny) > c or (nx - c) % 2 or (ny - c) % 2:
-                    break
-            else:
-                x[i], x[j], y[i], y[j] = xi, xj, yi, yj
-                yield from rec(t + 1)
-            cnt[ci] += 1
-            need_x[ci] += xi
-            need_y[ci] += yi
-            cnt[cj] += 1
-            need_x[cj] += xj
-            need_y[cj] += yj
-
-    return rec(0)
+# --- the level kernel ----------------------------------------------------------
 
 
 # candidates are screened and completed in blocks of at most this many
 _BLOCK = 128
-# the completion kernel expands at most this many rows at a time
+# completion expands at most this many rows at a time, expansion a
+# quarter of that: little is pruned near the top of a long side, so each
+# level of an expansion holds a full chunk while the walk descends
 _FRONTIER = 8192
 # a wanted count of sign changes that no shift of two sequences of at
 # most 64 signs each can have
@@ -248,43 +159,62 @@ _NO_COUNT = 255
 
 def _check_length(n: int) -> None:
     if n > 63:
-        raise PreconditionError("searches support n <= 63: the completion kernel "
-                                "holds each sequence in 64 bits")
+        raise PreconditionError("searches support n <= 63: expansion and completion "
+                                "hold each sequence in 64 bits")
 
 
 @lru_cache(maxsize=256)
-def _kernel_rows(n: int, kind: Kind, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Each level of ``numfilter.column_cases`` as completion-kernel arrays.
+def _kernel_rows(n: int, kind: Kind, side: str, m: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Each level of ``numfilter.column_cases`` as level-kernel arrays.
 
     Per level: the x bits and the y bits of each option (``SignSeq.packed``
-    layout, unplaced positions 0), the (options, 4) deltas of the row sums
-    x, y and alternated row sums x', y', the positions left after it, and
-    the shifts it completes with their masks.  After ``placed`` positions
-    the shifts down to length - placed//2 are complete, or all of them
-    once every position is placed.
+    layout, unplaced positions 0); the (options, lanes) int8 deltas of the
+    class sums mod ``m`` of x, then of y, padded with zero lanes to whole
+    uint64 words; the positions of each lane's class still open after the
+    level, in the same shape; and the shifts the level completes with
+    their masks.  After ``placed`` positions the shifts down to length -
+    placed//2 are complete, or all of them once every position is placed.
     """
     length, levels = numfilter.column_cases(n, side, kind)
     top = length - 1
+    left = np.zeros(-(-2 * m // 8) * 8, np.int8)
+    left[:2 * m] = numfilter.class_sizes(length, m) * 2  # x's classes, then y's
     out = []
     placed, low = 0, length
     for positions, options in levels:
-        bx, by, deltas = [], [], []
-        for option in options:
+        bx, by, deltas = [], [], np.zeros((len(options), len(left)), np.int8)
+        for k, option in enumerate(options):
             cells = list(zip(positions, option, option[len(positions):]))
             bx.append(sum((xv < 0) << top - p for p, xv, _ in cells))
             by.append(sum((yv < 0) << top - p for p, _, yv in cells))
-            deltas.append((sum(xv for _, xv, _ in cells), sum(yv for _, _, yv in cells),
-                           sum(-xv if p % 2 else xv for p, xv, _ in cells),
-                           sum(-yv if p % 2 else yv for p, _, yv in cells)))
+            for p, xv, yv in cells:
+                deltas[k, p % m] += xv
+                deltas[k, m + p % m] += yv
+        for p in positions:
+            left[p % m] -= 1
+            left[m + p % m] -= 1
         placed += len(positions)
         new_low = 1 if placed == length else length - placed // 2
         shifts = range(low - 1, new_low - 1, -1)
-        out.append((np.array(bx, np.uint64), np.array(by, np.uint64),
-                    np.array(deltas, np.int8), length - placed,
-                    np.array(shifts, np.uint64),
+        out.append((np.array(bx, np.uint64), np.array(by, np.uint64), deltas,
+                    np.tile(left, (len(options), 1)), np.array(shifts, np.uint64),
                     np.array([(1 << length - s) - 1 for s in shifts], np.uint64)))
         low = new_low
     return tuple(out)
+
+
+def _root_lanes(length: int, m: int, targets, width: int) -> Optional[np.ndarray]:
+    """The lanes of the empty fill, minus the class-sum ``targets`` (x's
+    classes, then y's) in ``width`` int8 lanes viewed as uint64 words, or
+    None if some class cannot pay its target with its positions.  A lane
+    and the positions left of its class keep one parity, so a row that
+    keeps every lane within them ends on its targets."""
+    sizes = numfilter.class_sizes(length, m) * 2  # x's classes, then y's
+    if any(abs(want) > size or (want - size) % 2 for want, size in zip(targets, sizes)):
+        return None
+    lanes = np.zeros(width, np.int8)
+    lanes[:2 * m] = [-int(want) for want in targets]
+    return lanes.view(np.uint64)
 
 
 def _disagreements(x: np.ndarray, y: np.ndarray, shifts: np.ndarray,
@@ -294,6 +224,68 @@ def _disagreements(x: np.ndarray, y: np.ndarray, shifts: np.ndarray,
     x, y = x[:, None], y[:, None]
     return (np.bitwise_count((x ^ x >> shifts) & masks)
             + np.bitwise_count((y ^ y >> shifts) & masks))
+
+
+def _children(level: tuple[np.ndarray, ...], wants: Optional[np.ndarray], cand: np.ndarray,
+              x: np.ndarray, y: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows one level below the rows (cand, x, y, lanes), parent-major
+    and each parent's options in listed order, that keep every lane
+    within the positions its class has left and, if ``wants`` is given,
+    change sign as often as their candidate wants at every shift the
+    level completes.  A row's int8 lanes fill whole uint64 words, so one
+    ``any`` over its words tests all of them."""
+    bx, by, deltas, left, shifts, masks = level
+    count, options, width = len(x), len(bx), 8 * lanes.shape[1]
+    moved = np.repeat(lanes, options, axis=0)  # each parent's lanes once per option
+    signed = moved.view(np.int8).reshape(count, options, width)
+    signed += deltas[:, :width]
+    keep = np.flatnonzero(~(np.abs(signed) > left[:, :width]).view(np.uint64).any(axis=-1))
+    parent, option = np.divmod(keep, options)
+    cand, x, y = cand[parent], x[parent] | bx[option], y[parent] | by[option]
+    if wants is not None:
+        ok = (_disagreements(x, y, shifts, masks) == wants[cand]).all(axis=1)
+        keep, cand, x, y = keep[ok], cand[ok], x[ok], y[ok]
+    return cand, x, y, moved[keep]
+
+
+def _walk(levels: tuple[tuple[np.ndarray, ...], ...], rows: tuple[np.ndarray, ...],
+          bound: int, wants: Optional[list[np.ndarray]] = None,
+          ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Place every level of ``levels`` on the rows (cand, x, y, lanes).
+
+    Yields (cand, x, y) arrays of the filled rows that ``_children`` keeps
+    at every level, ``wants[t]`` being level t's wanted counts per
+    candidate.  Rows are expanded in chunks of at most ``bound`` (one
+    parent's options if that is more), depth first over chunks, so the
+    rows come out in the order of a depth-first search and memory stays
+    bounded by the depth times ``bound``.
+    """
+    def descend(t: int, rows: tuple[np.ndarray, ...]):
+        step = max(1, bound // len(levels[t][0]))
+        for lo in range(0, len(rows[0]), step):
+            below = _children(levels[t], None if wants is None else wants[t],
+                              *(a[lo:lo + step] for a in rows))
+            if t + 1 == len(levels):
+                yield below[:3]
+            elif len(below[0]):
+                yield from descend(t + 1, below)
+
+    return descend(0, rows)
+
+
+def _expand(n: int, kind: Kind, side: str, m: int, need_x: tuple[int, ...],
+            need_y: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """The fills of ``side`` whose class sums mod ``m`` are ``need_x`` and
+    ``need_y``, as (fills, 2) arrays of packed x and y, in DFS order."""
+    length = numfilter.column_cases(n, side, kind)[0]
+    levels = _kernel_rows(n, kind, side, m)
+    lanes = _root_lanes(length, m, (*need_x, *need_y), levels[0][2].shape[1])
+    if lanes is None:
+        return
+    root = np.zeros(1, np.uint64)
+    rows = (np.zeros(1, np.uint8), root, root, lanes[None])
+    for _, x, y in _walk(levels, rows, _FRONTIER // 4):
+        yield np.column_stack((x, y))
 
 
 def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
@@ -309,10 +301,18 @@ def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
     """
     length = numfilter.column_cases(n, side, kind)[0]
     fixed_len = n + 1 if side == SIDE_CD else n
-    levels = _kernel_rows(n, kind, side)
-    if sum_targets is not None and any(abs(want) > length or (want - length) % 2
-                                       for want in sum_targets):
-        return  # a row sum of `length` signs is within +-length, of its parity
+    levels = _kernel_rows(n, kind, side, 2)
+    if sum_targets is None:
+        lanes = np.zeros(0, np.uint64)  # nothing to pay, so no lanes
+    else:
+        # the sums over even and over odd positions; a half-integer one
+        # (x and x' of different parity) fails the parity test
+        x, y, x_alt, y_alt = sum_targets
+        lanes = _root_lanes(length, 2, ((x + x_alt) / 2, (x - x_alt) / 2,
+                                        (y + y_alt) / 2, (y - y_alt) / 2),
+                            levels[0][2].shape[1])
+        if lanes is None:
+            return
     # half_sums is (N_f1(s)+N_f2(s))/2 of the fixed pair; the fill has
     # N_x(s)+N_y(s) = 2(length-s) - 2*count, so it must change sign
     # length-s+half_sums times.  The shifts from `length` on involve only
@@ -326,52 +326,37 @@ def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
     wants = span + half_sums[:, :length - 1]
     wants = np.where((wants >= 0) & (wants <= 2 * span), wants, _NO_COUNT).astype(np.uint8)
     level_wants = [wants[:, (shifts - 1).astype(np.intp)] for *_, shifts, _ in levels]
-
-    def descend(t, cand, x, y, dist):
-        bx, by, deltas, left, shifts, masks = levels[t]
-        bound = left if sum_targets is not None else length
-        step = max(1, _FRONTIER // len(bx))
-        for lo in range(0, len(cand), step):
-            # each (parent, option) whose four sums can still reach their
-            # targets: a row's four flags are bytes, so all of them hold
-            # iff they read 0x01010101 as one uint32
-            moved = dist[lo:lo + step, None, :] + deltas
-            reach = (np.abs(moved) <= bound).view(np.uint32)[..., 0] == 0x01010101
-            parent, option = np.nonzero(reach)
-            parent += lo
-            new_cand = cand[parent]
-            new_x = x[parent] | bx[option]
-            new_y = y[parent] | by[option]
-            ok = (_disagreements(new_x, new_y, shifts, masks)
-                  == level_wants[t][new_cand]).all(axis=1)
-            new_cand, new_x, new_y = new_cand[ok], new_x[ok], new_y[ok]
-            if t + 1 == len(levels):
-                yield new_cand, new_x, new_y
-            elif len(new_cand):
-                new_dist = moved.view(np.uint32)[..., 0][reach][ok]
-                yield from descend(t + 1, new_cand, new_x, new_y,
-                                   new_dist.view(np.int8).reshape(-1, 4))
-
     cand = np.flatnonzero(live)
     zeros = np.zeros(len(cand), np.uint64)
-    dist = np.tile(-np.array(sum_targets or (0, 0, 0, 0), np.int8), (len(cand), 1))
-    yield from descend(0, cand, zeros, zeros, dist)
+    rows = (cand, zeros, zeros, np.tile(lanes, (len(cand), 1)))
+    yield from _walk(levels, rows, _FRONTIER, level_wants)
 
 
-def _verified(fixed: list[tuple[SignSeq, SignSeq]], n: int, kind: Kind, side: str,
+def _verified(fixed: np.ndarray, n: int, kind: Kind, side: str,
               sum_targets: Optional[tuple[int, int, int, int]],
               ) -> Iterator[tuple[int, SeqQuad]]:
-    """(index into ``fixed``, quad) for every completion of the fixed pairs
-    on ``side`` that ``verify`` accepts, in ``_complete_block`` order."""
+    """(index into ``fixed``, quad) for every completion of the packed
+    fixed pairs on ``side`` that ``verify`` accepts, in ``_complete_block``
+    order."""
     length = numfilter.column_cases(n, side, kind)[0]
-    packed = np.array([(f1.packed, f2.packed) for f1, f2 in fixed], np.uint64).reshape(-1, 2)
-    for cand, xs, ys in _complete_block(n, kind, side, packed, sum_targets):
+    fixed_len = n + 1 if side == SIDE_CD else n
+    for cand, xs, ys in _complete_block(n, kind, side, fixed, sum_targets):
         for c, x, y in zip(cand.tolist(), xs.tolist(), ys.tolist()):
             filled = SignSeq.from_packed(x, length), SignSeq.from_packed(y, length)
-            quad = (SeqQuad(*filled, *fixed[c], kind) if side == SIDE_AB
-                    else SeqQuad(*fixed[c], *filled, kind))
+            other = tuple(SignSeq.from_packed(f, fixed_len) for f in fixed[c].tolist())
+            quad = (SeqQuad(*filled, *other, kind) if side == SIDE_AB
+                    else SeqQuad(*other, *filled, kind))
             if verify(quad).valid:
                 yield c, quad
+
+
+def _side_sums(prof: ResidueProfile, side: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The class sums ``prof`` asks of the pair on ``side``."""
+    if prof.modulus < 1 or any(len(v) != prof.modulus for v in prof.vectors()):
+        raise PreconditionError("a residue profile needs a modulus >= 1 and one class "
+                                "sum per class in each vector")
+    return ((prof.a_class_sums, prof.b_class_sums) if side == SIDE_AB
+            else (prof.c_class_sums, prof.d_class_sums))
 
 
 def expand_candidates(prof: ResidueProfile, n: int, kind: Kind,
@@ -383,10 +368,12 @@ def expand_candidates(prof: ResidueProfile, n: int, kind: Kind,
     derived partner of the first.  The stream is exhaustive and
     duplicate-free for the profile, in a fixed order.
     """
-    tx, ty = ((prof.a_class_sums, prof.b_class_sums) if side == SIDE_AB
-              else (prof.c_class_sums, prof.d_class_sums))
-    for xs, ys in _expand_pairs(n, kind, side, prof.modulus, tx, ty):
-        yield SignSeq(xs), SignSeq(ys)
+    _check_length(n)
+    tx, ty = _side_sums(prof, side)
+    length = numfilter.column_cases(n, side, kind)[0]
+    return ((SignSeq.from_packed(x, length), SignSeq.from_packed(y, length))
+            for fills in _expand(n, kind, side, prof.modulus, tx, ty)
+            for x, y in fills.tolist())
 
 
 def candidate_matches_profile(pair: tuple[SignSeq, SignSeq], prof: ResidueProfile,
@@ -394,8 +381,7 @@ def candidate_matches_profile(pair: tuple[SignSeq, SignSeq], prof: ResidueProfil
     """Membership test for the expansion stream, without scanning it."""
     first, second = pair
     m = prof.modulus
-    want = ((prof.a_class_sums, prof.b_class_sums) if side == SIDE_AB
-            else (prof.c_class_sums, prof.d_class_sums))
+    want = _side_sums(prof, side)
     length, levels = numfilter.column_cases(n, side, kind)
     if len(first) != length or len(second) != length or \
             (numfilter.sequence_class_sums(first, m),
@@ -427,7 +413,8 @@ def backtrack_complete(fixed: tuple[SignSeq, SignSeq], n: int, kind: Kind,
     elif len(f1) != n + 1 or len(f2) != n + 1:
         raise PreconditionError("fixed A,B pair must have length n+1")
     out = []
-    for _, quad in _verified([fixed], n, kind, side_to_fill, sum_targets):
+    packed = np.array([(f1.packed, f2.packed)], np.uint64)
+    for _, quad in _verified(packed, n, kind, side_to_fill, sum_targets):
         out.append(quad)
         if mode == "first":
             break
@@ -451,6 +438,25 @@ def build_tasks(cfg: SearchConfig) -> list[tuple]:
     return tasks
 
 
+def _blocks(batches: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The rows of ``batches``, in order, in blocks of ``size`` rows (the
+    last one may be shorter)."""
+    held = np.zeros((0, 2), np.uint64)
+    for batch in batches:
+        held = np.concatenate((held, batch))
+        while len(held) >= size:
+            yield held[:size]
+            held = held[size:]
+    if len(held):
+        yield held
+
+
+def _signs(rows: np.ndarray, length: int) -> np.ndarray:
+    """Packed (pairs, 2) rows as their (pairs, 2, length) entries +-1.0."""
+    bits = rows[..., None] >> np.arange(length - 1, -1, -1, dtype=np.uint64) & 1
+    return 1.0 - 2.0 * bits
+
+
 def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[Packed], dict]:
     """Expand, screen and complete one (sum profile, residue half) unit,
     ``_BLOCK`` candidates at a time; its finds come as packed quads.
@@ -465,14 +471,14 @@ def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[Packed], dict]:
         fill_side, fill_targets = SIDE_AB, (s.a, s.b, s.a_alt, s.b_alt)
     else:
         fill_side, fill_targets = SIDE_CD, (s.c, s.d, s.c_alt, s.d_alt)
+    length = numfilter.column_cases(cfg.n, cfg.start_side, cfg.kind)[0]
     stats = dict.fromkeys(_STAT_KEYS, 0)
     found = []
-    pairs = _expand_pairs(cfg.n, cfg.kind, cfg.start_side, cfg.moduli[-1], need_x, need_y)
-    while block := list(itertools.islice(pairs, _BLOCK)):
-        keep = specfilter.screen_block(np.array(block, dtype=float), bound, grids)
-        fixed = [(SignSeq(block[k][0]), SignSeq(block[k][1])) for k in keep]
+    fills = _expand(cfg.n, cfg.kind, cfg.start_side, cfg.moduli[-1], need_x, need_y)
+    for block in _blocks(fills, _BLOCK):
+        keep = specfilter.screen_block(_signs(block, length), bound, grids)
         seen = len(block)
-        for p, quad in _verified(fixed, cfg.n, cfg.kind, fill_side, fill_targets):
+        for p, quad in _verified(block[keep], cfg.n, cfg.kind, fill_side, fill_targets):
             found.append(quad.packed())
             if cfg.first_solution_only:
                 seen = int(keep[p]) + 1

@@ -80,7 +80,9 @@ class SignSeq:
         """Inverse of ``packed``: bit length-1-j set means element j is -1."""
         if not 0 <= packed < 1 << length:
             raise MalformedInputError(f"packed value {packed} does not fit {length} signs")
-        return cls(tuple(map(_SIGN_OF_DIGIT.__getitem__, bin(packed | 1 << length)[3:])))
+        # a tuple of a list is allocated at its size, a tuple of a map is
+        # grown and keeps the spare room, 16 bytes for 41 signs
+        return cls(tuple([*map(_SIGN_OF_DIGIT.__getitem__, bin(packed | 1 << length)[3:])]))
 
     @cached_property
     def packed(self) -> int:

@@ -987,7 +987,7 @@ def test_block_size_changes_nothing(cfg, monkeypatch):
 
 def test_frontier_bound_keeps_completion_order(monkeypatch):
     # one parent's options per expansion step: the smallest bound there is
-    width = len(searcher._kernel_rows(8, Kind.BS, SIDE_AB)[1][0])
+    width = len(searcher._kernel_rows(8, Kind.BS, SIDE_AB, 2)[1][0])
     monkeypatch.setattr(searcher, "_FRONTIER", width)
     test_backtrack_complete_order_pinned()
     test_backtrack_complete_order_pinned_even_length()
