@@ -7,47 +7,40 @@ cases, screens the pairs with the power-spectrum bound, and completes
 the other side.  One cached table per (n, side, kind),
 ``numfilter.column_cases``, describes a side: its levels, outside in,
 are the symmetric position pairs with their sign columns, then an odd
-length's middle with its options.  Two kernels over those levels do the
-two jobs: the DFS ``_expand_pairs`` prunes on residue-class budgets, and
-the level-synchronous ``_complete_block`` on shift targets (high shifts
-of the summed autocorrelation become checkable first under that order)
-and row-sum targets.  ``run_task`` takes the candidates ``_BLOCK`` at a
-time: it screens each block with one numpy product per grid, builds
-``SignSeq`` pairs only for the passers, and completes all of them in
-one kernel call.
+length's middle with its options.
 
-Expansion lists its innermost levels once, at most ``_INNER_FILLS``
-fills, each keyed by the class sums it pays (``_inner_fills``, cached
-per side and modulus).  The outer DFS prunes on class budgets as before
-and, at the first tabulated level, looks up the exact remaining debt
-over every class and emits the fills listed under it.  The order is
-that of the full DFS: budget pruning only cuts fills that cannot pay
-the debt, so the full DFS's leaves below that level are exactly the
-fills whose class sums equal it, and the table lists them in the same
-lexicographic order.  A class without positions must owe 0, which the
-lookup enforces as well.
-
-The completion kernel holds its frontier in numpy arrays: per row the
-x bits and the y bits of the partial fill (``SignSeq.packed`` layout,
-one uint64 each, unplaced positions 0), the four running row sums x, y,
-x', y' as their distance from the target, and the candidate the row
-completes.  Each level broadcasts its parents against the level's
-options (their bits and row-sum deltas are cached per side,
-``_kernel_rows``) and keeps a row while every |running - target| is at
-most the positions left (without sum targets the bound is ``length``,
-which prunes nothing).  Placing pair t of a length-L fill completes
-shift L-t; one broadcast ``np.bitwise_count`` of (z ^ z >> s) & mask
-over x and y checks every shift the level completes against each
+One level kernel over those levels does both enumerations.  A row holds
+the x bits and the y bits of a partial fill (``SignSeq.packed`` layout,
+one uint64 each, unplaced positions 0) and int8 lanes: the distance of
+each class sum mod m of x and of y from its target.  Each level
+broadcasts its rows against the level's options (their bits and lane
+deltas are cached per side and modulus, ``_kernel_rows``) and keeps a row
+while every |lane| is at most the positions its class has left.  A lane
+and those positions keep one parity, so the targets' parity and range
+are tested once, at entry, and a kept full row meets every target.
+Expansion takes the task's modulus and the residue half as targets.
+Completion takes m = 2 and the sums over even and over odd positions,
+((x+x')/2, (x-x')/2) of each row sum, which bound the row sums at least
+as tightly as the row sums themselves; it also checks every shift a
+level completes (high shifts of the summed autocorrelation become
+checkable first under the outside-in order).  Placing pair t of a
+length-L fill completes shift L-t; one broadcast ``np.bitwise_count`` of
+(z ^ z >> s) & mask over x and y checks those shifts against each
 candidate's wanted count of sign changes, derived from the fixed pair
 once per block (a count no shift can reach becomes a sentinel).  The
 even-length last pair and the middle position check every shift still
-open the same way.  Expansion is parent-major and filtering keeps
-order, so the leaves come out ordered by candidate and, within one
-candidate, lexicographically by option index, which is the order of a
-depth-first search over the levels; first mode depends on it.  The
-frontier is expanded in chunks of at most ``_FRONTIER`` rows, depth
-first over chunks, so memory is bounded by the depth times that bound
-whatever n is.  A sequence of the filled side has at most 64 signs, so
+open the same way.
+
+Expansion is parent-major and filtering keeps order, so the full rows
+come out ordered by candidate and, within one, lexicographically by
+option index, which is the order of a depth-first search over the
+levels; first mode depends on it.  Rows are expanded in chunks of
+bounded size, depth first over chunks, so memory is bounded by the
+depth times that bound whatever n is.  ``run_task`` regroups the
+expansion's fills into blocks of ``_BLOCK``, screens each block with one
+numpy product per grid on the signs decoded from the packed bits, and
+completes its passers in one kernel call; ``SignSeq``s are built only
+for ``verify``.  A sequence of the filled side has at most 64 signs, so
 searches support n <= 63 (the paper needs n <= 45).
 
 Bookkeeping invariant: the task for (sum profile S, residue half H)
@@ -203,16 +196,16 @@ def _kernel_rows(n: int, kind: Kind, side: str, m: int) -> tuple[tuple[np.ndarra
     return tuple(out)
 
 
-def _root_lanes(length: int, m: int, targets, width: int) -> Optional[np.ndarray]:
-    """The lanes of the empty fill, minus the class-sum ``targets`` (x's
-    classes, then y's) in ``width`` int8 lanes viewed as uint64 words, or
-    None if some class cannot pay its target with its positions.  A lane
-    and the positions left of its class keep one parity, so a row that
-    keeps every lane within them ends on its targets."""
-    sizes = numfilter.class_sizes(length, m) * 2  # x's classes, then y's
+def _root_lanes(length: int, m: int, targets) -> Optional[np.ndarray]:
+    """The lanes of the empty fill as uint64 words: minus the class-sum
+    ``targets`` (x's classes, then y's), or None if some class cannot pay
+    its target with its positions.  A lane and the positions left of its
+    class keep one parity, so a row that keeps every lane within them
+    ends on its targets."""
+    sizes = numfilter.class_sizes(length, m) * 2
     if any(abs(want) > size or (want - size) % 2 for want, size in zip(targets, sizes)):
         return None
-    lanes = np.zeros(width, np.int8)
+    lanes = np.zeros(-(-2 * m // 8) * 8, np.int8)
     lanes[:2 * m] = [-int(want) for want in targets]
     return lanes.view(np.uint64)
 
@@ -279,7 +272,7 @@ def _expand(n: int, kind: Kind, side: str, m: int, need_x: tuple[int, ...],
     ``need_y``, as (fills, 2) arrays of packed x and y, in DFS order."""
     length = numfilter.column_cases(n, side, kind)[0]
     levels = _kernel_rows(n, kind, side, m)
-    lanes = _root_lanes(length, m, (*need_x, *need_y), levels[0][2].shape[1])
+    lanes = _root_lanes(length, m, (*need_x, *need_y))
     if lanes is None:
         return
     root = np.zeros(1, np.uint64)
@@ -302,15 +295,13 @@ def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
     length = numfilter.column_cases(n, side, kind)[0]
     fixed_len = n + 1 if side == SIDE_CD else n
     levels = _kernel_rows(n, kind, side, 2)
-    if sum_targets is None:
-        lanes = np.zeros(0, np.uint64)  # nothing to pay, so no lanes
-    else:
+    lanes = np.zeros(0, np.uint64)  # without targets there are no lanes
+    if sum_targets is not None:
         # the sums over even and over odd positions; a half-integer one
         # (x and x' of different parity) fails the parity test
         x, y, x_alt, y_alt = sum_targets
         lanes = _root_lanes(length, 2, ((x + x_alt) / 2, (x - x_alt) / 2,
-                                        (y + y_alt) / 2, (y - y_alt) / 2),
-                            levels[0][2].shape[1])
+                                        (y + y_alt) / 2, (y - y_alt) / 2))
         if lanes is None:
             return
     # half_sums is (N_f1(s)+N_f2(s))/2 of the fixed pair; the fill has

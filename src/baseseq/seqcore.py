@@ -187,10 +187,6 @@ class SumProfile:
     def square_sum(self) -> int:
         return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
 
-    def alt_square_sum(self) -> int:
-        return (self.a_alt ** 2 + self.b_alt ** 2
-                + self.c_alt ** 2 + self.d_alt ** 2)
-
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.as_tuple())
 

@@ -1006,3 +1006,41 @@ def test_search_refuses_n_above_63():
     seq = SignSeq((1,) * 64)
     with pytest.raises(PreconditionError, match="n <= 63"):
         backtrack_complete((seq, seq), 64, Kind.BS, SIDE_AB)
+
+
+def test_expansion_refuses_malformed_profiles():
+    pair = (SignSeq((1,) * 5), SignSeq((1,) * 5))
+    zero = (0,) * 3
+    malformed = [ResidueProfile(0, (), (), (), ()),             # no class at all
+                 ResidueProfile(3, zero, zero, (1, 0), (1, 0)),  # short vectors
+                 ResidueProfile(3, (0,) * 4, zero, zero, zero)]  # a long one
+    for prof in malformed:
+        with pytest.raises(PreconditionError, match="residue profile"):
+            list(expand_candidates(prof, 5, Kind.BS, SIDE_CD))
+        with pytest.raises(PreconditionError, match="residue profile"):
+            candidate_matches_profile(pair, prof, 5, Kind.BS, SIDE_CD)
+    prof = ResidueProfile(2, (0, 0), (0, 0), (0, 0), (0, 0))
+    with pytest.raises(PreconditionError, match="n <= 63"):
+        list(expand_candidates(prof, 64, Kind.BS, SIDE_CD))
+
+
+def test_expand_candidates_at_the_largest_length():
+    # n = 63: 63 signs per uint64, and 32 positions in the even class mod 2.
+    # Every C,D pair but the first has both positions in one class here and
+    # pays 0 mod 4 over C and D, so C+D of the even class is pair 1's sum
+    # mod 4.  The pair takes pair 1's first option: the class budgets
+    # cannot see a wrong residue, and the walk would first search the whole
+    # empty subtree of the first pair-1 option.
+    rng = random.Random(63)
+    length, levels = numfilter.column_cases(63, SIDE_CD, Kind.BS)
+    c, d = [0] * length, [0] * length
+    for t, (positions, options) in enumerate(levels):
+        option = rng.choice(options) if t else options[0]
+        for k, p in enumerate(positions):
+            c[p], d[p] = option[k], option[len(positions) + k]
+    pair = (SignSeq(tuple(c)), SignSeq(tuple(d)))
+    prof = ResidueProfile(2, (0, 0), (0, 0), *(numfilter.sequence_class_sums(s, 2) for s in pair))
+    assert candidate_matches_profile(pair, prof, 63, Kind.BS, SIDE_CD)
+    stream = list(itertools.islice(expand_candidates(prof, 63, Kind.BS, SIDE_CD), 1000))
+    assert len(stream) == len(set(stream)) == 1000
+    assert all(candidate_matches_profile(p, prof, 63, Kind.BS, SIDE_CD) for p in stream)
