@@ -11,37 +11,30 @@ length's middle with its options.
 
 One level kernel over those levels does both enumerations.  A row holds
 the x bits and the y bits of a partial fill (``SignSeq.packed`` layout,
-one uint64 each, unplaced positions 0) and int8 lanes: the distance of
-each class sum mod m of x and of y from its target.  Each level
-broadcasts its rows against the level's options (their bits and lane
-deltas are cached per side and modulus, ``_kernel_rows``) and keeps a row
-while every |lane| is at most the positions its class has left.  A lane
-and those positions keep one parity, so the targets' parity and range
-are tested once, at entry, and a kept full row meets every target.
-Expansion takes the task's modulus and the residue half as targets.
-Completion takes m = 2 and the sums over even and over odd positions,
-((x+x')/2, (x-x')/2) of each row sum, which bound the row sums at least
-as tightly as the row sums themselves; it also checks every shift a
-level completes (high shifts of the summed autocorrelation become
-checkable first under the outside-in order).  Placing pair t of a
-length-L fill completes shift L-t; one broadcast ``np.bitwise_count`` of
-(z ^ z >> s) & mask over x and y checks those shifts against each
-candidate's wanted count of sign changes, derived from the fixed pair
-once per block (a count no shift can reach becomes a sentinel).  The
-even-length last pair and the middle position check every shift still
-open the same way.
+one uint64 each) and byte lanes: for each class mod m of x and of y, the
++1 signs and the -1 signs the class must still take to sum to its
+target.  Each level broadcasts its rows against the level's options
+(cached per side and modulus, ``_kernel_rows``) and keeps a row while no
+lane is overspent, that is while every class sum can still reach its
+target with the positions its class has left; the targets' parity and
+range are tested once, at entry.  Expansion takes the task's modulus
+and residue half.  Completion takes m = 2 and the sums over even and
+over odd positions, ((x+x')/2, (x-x')/2) of each row sum, and also
+checks every shift a level completes: placing pair t of a length-L fill
+completes shift L-t, so one broadcast ``np.bitwise_count`` of
+(z ^ z >> s) & mask over x and y checks it against each candidate's
+wanted count of sign changes, derived from the fixed pair once per
+block (a count no shift can reach becomes a sentinel).  The even-length
+last pair and the middle position check every shift still open.
 
-Expansion is parent-major and filtering keeps order, so the full rows
-come out ordered by candidate and, within one, lexicographically by
-option index, which is the order of a depth-first search over the
-levels; first mode depends on it.  Rows are expanded in chunks of
-bounded size, depth first over chunks, so memory is bounded by the
-depth times that bound whatever n is.  ``run_task`` regroups the
-expansion's fills into blocks of ``_BLOCK``, screens each block with one
-numpy product per grid on the signs decoded from the packed bits, and
-completes its passers in one kernel call; ``SignSeq``s are built only
-for ``verify``.  A sequence of the filled side has at most 64 signs, so
-searches support n <= 63 (the paper needs n <= 45).
+Filtering keeps the parent-major order of each level, so the full rows
+come out by candidate and, within one, in the order of a depth-first
+search over the levels; first mode depends on it.  ``run_task`` cuts
+the expansion's fills into blocks of at most ``_BLOCK``, screens each
+block with one numpy product per grid on the signs decoded from the
+packed bits, and completes its passers in one kernel call; ``SignSeq``s
+are built only for ``verify``.  A sequence of the filled side has at
+most 64 signs, so searches support n <= 63 (the paper needs n <= 45).
 
 Bookkeeping invariant: the task for (sum profile S, residue half H)
 finds exactly the valid quads whose raw row sums equal S and whose
@@ -148,6 +141,8 @@ _FRONTIER = 8192
 # a wanted count of sign changes that no shift of two sequences of at
 # most 64 signs each can have
 _NO_COUNT = 255
+# the top bit of each byte lane of a uint64 word
+_TOP_BITS = np.uint64(0x8080808080808080)
 
 
 def _check_length(n: int) -> None:
@@ -161,52 +156,53 @@ def _kernel_rows(n: int, kind: Kind, side: str, m: int) -> tuple[tuple[np.ndarra
     """Each level of ``numfilter.column_cases`` as level-kernel arrays.
 
     Per level: the x bits and the y bits of each option (``SignSeq.packed``
-    layout, unplaced positions 0); the (options, lanes) int8 deltas of the
-    class sums mod ``m`` of x, then of y, padded with zero lanes to whole
-    uint64 words; the positions of each lane's class still open after the
-    level, in the same shape; and the shifts the level completes with
-    their masks.  After ``placed`` positions the shifts down to length -
-    placed//2 are complete, or all of them once every position is placed.
+    layout, unplaced positions 0); what each option spends of the lane
+    budgets (see ``_root_lanes``), as (options, words) uint64; and the
+    shifts the level completes with their masks.  After ``placed``
+    positions the shifts down to length - placed//2 are complete, or all
+    of them once every position is placed.
     """
     length, levels = numfilter.column_cases(n, side, kind)
     top = length - 1
-    left = np.zeros(-(-2 * m // 8) * 8, np.int8)
-    left[:2 * m] = numfilter.class_sizes(length, m) * 2  # x's classes, then y's
     out = []
     placed, low = 0, length
     for positions, options in levels:
-        bx, by, deltas = [], [], np.zeros((len(options), len(left)), np.int8)
+        bx, by, spend = [], [], np.zeros((len(options), -(-4 * m // 8) * 8), np.uint8)
         for k, option in enumerate(options):
             cells = list(zip(positions, option, option[len(positions):]))
             bx.append(sum((xv < 0) << top - p for p, xv, _ in cells))
             by.append(sum((yv < 0) << top - p for p, _, yv in cells))
             for p, xv, yv in cells:
-                deltas[k, p % m] += xv
-                deltas[k, m + p % m] += yv
-        for p in positions:
-            left[p % m] -= 1
-            left[m + p % m] -= 1
+                spend[k, 2 * (p % m) + (xv < 0)] += 1
+                spend[k, 2 * (m + p % m) + (yv < 0)] += 1
         placed += len(positions)
         new_low = 1 if placed == length else length - placed // 2
         shifts = range(low - 1, new_low - 1, -1)
-        out.append((np.array(bx, np.uint64), np.array(by, np.uint64), deltas,
-                    np.tile(left, (len(options), 1)), np.array(shifts, np.uint64),
+        out.append((np.array(bx, np.uint64), np.array(by, np.uint64), spend.view(np.uint64),
+                    np.array(shifts, np.uint64),
                     np.array([(1 << length - s) - 1 for s in shifts], np.uint64)))
         low = new_low
     return tuple(out)
 
 
 def _root_lanes(length: int, m: int, targets) -> Optional[np.ndarray]:
-    """The lanes of the empty fill as uint64 words: minus the class-sum
-    ``targets`` (x's classes, then y's), or None if some class cannot pay
-    its target with its positions.  A lane and the positions left of its
-    class keep one parity, so a row that keeps every lane within them
-    ends on its targets."""
-    sizes = numfilter.class_sizes(length, m) * 2
-    if any(abs(want) > size or (want - size) % 2 for want, size in zip(targets, sizes)):
+    """The lanes of the empty fill, or None if a class cannot pay its target.
+
+    For each class mod ``m`` of x, then of y, two byte lanes hold the +1
+    signs and the -1 signs the class must still take to sum to its target
+    in ``targets``; the bytes are padded to whole uint64 words.  A row
+    keeps every lane >= 0 exactly while each class sum can still reach its
+    target with the positions the class has left, and a full row has
+    spent every budget, so it meets every target.  A negative or
+    fractional budget is a target out of reach or of the wrong parity.
+    """
+    sizes = numfilter.class_sizes(length, m) * 2  # x's classes, then y's
+    budgets = [(size + sign * want) / 2 for size, want in zip(sizes, targets)
+               for sign in (1, -1)]
+    if any(budget < 0 or budget % 1 for budget in budgets):
         return None
-    lanes = np.zeros(-(-2 * m // 8) * 8, np.int8)
-    lanes[:2 * m] = [-int(want) for want in targets]
+    lanes = np.zeros(-(-4 * m // 8) * 8, np.uint8)
+    lanes[:4 * m] = [int(budget) for budget in budgets]
     return lanes.view(np.uint64)
 
 
@@ -222,23 +218,26 @@ def _disagreements(x: np.ndarray, y: np.ndarray, shifts: np.ndarray,
 def _children(level: tuple[np.ndarray, ...], wants: Optional[np.ndarray], cand: np.ndarray,
               x: np.ndarray, y: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, ...]:
     """The rows one level below the rows (cand, x, y, lanes), parent-major
-    and each parent's options in listed order, that keep every lane
-    within the positions its class has left and, if ``wants`` is given,
-    change sign as often as their candidate wants at every shift the
-    level completes.  A row's int8 lanes fill whole uint64 words, so one
-    ``any`` over its words tests all of them."""
-    bx, by, deltas, left, shifts, masks = level
-    count, options, width = len(x), len(bx), 8 * lanes.shape[1]
-    moved = np.repeat(lanes, options, axis=0)  # each parent's lanes once per option
-    signed = moved.view(np.int8).reshape(count, options, width)
-    signed += deltas[:, :width]
-    keep = np.flatnonzero(~(np.abs(signed) > left[:, :width]).view(np.uint64).any(axis=-1))
+    and each parent's options in listed order, that overspend no lane
+    and, if ``wants`` is given, change sign as often as their candidate
+    wants at every shift the level completes."""
+    bx, by, spend, shifts, masks = level
+    count, options, words = len(x), len(bx), lanes.shape[1]
+    moved = np.repeat(lanes, options, axis=0).reshape(count, options, words)
+    moved -= spend[:, :words]
+    # a lane is at most 64 and an option spends at most 2 of it, so an
+    # overspent lane borrows, and the lowest one sets its top bit; the
+    # words are OR-ed one by one (.any over so short an axis is slow)
+    bad = np.zeros((count, options), np.uint64)
+    for word in range(words):
+        bad |= moved[..., word]
+    keep = np.flatnonzero((bad & _TOP_BITS) == 0)
     parent, option = np.divmod(keep, options)
     cand, x, y = cand[parent], x[parent] | bx[option], y[parent] | by[option]
     if wants is not None:
         ok = (_disagreements(x, y, shifts, masks) == wants[cand]).all(axis=1)
         keep, cand, x, y = keep[ok], cand[ok], x[ok], y[ok]
-    return cand, x, y, moved[keep]
+    return cand, x, y, moved.reshape(count * options, words)[keep]
 
 
 def _walk(levels: tuple[tuple[np.ndarray, ...], ...], rows: tuple[np.ndarray, ...],
@@ -331,12 +330,14 @@ def _verified(fixed: np.ndarray, n: int, kind: Kind, side: str,
     order."""
     length = numfilter.column_cases(n, side, kind)[0]
     fixed_len = n + 1 if side == SIDE_CD else n
+    others = {}  # a fixed pair's sequences, built once so verify reuses their autocorr
     for cand, xs, ys in _complete_block(n, kind, side, fixed, sum_targets):
         for c, x, y in zip(cand.tolist(), xs.tolist(), ys.tolist()):
+            if c not in others:
+                others[c] = tuple(SignSeq.from_packed(f, fixed_len) for f in fixed[c].tolist())
             filled = SignSeq.from_packed(x, length), SignSeq.from_packed(y, length)
-            other = tuple(SignSeq.from_packed(f, fixed_len) for f in fixed[c].tolist())
-            quad = (SeqQuad(*filled, *other, kind) if side == SIDE_AB
-                    else SeqQuad(*other, *filled, kind))
+            quad = (SeqQuad(*filled, *others[c], kind) if side == SIDE_AB
+                    else SeqQuad(*others[c], *filled, kind))
             if verify(quad).valid:
                 yield c, quad
 
@@ -429,19 +430,6 @@ def build_tasks(cfg: SearchConfig) -> list[tuple]:
     return tasks
 
 
-def _blocks(batches: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
-    """The rows of ``batches``, in order, in blocks of ``size`` rows (the
-    last one may be shorter)."""
-    held = np.zeros((0, 2), np.uint64)
-    for batch in batches:
-        held = np.concatenate((held, batch))
-        while len(held) >= size:
-            yield held[:size]
-            held = held[size:]
-    if len(held):
-        yield held
-
-
 def _signs(rows: np.ndarray, length: int) -> np.ndarray:
     """Packed (pairs, 2) rows as their (pairs, 2, length) entries +-1.0."""
     bits = rows[..., None] >> np.arange(length - 1, -1, -1, dtype=np.uint64) & 1
@@ -449,8 +437,8 @@ def _signs(rows: np.ndarray, length: int) -> np.ndarray:
 
 
 def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[Packed], dict]:
-    """Expand, screen and complete one (sum profile, residue half) unit,
-    ``_BLOCK`` candidates at a time; its finds come as packed quads.
+    """Expand, screen and complete one (sum profile, residue half) unit, in
+    blocks of at most ``_BLOCK`` candidates; its finds come as packed quads.
 
     In first mode the counters stop at the candidate of the first find,
     as if the candidates were taken one at a time."""
@@ -465,8 +453,10 @@ def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[Packed], dict]:
     length = numfilter.column_cases(cfg.n, cfg.start_side, cfg.kind)[0]
     stats = dict.fromkeys(_STAT_KEYS, 0)
     found = []
-    fills = _expand(cfg.n, cfg.kind, cfg.start_side, cfg.moduli[-1], need_x, need_y)
-    for block in _blocks(fills, _BLOCK):
+    expansion = _expand(cfg.n, cfg.kind, cfg.start_side, cfg.moduli[-1], need_x, need_y)
+    blocks = (fills[lo:lo + _BLOCK] for fills in expansion
+              for lo in range(0, len(fills), _BLOCK))
+    for block in blocks:
         keep = specfilter.screen_block(_signs(block, length), bound, grids)
         seen = len(block)
         for p, quad in _verified(block[keep], cfg.n, cfg.kind, fill_side, fill_targets):

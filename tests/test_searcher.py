@@ -1039,7 +1039,8 @@ def test_expand_candidates_at_the_largest_length():
         for k, p in enumerate(positions):
             c[p], d[p] = option[k], option[len(positions) + k]
     pair = (SignSeq(tuple(c)), SignSeq(tuple(d)))
-    prof = ResidueProfile(2, (0, 0), (0, 0), *(numfilter.sequence_class_sums(s, 2) for s in pair))
+    prof = ResidueProfile(2, (0, 0), (0, 0),
+                          *(numfilter.sequence_class_sums(seq, 2) for seq in pair))
     assert candidate_matches_profile(pair, prof, 63, Kind.BS, SIDE_CD)
     stream = list(itertools.islice(expand_candidates(prof, 63, Kind.BS, SIDE_CD), 1000))
     assert len(stream) == len(set(stream)) == 1000
