@@ -223,7 +223,7 @@ def _children(level: tuple[np.ndarray, ...], wants: Optional[np.ndarray], cand: 
     wants at every shift the level completes."""
     bx, by, spend, shifts, masks = level
     count, options, words = len(x), len(bx), lanes.shape[1]
-    moved = np.repeat(lanes, options, axis=0).reshape(count, options, words)
+    moved = lanes.repeat(options, axis=0).reshape(count, options, words)
     moved -= spend[:, :words]
     # a lane is at most 64 and an option spends at most 2 of it, so an
     # overspent lane borrows, and the lowest one sets its top bit; the
