@@ -291,6 +291,8 @@ def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
     (candidate, x, y) of completed fills, x and y packed, candidates in
     block order and each candidate's fills in DFS order.
     """
+    if not len(fixed):  # a block the screen emptied
+        return
     length = numfilter.column_cases(n, side, kind)[0]
     fixed_len = n + 1 if side == SIDE_CD else n
     levels = _kernel_rows(n, kind, side, 2)
