@@ -9,11 +9,11 @@ the other side.  One cached table per (n, side, kind),
 are the symmetric position pairs with their sign columns, then an odd
 length's middle with its options.
 
-One level kernel over those levels does both enumerations.  A row holds
-the x bits and the y bits of a partial fill (``SignSeq.packed`` layout,
-one uint64 each) and byte lanes: for each class mod m of x and of y, the
-+1 signs and the -1 signs the class must still take to sum to its
-target.  Each level broadcasts its rows against the level's options
+One level kernel over those levels does both enumerations.  A row is a
+few uint64 words: the x bits and the y bits of a partial fill
+(``SignSeq.packed`` layout), then byte lanes, for each class mod m of x
+and of y the +1 signs and the -1 signs the class must still take to sum
+to its target.  Each level broadcasts its rows against the level's options
 (cached per side and modulus, ``_kernel_rows``) and keeps a row while no
 lane is overspent, that is while every class sum can still reach its
 target with the positions its class has left; the targets' parity and
@@ -153,32 +153,32 @@ def _check_length(n: int) -> None:
 
 @lru_cache(maxsize=256)
 def _kernel_rows(n: int, kind: Kind, side: str, m: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Each level of ``numfilter.column_cases`` as level-kernel arrays.
-
-    Per level: the x bits and the y bits of each option (``SignSeq.packed``
-    layout, unplaced positions 0); what each option spends of the lane
-    budgets (see ``_root_lanes``), as (options, words) uint64; and the
-    shifts the level completes with their masks.  After ``placed``
-    positions the shifts down to length - placed//2 are complete, or all
-    of them once every position is placed.
+    """Each level of ``numfilter.column_cases`` as level-kernel arrays:
+    the moves, one uint64 row per option of its x bits, its y bits and
+    minus what it spends of each lane word (see ``_root_lanes``), so that
+    adding a move to a row places the option; and the shifts the level
+    completes with their masks.  After ``placed`` positions the shifts
+    down to length - placed//2 are complete, or all of them once every
+    position is placed.
     """
     length, levels = numfilter.column_cases(n, side, kind)
     top = length - 1
     out = []
     placed, low = 0, length
     for positions, options in levels:
-        bx, by, spend = [], [], np.zeros((len(options), -(-4 * m // 8) * 8), np.uint8)
+        bits, spend = [], np.zeros((len(options), -(-4 * m // 8) * 8), np.uint8)
         for k, option in enumerate(options):
             cells = list(zip(positions, option, option[len(positions):]))
-            bx.append(sum((xv < 0) << top - p for p, xv, _ in cells))
-            by.append(sum((yv < 0) << top - p for p, _, yv in cells))
+            bits.append((sum((xv < 0) << top - p for p, xv, _ in cells),
+                         sum((yv < 0) << top - p for p, _, yv in cells)))
             for p, xv, yv in cells:
                 spend[k, 2 * (p % m) + (xv < 0)] += 1
                 spend[k, 2 * (m + p % m) + (yv < 0)] += 1
         placed += len(positions)
         new_low = 1 if placed == length else length - placed // 2
         shifts = range(low - 1, new_low - 1, -1)
-        out.append((np.array(bx, np.uint64), np.array(by, np.uint64), spend.view(np.uint64),
+        out.append((np.hstack((np.array(bits, np.uint64).reshape(-1, 2),
+                               -spend.view(np.uint64))),
                     np.array(shifts, np.uint64),
                     np.array([(1 << length - s) - 1 for s in shifts], np.uint64)))
         low = new_low
@@ -186,16 +186,12 @@ def _kernel_rows(n: int, kind: Kind, side: str, m: int) -> tuple[tuple[np.ndarra
 
 
 def _root_lanes(length: int, m: int, targets) -> Optional[np.ndarray]:
-    """The lanes of the empty fill, or None if a class cannot pay its target.
-
-    For each class mod ``m`` of x, then of y, two byte lanes hold the +1
-    signs and the -1 signs the class must still take to sum to its target
-    in ``targets``; the bytes are padded to whole uint64 words.  A row
-    keeps every lane >= 0 exactly while each class sum can still reach its
-    target with the positions the class has left, and a full row has
-    spent every budget, so it meets every target.  A negative or
-    fractional budget is a target out of reach or of the wrong parity.
-    """
+    """The lane words of the empty fill: for each class mod ``m`` of x,
+    then of y, the +1 signs and the -1 signs it must take to sum to its
+    target in ``targets``, a byte each.  None if a budget is negative or
+    fractional, that is a target out of reach or of the wrong parity.
+    Lanes >= 0 means every class can still reach its target, and a full
+    row has spent every budget."""
     sizes = numfilter.class_sizes(length, m) * 2  # x's classes, then y's
     budgets = [(size + sign * want) / 2 for size, want in zip(sizes, targets)
                for sign in (1, -1)]
@@ -208,61 +204,64 @@ def _root_lanes(length: int, m: int, targets) -> Optional[np.ndarray]:
 
 def _disagreements(x: np.ndarray, y: np.ndarray, shifts: np.ndarray,
                    masks: np.ndarray) -> np.ndarray:
-    """Sign changes of packed x and y at each shift, summed: a (rows,
-    shifts) count with N_x(s) + N_y(s) = 2(length-s) - 2*count."""
-    x, y = x[:, None], y[:, None]
+    """Sign changes of packed x and y at each shift, summed: a (shifts,
+    rows) count with N_x(s) + N_y(s) = 2(length-s) - 2*count.  Shifts
+    are the outer axis, so every operation runs along the rows."""
+    shifts, masks = shifts[:, None], masks[:, None]
     return (np.bitwise_count((x ^ x >> shifts) & masks)
             + np.bitwise_count((y ^ y >> shifts) & masks))
 
 
 def _children(level: tuple[np.ndarray, ...], wants: Optional[np.ndarray], cand: np.ndarray,
-              x: np.ndarray, y: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The rows one level below the rows (cand, x, y, lanes), parent-major
-    and each parent's options in listed order, that overspend no lane
-    and, if ``wants`` is given, change sign as often as their candidate
-    wants at every shift the level completes."""
-    bx, by, spend, shifts, masks = level
-    count, options, words = len(x), len(bx), lanes.shape[1]
-    moved = lanes.repeat(options, axis=0).reshape(count, options, words)
-    moved -= spend[:, :words]
-    # a lane is at most 64 and an option spends at most 2 of it, so an
-    # overspent lane borrows, and the lowest one sets its top bit; the
-    # words are OR-ed one by one (.any over so short an axis is slow)
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows one level below the rows (cand, rows), parent-major and
+    each parent's options in listed order, that overspend no lane and, if
+    ``wants`` is given, change sign as often as their candidate wants at
+    every shift the level completes."""
+    moves, shifts, masks = level
+    count, options, width = len(rows), len(moves), rows.shape[1]
+    below = rows.repeat(options, axis=0).reshape(count, options, width)
+    below += moves[:, :width]  # a move's bits are still clear in its parent
+    # a lane is at most 64 and a move spends at most 2 of it, so an
+    # overspent lane borrows and the lowest one sets its top bit; words
+    # are OR-ed one by one, as .any over so short an axis is slow
     bad = np.zeros((count, options), np.uint64)
-    for word in range(words):
-        bad |= moved[..., word]
+    for word in range(2, width):
+        bad |= below[..., word]
     keep = np.flatnonzero((bad & _TOP_BITS) == 0)
-    parent, option = np.divmod(keep, options)
-    cand, x, y = cand[parent], x[parent] | bx[option], y[parent] | by[option]
+    cand = cand[keep // options]
+    below = np.take(below.reshape(count * options, width), keep, axis=0)
     if wants is not None:
-        ok = (_disagreements(x, y, shifts, masks) == wants[cand]).all(axis=1)
-        keep, cand, x, y = keep[ok], cand[ok], x[ok], y[ok]
-    return cand, x, y, moved.reshape(count * options, words)[keep]
+        ok = (_disagreements(below[:, 0], below[:, 1], shifts, masks)
+              == wants[:, cand]).all(axis=0)
+        cand, below = cand[ok], np.compress(ok, below, axis=0)
+    return cand, below
 
 
-def _walk(levels: tuple[tuple[np.ndarray, ...], ...], rows: tuple[np.ndarray, ...],
+def _walk(levels: tuple[tuple[np.ndarray, ...], ...], cand: np.ndarray, rows: np.ndarray,
           bound: int, wants: Optional[list[np.ndarray]] = None,
-          ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Place every level of ``levels`` on the rows (cand, x, y, lanes).
+          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Place every level of ``levels`` on the rows, each row its x bits,
+    y bits and lane words, ``cand`` the candidate of each.
 
-    Yields (cand, x, y) arrays of the filled rows that ``_children`` keeps
-    at every level, ``wants[t]`` being level t's wanted counts per
-    candidate.  Rows are expanded in chunks of at most ``bound`` (one
+    Yields (cand, rows) arrays of the filled rows that ``_children`` keeps
+    at every level, ``wants[t]`` being level t's (shifts, candidates)
+    wanted counts.  Rows are expanded in chunks of at most ``bound`` (one
     parent's options if that is more), depth first over chunks, so the
     rows come out in the order of a depth-first search and memory stays
     bounded by the depth times ``bound``.
     """
-    def descend(t: int, rows: tuple[np.ndarray, ...]):
+    def descend(t: int, cand: np.ndarray, rows: np.ndarray):
         step = max(1, bound // len(levels[t][0]))
-        for lo in range(0, len(rows[0]), step):
+        for lo in range(0, len(rows), step):
             below = _children(levels[t], None if wants is None else wants[t],
-                              *(a[lo:lo + step] for a in rows))
+                              cand[lo:lo + step], rows[lo:lo + step])
             if t + 1 == len(levels):
-                yield below[:3]
+                yield below
             elif len(below[0]):
-                yield from descend(t + 1, below)
+                yield from descend(t + 1, *below)
 
-    return descend(0, rows)
+    return descend(0, cand, rows)
 
 
 def _expand(n: int, kind: Kind, side: str, m: int, need_x: tuple[int, ...],
@@ -270,14 +269,13 @@ def _expand(n: int, kind: Kind, side: str, m: int, need_x: tuple[int, ...],
     """The fills of ``side`` whose class sums mod ``m`` are ``need_x`` and
     ``need_y``, as (fills, 2) arrays of packed x and y, in DFS order."""
     length = numfilter.column_cases(n, side, kind)[0]
-    levels = _kernel_rows(n, kind, side, m)
     lanes = _root_lanes(length, m, (*need_x, *need_y))
     if lanes is None:
         return
-    root = np.zeros(1, np.uint64)
-    rows = (np.zeros(1, np.uint8), root, root, lanes[None])
-    for _, x, y in _walk(levels, rows, _FRONTIER // 4):
-        yield np.column_stack((x, y))
+    root = np.concatenate((np.zeros(2, np.uint64), lanes))[None]
+    for _, rows in _walk(_kernel_rows(n, kind, side, m), np.zeros(1, np.uint8), root,
+                         _FRONTIER // 4):
+        yield rows[:, :2]
 
 
 def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
@@ -311,17 +309,18 @@ def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
     # the fixed side, which must bring 0 there.
     s = np.arange(1, n + 1)
     masks = np.array([(1 << fixed_len - k) - 1 for k in range(1, n + 1)], np.uint64)
-    half_sums = (fixed_len - s) - _disagreements(fixed[:, 0], fixed[:, 1],
-                                                 s.astype(np.uint64), masks)
-    live = ~half_sums[:, length - 1:].any(axis=1)
-    span = length - s[:length - 1]
-    wants = span + half_sums[:, :length - 1]
+    half_sums = (fixed_len - s)[:, None] - _disagreements(fixed[:, 0], fixed[:, 1],
+                                                          s.astype(np.uint64), masks)
+    live = ~half_sums[length - 1:].any(axis=0)
+    span = (length - s[:length - 1])[:, None]
+    wants = span + half_sums[:length - 1]
     wants = np.where((wants >= 0) & (wants <= 2 * span), wants, _NO_COUNT).astype(np.uint8)
-    level_wants = [wants[:, (shifts - 1).astype(np.intp)] for *_, shifts, _ in levels]
+    level_wants = [wants[(shifts - 1).astype(np.intp)] for _, shifts, _ in levels]
     cand = np.flatnonzero(live)
-    zeros = np.zeros(len(cand), np.uint64)
-    rows = (cand, zeros, zeros, np.tile(lanes, (len(cand), 1)))
-    yield from _walk(levels, rows, _FRONTIER, level_wants)
+    rows = np.zeros((len(cand), 2 + len(lanes)), np.uint64)
+    rows[:, 2:] = lanes
+    for cand, rows in _walk(levels, cand, rows, _FRONTIER, level_wants):
+        yield cand, rows[:, 0], rows[:, 1]
 
 
 def _verified(fixed: np.ndarray, n: int, kind: Kind, side: str,
