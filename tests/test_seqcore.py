@@ -1,12 +1,15 @@
+import hashlib
 import math
 import random
 
 import pytest
 
+from baseseq import oracle
 from baseseq.errors import MalformedInputError
 from baseseq.refdata import known_quad
 from baseseq.seqcore import (Kind, SeqQuad, SignSeq, hall_f, paf, parse_quads,
-                             quad_to_text, row_sums, total_autocorr, verify)
+                             partner_elements, quad_to_text, row_sums, total_autocorr,
+                             verify)
 
 
 def seq(text):
@@ -190,6 +193,63 @@ def test_verify_includes_shift_n():
     report = verify(q)
     assert not report.valid
     assert report.first_failing_shift == 1
+
+
+def _reference_report(quad):
+    """(valid, first failing shift, structural violation) element by element:
+    direct summation of the autocorrelations and ``partner_elements``."""
+    n, kind = quad.n, quad.kind
+    structural = None
+    if kind is not Kind.BS:
+        a, b = quad.a.elements, quad.b.elements
+        want = partner_elements(a, kind)
+        rule = "B[i]=A[i]" if kind is Kind.NS else "B[i]=(-1)^(i-1)A[i]"
+        wrong = [j for j in range(n) if b[j] != want[j]]
+        if a[n] != 1:
+            structural = "last entry of A must be +1"
+        elif b[n] != -1:
+            structural = "last entry of B must be -1"
+        elif wrong:
+            structural = f"coupling {rule} fails at position {wrong[0] + 1}"
+    failing = next((s for s in range(1, n + 1)
+                    if sum(x[j] * x[j + s] for x in quad.seqs() for j in range(len(x) - s))),
+                   None)
+    return structural is None and failing is None, failing, structural
+
+
+def _verify_inputs(bs_pool, ns_pool, nns_pool):
+    """Every oracle quad at n <= 4, a seeded sample at n = 5, 7, 8 and the
+    published quads, each followed by every single-sign flip of it."""
+    quads = [*oracle.brute_bs(0), *oracle.brute_structured(0, Kind.NS),
+             *oracle.brute_structured(0, Kind.NNS)]
+    for pool in (bs_pool, ns_pool, nns_pool):
+        quads += [q for n, qs in sorted(pool.items()) if n <= 4 for q in qs]
+    rng = random.Random(17)
+    for pool, n in ((bs_pool, 5), (ns_pool, 5), (ns_pool, 7), (ns_pool, 8), (nns_pool, 8)):
+        quads += rng.sample(pool[n], 6)
+    quads += [known_quad(n) for n in (41, 42, 43)]
+    for quad in quads:
+        yield quad
+        packed = quad.packed()
+        for i, length in enumerate(map(len, quad.seqs())):
+            for bit in range(length):
+                flipped = list(packed)
+                flipped[i] ^= 1 << bit
+                yield SeqQuad.from_packed(tuple(flipped), quad.n, quad.kind)
+
+
+def test_verify_matches_elementwise_reference_pinned(bs_pool, ns_pool, nns_pool):
+    lines = []
+    for quad in _verify_inputs(bs_pool, ns_pool, nns_pool):
+        report = verify(quad)
+        got = (report.valid, report.first_failing_shift, report.structural_violation)
+        assert got == _reference_report(quad), quad
+        assert report.sums == row_sums(quad)
+        lines.append(f"{quad.kind.value} {' '.join(s.text() for s in quad.seqs())} "
+                     f"{got} {report.sums}")
+    assert len(lines) == 46_077
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "1badb80f586372c7660ca2ecf8e5f5e7c83ec3c72e318ae942ff6c93fda14c73")
 
 
 def test_total_autocorr_shift0(bs_pool):
