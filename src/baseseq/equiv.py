@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (ApplicabilityError, MalformedInputError, OrbitCapExceeded,
                      PreconditionError)
-from .seqcore import Kind, Packed, SeqQuad
+from .seqcore import Kind, Packed, SeqQuad, partner_mask
 
 DEFAULT_ORBIT_CAP = 10 ** 7
 
@@ -149,11 +149,10 @@ def _move_table(kind: Kind, n: int) -> dict[Transform, Move]:
     if kind is Kind.BS:
         return table
 
-    # A's body is its first n elements, bits n .. 1; B is A with the bits
-    # of ``partner`` flipped and its last element forced to -1
-    # (seqcore.partner_elements)
+    # A's body is its first n elements, bits n .. 1; B is re-derived from
+    # it by the packed partner rule
     near = kind is Kind.NNS  # near-normal: odd positions only
-    partner = odd_c << 1 if near else 0
+    partner = partner_mask(n, kind)
     even_c = full_c ^ odd_c
 
     def struct(body: Callable[[int], int], cd_flip: int = 0) -> Move:

@@ -15,31 +15,21 @@ equality, not a pruning heuristic.
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .seqcore import Kind, SeqQuad, SignSeq, derive_partner
+from .seqcore import Kind, SeqQuad, SignSeq, derive_partner, packed_autocorr
 
 BRUTE_BS_MAX_N = 6
 BRUTE_STRUCTURED_MAX_N = 8
 
 
-def _autocorr_tail(packed: int, length: int) -> tuple[int, ...]:
-    """(N(1), ..., N(length-1)) of the packed sequence."""
-    out = []
-    for s in range(1, length):
-        mask = (1 << (length - s)) - 1
-        d = ((packed ^ (packed >> s)) & mask).bit_count()
-        out.append((length - s) - 2 * d)
-    return tuple(out)
-
-
 def _cd_groups(n: int) -> dict[tuple[int, ...], list[tuple[int, int]]]:
     """Group all (C, D) packed pairs by N_C(s)+N_D(s), s = 1..n-1."""
-    singles = [_autocorr_tail(x, n) for x in range(1 << n)]
+    singles = [packed_autocorr(x, n) for x in range(1 << n)]
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for xc in range(1 << n):
         tc = singles[xc]
         for xd in range(1 << n):
             td = singles[xd]
-            key = tuple(tc[i] + td[i] for i in range(n - 1))
+            key = tuple(tc[s] + td[s] for s in range(1, n))
             groups.setdefault(key, []).append((xc, xd))
     return groups
 
@@ -56,16 +46,16 @@ def brute_bs(n: int) -> list[SeqQuad]:
                 for xa in range(2) for xb in range(2)]
     groups = _cd_groups(n)
     length = n + 1
-    ab_tails = [_autocorr_tail(x, length) for x in range(1 << length)]
+    ab_acf = [packed_autocorr(x, length) for x in range(1 << length)]
     found = []
     for xa in range(1 << length):
-        ta = ab_tails[xa]
+        ta = ab_acf[xa]
         for xb in range(1 << length):
-            tb = ab_tails[xb]
+            tb = ab_acf[xb]
             # shift n touches only A and B (C, D are too short)
-            if ta[n - 1] + tb[n - 1] != 0:
+            if ta[n] + tb[n] != 0:
                 continue
-            key = tuple(-(ta[i] + tb[i]) for i in range(n - 1))
+            key = tuple(-(ta[s] + tb[s]) for s in range(1, n))
             for xc, xd in groups.get(key, ()):
                 found.append(SeqQuad.from_packed((xa, xb, xc, xd), n, Kind.BS))
     found.sort(key=SeqQuad.sort_key)
@@ -98,8 +88,6 @@ def brute_structured(n: int, kind: Kind) -> list[SeqQuad]:
             continue
         key = tuple(-(ta[s] + tb[s]) for s in range(1, n))
         for xc, xd in groups.get(key, ()):
-            found.append(SeqQuad(seq_a, seq_b,
-                                 SignSeq.from_packed(xc, n),
-                                 SignSeq.from_packed(xd, n), kind))
+            found.append(SeqQuad.from_packed((seq_a.packed, seq_b.packed, xc, xd), n, kind))
     found.sort(key=SeqQuad.sort_key)
     return found

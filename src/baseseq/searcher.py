@@ -32,9 +32,11 @@ come out by candidate and, within one, in the order of a depth-first
 search over the levels; first mode depends on it.  ``run_task`` cuts
 the expansion's fills into blocks of at most ``_BLOCK``, screens each
 block with one numpy product per grid on the signs decoded from the
-packed bits, and completes its passers in one kernel call; ``SignSeq``s
-are built only for ``verify``.  A sequence of the filled side has at
-most 64 signs, so searches support n <= 63 (the paper needs n <= 45).
+packed bits, and completes its passers in one kernel call.
+``seqcore.packed_valid`` checks each completion as a packed quad, so a
+find is never unpacked on its way to the journal and orbit closure.  A
+sequence of the filled side has at most 64 signs, so searches support
+n <= 63 (the paper needs n <= 45).
 
 Bookkeeping invariant: the task for (sum profile S, residue half H)
 finds exactly the valid quads whose raw row sums equal S and whose
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -64,7 +67,7 @@ import numpy as np
 from . import equiv, numfilter, specfilter
 from .errors import PreconditionError, ResumeError, SearchInterrupted
 from .numfilter import SIDE_AB, SIDE_CD, ResidueProfile
-from .seqcore import Kind, Packed, SeqQuad, SignSeq, SumProfile, verify
+from .seqcore import Kind, Packed, SeqQuad, SignSeq, SumProfile, packed_valid, verify
 
 _DEFAULT_MODULI = {Kind.BS: (3, 6), Kind.NS: (3, 6), Kind.NNS: (6,)}
 _DEFAULT_GRIDS = {Kind.BS: ("pi-over-100",), Kind.NS: ("l=50", "l=1000"),
@@ -325,21 +328,15 @@ def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
 
 def _verified(fixed: np.ndarray, n: int, kind: Kind, side: str,
               sum_targets: Optional[tuple[int, int, int, int]],
-              ) -> Iterator[tuple[int, SeqQuad]]:
-    """(index into ``fixed``, quad) for every completion of the packed
-    fixed pairs on ``side`` that ``verify`` accepts, in ``_complete_block``
-    order."""
-    length = numfilter.column_cases(n, side, kind)[0]
-    fixed_len = n + 1 if side == SIDE_CD else n
-    others = {}  # a fixed pair's sequences, built once so verify reuses their autocorr
+              ) -> Iterator[tuple[int, Packed]]:
+    """(index into ``fixed``, packed quad) for every completion of the packed
+    fixed pairs on ``side`` that ``packed_valid`` accepts, in
+    ``_complete_block`` order."""
+    pairs = fixed.tolist()
     for cand, xs, ys in _complete_block(n, kind, side, fixed, sum_targets):
         for c, x, y in zip(cand.tolist(), xs.tolist(), ys.tolist()):
-            if c not in others:
-                others[c] = tuple(SignSeq.from_packed(f, fixed_len) for f in fixed[c].tolist())
-            filled = SignSeq.from_packed(x, length), SignSeq.from_packed(y, length)
-            quad = (SeqQuad(*filled, *others[c], kind) if side == SIDE_AB
-                    else SeqQuad(*others[c], *filled, kind))
-            if verify(quad).valid:
+            quad = (x, y, *pairs[c]) if side == SIDE_AB else (*pairs[c], x, y)
+            if packed_valid(quad, n, kind):
                 yield c, quad
 
 
@@ -405,13 +402,10 @@ def backtrack_complete(fixed: tuple[SignSeq, SignSeq], n: int, kind: Kind,
             raise PreconditionError("fixed C,D pair must have length n")
     elif len(f1) != n + 1 or len(f2) != n + 1:
         raise PreconditionError("fixed A,B pair must have length n+1")
-    out = []
     packed = np.array([(f1.packed, f2.packed)], np.uint64)
-    for _, quad in _verified(packed, n, kind, side_to_fill, sum_targets):
-        out.append(quad)
-        if mode == "first":
-            break
-    return out
+    finds = _verified(packed, n, kind, side_to_fill, sum_targets)
+    return [SeqQuad.from_packed(q, n, kind)
+            for _, q in itertools.islice(finds, 1 if mode == "first" else None)]
 
 
 # --- task construction -------------------------------------------------------
@@ -461,7 +455,7 @@ def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[Packed], dict]:
         keep = specfilter.screen_block(_signs(block, length), bound, grids)
         seen = len(block)
         for p, quad in _verified(block[keep], cfg.n, cfg.kind, fill_side, fill_targets):
-            found.append(quad.packed())
+            found.append(quad)
             if cfg.first_solution_only:
                 seen = int(keep[p]) + 1
                 break

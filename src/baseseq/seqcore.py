@@ -20,10 +20,12 @@ sequence-level encoder and decoder of this layout, and a packed quad is
 the tuple of the four packed sequences (``SeqQuad.packed``/
 ``from_packed``).  The first element is the most significant bit and +1
 the clear bit, so among quads of one n the order of packed quads is the
-quad order: ``sort_key`` is the packed quad.  The autocorrelation hot
-path reads this form; the completion kernel builds its fills in it and
-the orbit moves act on it, so the search carries each find as a packed
-quad from the kernel to the records.
+quad order: ``sort_key`` is the packed quad.  This module states the
+laws of the packed quad once each: the autocorrelation by popcount
+(``packed_autocorr``), the partner rule (``partner_mask``) and validity
+(``packed_valid``, which ``verify`` reports).  The completion kernel
+builds its fills in this form, ``packed_valid`` checks them and the orbit
+moves act on them, so a find stays a packed quad from kernel to records.
 """
 
 from __future__ import annotations
@@ -96,14 +98,7 @@ class SignSeq:
     @cached_property
     def autocorr(self) -> tuple[int, ...]:
         """All aperiodic autocorrelation values (N(0), ..., N(len-1))."""
-        length = len(self.elements)
-        x = self.packed
-        out = []
-        for s in range(length):
-            mask = (1 << (length - s)) - 1
-            disagreements = ((x ^ (x >> s)) & mask).bit_count()
-            out.append((length - s) - 2 * disagreements)
-        return tuple(out)
+        return packed_autocorr(self.packed, len(self.elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -132,6 +127,13 @@ class SignSeq:
 
     def __str__(self) -> str:
         return self.text()
+
+
+def packed_autocorr(x: int, length: int) -> tuple[int, ...]:
+    """N(0), ..., N(length-1) of the packed length-``length`` sequence ``x``:
+    the overlap at s less twice its sign changes, the set bits of x ^ x >> s."""
+    return tuple(length - s - 2 * ((x ^ x >> s) & (1 << length - s) - 1).bit_count()
+                 for s in range(length))
 
 
 def paf(seq: SignSeq, shift: int) -> int:
@@ -242,6 +244,15 @@ def partner_elements(a: tuple[int, ...], kind: Kind) -> tuple[int, ...]:
     return body + (-1,)
 
 
+def partner_mask(n: int, kind: Kind) -> int:
+    """The partner rule on packed A,B of a structured quad of ``n``: the bits
+    where B's body (entries 1..n) differs from A's, none for NS and those
+    of the even entries for NNS.  B is ``a ^ partner_mask(n, kind) | 1``."""
+    if kind is Kind.BS:
+        raise MalformedInputError("partner derivation applies to ns/nns only")
+    return sum(1 << n - j for j in range(1, n, 2)) if kind is Kind.NNS else 0
+
+
 def derive_partner(a: SignSeq, kind: Kind) -> SignSeq:
     """Build B from A for a structured kind (last entry forced to -1)."""
     return SignSeq(partner_elements(a.elements, kind))
@@ -275,42 +286,41 @@ class VerifyReport:
     sums: SumProfile
 
 
-def _structural_violation(quad: SeqQuad) -> Optional[str]:
-    if quad.kind is Kind.BS:
-        return None
-    n = quad.n
-    if quad.a[n] != 1:
-        return "last entry of A must be +1"
-    if quad.b[n] != -1:
-        return "last entry of B must be -1"
-    want = partner_elements(quad.a.elements, quad.kind)
-    for j in range(n):
-        if quad.b[j] != want[j]:
-            rule = "B[i]=A[i]" if quad.kind is Kind.NS else "B[i]=(-1)^(i-1)A[i]"
-            return f"coupling {rule} fails at position {j + 1}"
-    return None
+def _violations(q: Packed, n: int, kind: Kind) -> tuple[Optional[str], Optional[int]]:
+    """(structural violation, first failing shift) of the packed quad ``q`` of ``n``:
+    the first of last entry of A, last entry of B, coupling from position 1
+    up that fails, and the first of shifts 1..n whose total is not 0 (at
+    s = n only A and B overlap; the (n+1, n+1, n, n) pattern needs it)."""
+    a, b, c, d = q
+    structural = None
+    if kind is not Kind.BS:
+        wrong = (a ^ b ^ partner_mask(n, kind)) >> 1  # body entry j at bit n-1-j
+        if a & 1:
+            structural = "last entry of A must be +1"
+        elif not b & 1:
+            structural = "last entry of B must be -1"
+        elif wrong:
+            rule = "B[i]=A[i]" if kind is Kind.NS else "B[i]=(-1)^(i-1)A[i]"
+            structural = f"coupling {rule} fails at position {n + 1 - wrong.bit_length()}"
+    # N_C(n) = N_D(n) = 0 pads C and D to the shifts of A and B
+    totals = map(sum, zip(packed_autocorr(a, n + 1), packed_autocorr(b, n + 1),
+                          packed_autocorr(c, n) + (0,), packed_autocorr(d, n) + (0,)))
+    next(totals)  # shift 0
+    return structural, next((s for s, t in enumerate(totals, 1) if t), None)
+
+
+def packed_valid(q: Packed, n: int, kind: Kind) -> bool:
+    """Whether the packed quad ``q`` of ``n`` is a valid quad of ``kind``."""
+    return _violations(q, n, kind) == (None, None)
 
 
 def verify(quad: SeqQuad) -> VerifyReport:
-    """Check zero total autocorrelation at shifts 1..n plus structural coupling.
-
-    The shift range deliberately includes s = n: that value involves only
-    the endpoints of A and B and is required for the (n+1, n+1, n, n)
-    length pattern (it is equivalent to the end-column congruence that
-    every published quad satisfies).
-    """
-    structural = _structural_violation(quad)
-    failing = None
-    for s in range(1, quad.n + 1):
-        if total_autocorr(quad, s) != 0:
-            failing = s
-            break
-    return VerifyReport(
-        valid=(structural is None and failing is None),
-        first_failing_shift=failing,
-        structural_violation=structural,
-        sums=row_sums(quad),
-    )
+    """Check zero total autocorrelation at shifts 1..n plus structural coupling
+    (see ``_violations``)."""
+    structural, failing = _violations(quad.packed(), quad.n, quad.kind)
+    return VerifyReport(valid=structural is None and failing is None,
+                        first_failing_shift=failing, structural_violation=structural,
+                        sums=row_sums(quad))
 
 
 # --- text forms -----------------------------------------------------------
