@@ -86,10 +86,13 @@ class ThetaGrid:
     @lru_cache(maxsize=32)
     def from_spec(cls, spec: str) -> "ThetaGrid":
         """Parse "pi-over-<k>" or "l=<count>"; a spec always gives the same grid."""
-        if spec.startswith("pi-over-"):
-            return cls.pi_over(int(spec[len("pi-over-"):]))
-        if spec.startswith("l="):
-            return cls.uniform(int(spec[2:]))
+        for prefix, make in (("pi-over-", cls.pi_over), ("l=", cls.uniform)):
+            if spec.startswith(prefix):
+                try:
+                    count = int(spec[len(prefix):])
+                except ValueError:
+                    raise MalformedInputError(f"grid spec {spec!r} needs a whole count") from None
+                return make(count)
         raise MalformedInputError(f"unknown grid spec {spec!r}")
 
 

@@ -1,12 +1,14 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from baseseq.errors import MalformedInputError
 from baseseq.refdata import known_quad
-from baseseq.seqcore import SignSeq, hall_f
+from baseseq.searcher import SearchConfig
+from baseseq.seqcore import Kind, SignSeq, hall_f
 from baseseq.specfilter import EPS, ThetaGrid, pair_filter, pair_max, psd_vector
 
 
@@ -30,6 +32,14 @@ def test_grid_validation():
         ThetaGrid((0.0, 1.0), "zero not allowed")
     with pytest.raises(MalformedInputError):
         ThetaGrid.from_spec("nonsense")
+
+
+@pytest.mark.parametrize("spec", ["l=abc", "pi-over-", "l=1.5"])
+def test_grid_spec_with_a_bad_count_names_the_spec(spec):
+    with pytest.raises(MalformedInputError, match=re.escape(repr(spec))):
+        ThetaGrid.from_spec(spec)
+    with pytest.raises(MalformedInputError, match=re.escape(repr(spec))):
+        SearchConfig(n=7, kind=Kind.NS, grids=(spec,))
 
 
 def test_psd_vector_examples():
