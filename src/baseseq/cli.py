@@ -73,7 +73,13 @@ class ResultRecord:
         missing = [k for k in _RECORD_KEYS if k not in fields]
         if missing:
             raise MalformedInputError(f"record is missing fields: {missing}")
-        return cls(int(fields["n"]), Kind(fields["kind"]),
+        for key, convert in (("n", int), ("kind", Kind)):
+            try:
+                fields[key] = convert(fields[key])
+            except ValueError:
+                bad = f"{key}={fields[key]}"
+                raise MalformedInputError(f"bad record field {bad!r}") from None
+        return cls(fields["n"], fields["kind"],
                    fields["X"], fields["Y"], fields["Z"], fields["W"],
                    fields["canonical"] == "1", fields["stage"], fields["ts"])
 
@@ -86,15 +92,13 @@ def _read_text(path: str) -> str:
 
 
 def _read_quads(path: str, kind: Kind) -> list[SeqQuad]:
-    """Quads from result records when every non-empty line is one, else
-    from the quad text form."""
+    """Quads from result records when the first non-empty line starts with
+    ``n=``, else from the quad text form."""
     text = _read_text(path)
-    try:
-        records = [ResultRecord.parse(ln) for ln in text.splitlines() if ln.strip()]
-    except (MalformedInputError, ValueError):
-        records = []
-    if not records:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].lstrip().startswith("n="):
         return parse_quads(text, kind)
+    records = [ResultRecord.parse(ln) for ln in lines]
     for rec in records:
         if rec.kind is not kind:
             raise MalformedInputError(

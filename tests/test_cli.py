@@ -128,6 +128,20 @@ def test_canon_and_verify_read_result_records(tmp_path):
     assert code == 2 and "kind" in err
 
 
+@pytest.mark.parametrize("good,bad", [("kind=bs", "kind=xx"), ("n=2", "n=x")])
+@pytest.mark.parametrize("command", ["verify", "canon"])
+def test_bad_record_field_is_named(tmp_path, command, good, bad):
+    code, records, _ = run_cli(["oracle", "--n", "2", "--kind", "bs"])
+    assert code == 0
+    lines = records.splitlines()
+    lines[1] = lines[1].replace(good + " ", bad + " ", 1)
+    path = tmp_path / "records.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli([command, "--kind", "bs", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: bad record field {bad!r}"
+
+
 def test_oracle_records_roundtrip():
     code, out, _ = run_cli(["oracle", "--n", "2", "--kind", "ns"])
     assert code == 0
