@@ -263,6 +263,22 @@ def test_residue_stage_pinned():
         "1ff43e62e90ab2e0e27d61d1e5be2d569bff94d3d61f01961ef9f38ebc67720c"
 
 
+def test_structured_residue_halves_pinned():
+    """Both sides' halves at lengths where the A,B partner branch is busy:
+    every NNS 26 sum profile on chain (6,) and one NS 41 profile on (3, 6)."""
+    cases = ([(26, Kind.NNS, (6,), s) for s in sum_profiles(26, Kind.NNS)]
+             + [(41, Kind.NS, (3, 6), sum_profiles(41, Kind.NS)[3])])
+    digest, count = hashlib.sha256(), 0
+    for n, kind, moduli, s in cases:
+        for side in (SIDE_AB, SIDE_CD):
+            halves = residue_halves(n, moduli, s, kind, side)
+            count += len(halves)
+            digest.update(repr(halves).encode())
+    assert count == 13583
+    assert digest.hexdigest() == \
+        "793cd6efc94906751320f122d476bce06e1e31d84bde29a57d955206f305a7d8"
+
+
 def test_residue_halves_is_union_of_refine_profiles():
     for n, kind in ((7, Kind.BS), (9, Kind.NS)):
         for s in sum_profiles(n, kind)[:3]:
