@@ -113,6 +113,14 @@ def _parse_kind(value: str) -> Kind:
         raise MalformedInputError(f"unknown kind {value!r} (expected bs, ns or nns)")
 
 
+def _int_list(option: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers given to ``option``."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise MalformedInputError(f"{option} {text!r} needs comma-separated integers") from None
+
+
 def _cmd_verify(args, out) -> int:
     kind = _parse_kind(args.kind)
     quads = _read_quads(args.file, kind)
@@ -144,7 +152,7 @@ def _cmd_profiles(args, out) -> int:
     kind = _parse_kind(args.kind)
     m = args.m if args.m is not None else (6 if kind is Kind.NNS else 3)
     if args.sums:
-        sums = [SumProfile.from_tuple([int(v) for v in args.sums.split(",")])]
+        sums = [SumProfile.from_tuple(_int_list("--sums", args.sums))]
     else:
         sums = numfilter.sum_profiles(args.n, kind)
     emitted = 0
@@ -205,7 +213,7 @@ def _cmd_search(args, out) -> int:
     cfg = SearchConfig(
         n=args.n, kind=kind,
         start_side=args.start_side or "",
-        moduli=tuple(int(v) for v in args.moduli.split(",")) if args.moduli else (),
+        moduli=_int_list("--moduli", args.moduli) if args.moduli else (),
         grids=tuple(args.grid.split(",")) if args.grid else (),
         first_solution_only=args.first,
         worker_count=args.workers,

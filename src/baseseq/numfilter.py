@@ -34,13 +34,16 @@ enumerated long before any sequence is materialized:
     ``column_cases`` lists a side's sign levels under both rules; the
     searcher's expansion, membership test and completion all read it.
 
-The class-level end-column congruence is enforced per unordered class
-pair: the pair containing class 1 on the A,B side carries the 2 mod 4
-correction (it holds the end columns), self-paired classes reduce to a
-parity statement, and every other pair sums to 0 mod 4.  On the C,D side
-the congruence holds for all class pairs including the one containing
-position 1; the sign-level list keeps the printed i >= 2 range, which is
-strictly weaker, and the mismatch is intentional.
+The class-level end-column congruence is a key each class-sum vector
+carries.  On a side of length L at modulus m, class j pairs with class
+(L-1-j) mod m; over the distinct pairs j < p, x's key is (x_j + x_p)
+mod 4 and y's key is (want - y_j - y_p) mod 4, where want is 2 at the
+A,B pair holding class 0 (it holds the end columns) and 0 everywhere
+else.  Self-paired classes reduce to a parity statement and carry no
+key entry.  A side's x and y vectors are joined on equal keys.  On the
+C,D side the congruence holds for all class pairs including the one
+containing position 1; the sign-level list keeps the printed i >= 2
+range, which is strictly weaker, and the mismatch is intentional.
 
 Profiles are refined in *blocks*.  A block is a list of A,B halves and
 a list of C,D halves (a half is one side's two class-sum vectors) such
@@ -266,6 +269,12 @@ class ResidueProfile:
     def as_flat(self) -> tuple[int, ...]:
         return tuple(x for v in self.vectors() for x in v)
 
+    def check(self) -> None:
+        """Refuse a profile that is not one class sum per class in each vector."""
+        if self.modulus < 1 or any(len(v) != self.modulus for v in self.vectors()):
+            raise PreconditionError("a residue profile needs a modulus >= 1 and one class "
+                                    "sum per class in each vector")
+
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.as_flat())
 
@@ -331,34 +340,7 @@ def _fine_vectors(coarse: tuple[int, ...], sizes: tuple[int, ...],
 
 def _signature(v: tuple[int, ...], m: int) -> tuple[int, ...]:
     """(sum of squares, periodic autocorrelations at shifts 1..[m/2])."""
-    sq = sum(x * x for x in v)
-    sig = [sq]
-    for s in range(1, m // 2 + 1):
-        aper = sum(v[i] * v[i + s] for i in range(m - s))
-        coaper = sum(v[i] * v[i + m - s] for i in range(s)) if s else 0
-        sig.append(aper + coaper)
-    return tuple(sig)
-
-
-def _pairs_congruent(u: tuple[int, ...], v: tuple[int, ...], n: int, m: int,
-                     offset: int, end_correction: bool) -> bool:
-    """Class-pair end-column congruence for one side.
-
-    ``offset`` is the pairing constant: class j pairs with the class of
-    position offset - j (offset = n+2 on the A,B side, n+1 on C,D).
-    ``end_correction`` marks the side whose end pair sums to 2 mod 4.
-    """
-    for j0 in range(m):
-        p0 = (offset - (j0 + 1) - 1) % m
-        if p0 < j0:
-            continue  # unordered pair already handled
-        if p0 == j0:
-            continue  # self-paired: parity only, automatic
-        tot = u[j0] + v[j0] + u[p0] + v[p0]
-        want = 2 if (end_correction and j0 == 0) else 0
-        if tot % 4 != want:
-            return False
-    return True
+    return tuple(sum(v[i] * v[(i + s) % m] for i in range(m)) for s in range(m // 2 + 1))
 
 
 def _derive_partner_sums(k: tuple[int, ...], n: int, m: int,
@@ -395,12 +377,13 @@ def _refine_blocks(n: int, m: int, blocks: list[Block], s: SumProfile,
     that merge onto them, and grouped by signature: the sum of the two
     vectors' ``_signature``.  Enforced per half: class bounds and
     parities, the merge, alternated sums when m is even, and the
-    class-pair end-column congruence; for structured kinds the B vector
-    is derived from the A vector and must be one of the fine vectors of
-    the coarse B half.  One block is emitted per A,B and C,D
-    signature pair that adds up to (4n+2, 0, ..., 0): the square-sum
-    identity and vanishing periodic autocorrelations.  Blocks refined
-    from disjoint blocks are disjoint, so every half is refined once.
+    class-pair end-column congruence, as a join of x and y on their
+    class-pair keys; for structured kinds the B vector is derived from
+    the A vector and must be one of the fine vectors of the coarse B
+    half.  One block is emitted per A,B and C,D signature pair that adds
+    up to (4n+2, 0, ..., 0): the square-sum identity and vanishing
+    periodic autocorrelations.  Blocks refined from disjoint blocks are
+    disjoint, so every half is refined once.
     """
     if kind is Kind.NNS and (n % 2 or m % 2):
         raise PreconditionError("near-normal residue profiles require even n and even m")
@@ -414,19 +397,24 @@ def _refine_blocks(n: int, m: int, blocks: list[Block], s: SumProfile,
         sizes = class_sizes(length, m)
         if m % 2:
             alts = (None, None)
+        # class j pairs with class (L-1-j) mod m; a pair's four sums are
+        # 2 mod 4 at the A,B end pair (j = 0) and 0 mod 4 everywhere else
+        pairs = [(j, p) for j in range(m) if j < (p := (length - 1 - j) % m)]
+        wants = [2 if side == SIDE_AB and j == 0 else 0 for j, _ in pairs]
+        derived = side == SIDE_AB and kind is not Kind.BS
         groups: dict[tuple[int, ...], list[Half]] = {}
         for coarse in halves:
-            xs = fine(coarse[0], sizes, alts[0])
-            ys = fine(coarse[1], sizes, alts[1])
-            if side == SIDE_CD or kind is Kind.BS:
-                pairs = ((x, y) for x in xs for y in ys)
-            else:
-                derivable = set(ys)
-                derived = ((x, _derive_partner_sums(x, n, m, kind)) for x in xs)
-                pairs = ((x, y) for x, y in derived if y in derivable)
-            for x, y in pairs:
-                if _pairs_congruent(x, y, n, m, length + 1, end_correction=side == SIDE_AB):
-                    sig = tuple(a + b for a, b in zip(signature(x), signature(y)))
+            buckets: dict[tuple[int, ...], dict[tuple[int, ...], None]] = {}
+            for y in fine(coarse[1], sizes, alts[1]):
+                key = tuple([(w - y[j] - y[p]) % 4 for w, (j, p) in zip(wants, pairs)])
+                buckets.setdefault(key, {})[y] = None
+            for x in fine(coarse[0], sizes, alts[0]):
+                ys = buckets.get(tuple([(x[j] + x[p]) % 4 for j, p in pairs]), ())
+                if derived:
+                    partner = _derive_partner_sums(x, n, m, kind)
+                    ys = (partner,) if partner in ys else ()
+                for y in ys:
+                    sig = tuple([a + b for a, b in zip(signature(x), signature(y))])
                     groups.setdefault(sig, []).append((x, y))
         return groups
 
@@ -490,6 +478,7 @@ def refine_profiles(n: int, prof: ResidueProfile, s: SumProfile, kind: Kind,
     """
     if project not in (None, "pq", "kr"):
         raise PreconditionError("project must be None, 'pq' or 'kr'")
+    prof.check()
     if tuple(sum(v) for v in prof.vectors()) != (s.a, s.b, s.c, s.d):
         raise PreconditionError("profile column sums do not match the sum profile")
     if prof.square_sum() != 4 * n + 2:

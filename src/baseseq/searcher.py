@@ -342,9 +342,7 @@ def _verified(fixed: np.ndarray, n: int, kind: Kind, side: str,
 
 def _side_sums(prof: ResidueProfile, side: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The class sums ``prof`` asks of the pair on ``side``."""
-    if prof.modulus < 1 or any(len(v) != prof.modulus for v in prof.vectors()):
-        raise PreconditionError("a residue profile needs a modulus >= 1 and one class "
-                                "sum per class in each vector")
+    prof.check()
     return ((prof.a_class_sums, prof.b_class_sums) if side == SIDE_AB
             else (prof.c_class_sums, prof.d_class_sums))
 

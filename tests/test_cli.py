@@ -42,6 +42,9 @@ def test_verify_invalid_quad(tmp_path):
     code, out, _ = run_cli(["verify", "--kind", "bs", "--file", str(path)])
     assert code == 1
     assert "invalid" in out and "failing_shift" in out
+    code, out, err = run_cli(["canon", "--kind", "bs", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert err.strip() == "error: canon requires valid quads"
 
 
 def test_verify_malformed_characters(tmp_path):
@@ -88,6 +91,10 @@ def test_psd_command(tmp_path):
     assert out.count("keep") == 1
     code, out, _ = run_cli(["psd", "--file", str(path), "--bound", "166"])
     assert out.count("keep") == 2
+    path.write_text(q.c.text() + "\n" + q.d.text() + "\n" + q.c.text() + "\n")
+    code, out, err = run_cli(["psd", "--file", str(path), "--pair", "--bound", "166"])
+    assert code == 2 and out == ""
+    assert err.strip() == "error: --pair needs an even number of sequences"
 
 
 def test_psd_refuses_empty_input(tmp_path):
@@ -126,6 +133,13 @@ def test_canon_and_verify_read_result_records(tmp_path):
     assert canon.split() == labelled
     code, _, err = run_cli(["canon", "--kind", "ns", "--file", str(path)])
     assert code == 2 and "kind" in err
+    # a record whose n= is not its sequences' length
+    lines = records.splitlines()
+    lines[0] = lines[0].replace("n=4 ", "n=5 ", 1)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["verify", "--kind", "bs", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert err.strip() == "error: record n does not match sequence lengths"
 
 
 @pytest.mark.parametrize("good,bad", [("kind=bs", "kind=xx"), ("n=2", "n=x")])
@@ -246,6 +260,18 @@ def test_profiles_rejects_wrong_sum_count():
     code, out, err = run_cli(["profiles", "--n", "5", "--kind", "bs", "--sums", "1,2,3"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "8" in err
+
+
+@pytest.mark.parametrize("argv,option,text", [
+    (["search", "--n", "5", "--kind", "bs", "--moduli", "3,x"], "--moduli", "3,x"),
+    (["search", "--n", "5", "--kind", "bs", "--moduli", "3,,6"], "--moduli", "3,,6"),
+    (["profiles", "--n", "5", "--kind", "bs", "--sums=1,2,3,4,5,6,7,x"],
+     "--sums", "1,2,3,4,5,6,7,x"),
+], ids=["moduli-letter", "moduli-empty", "sums-letter"])
+def test_integer_list_options_name_a_bad_entry(argv, option, text):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {option} {text!r} needs comma-separated integers"
 
 
 def test_profiles_refuses_near_normal_odd_n():

@@ -300,6 +300,18 @@ def test_refine_rejects_infeasible_parent():
     bogus = ResidueProfile(2, (4, 0), (0, 0), (1, 0), (1, 0))
     with pytest.raises(PreconditionError):
         refine_profiles(1, bogus, s, Kind.BS)
+    squares = ResidueProfile(2, (2, 0), (1, -1), (1, 0), (1, 0))  # column sums fit
+    with pytest.raises(PreconditionError, match="square sum"):
+        refine_profiles(1, squares, s, Kind.BS)
+
+
+@pytest.mark.parametrize("modulus,width", [(3, 1), (-1, 0), (0, 0), (2, 3)])
+def test_refine_refuses_malformed_profiles(modulus, width):
+    # one class sum per class: a width-1 profile is not a modulus-3 one
+    s = sum_profiles(5, Kind.BS)[0]
+    vectors = [(x,) + (0,) * (width - 1) for x in (s.a, s.b, s.c, s.d)] if width else [()] * 4
+    with pytest.raises(PreconditionError, match="a residue profile needs a modulus >= 1"):
+        refine_profiles(5, ResidueProfile(modulus, *vectors), s, Kind.BS)
 
 
 def test_structured_partner_relation(ns_pool, nns_pool):

@@ -31,6 +31,10 @@ def test_config_defaults_and_validation():
         SearchConfig(n=5, kind=Kind.NNS)
     with pytest.raises(PreconditionError):
         SearchConfig(n=7, kind=Kind.NS, start_side=SIDE_CD)
+    with pytest.raises(PreconditionError, match="start_side must be AB or CD"):
+        SearchConfig(n=5, kind=Kind.BS, start_side="XY")
+    with pytest.raises(PreconditionError, match="even moduli"):
+        SearchConfig(n=6, kind=Kind.NNS, moduli=(3, 6))
     for moduli in ((1,), (0,), (1, 2)):
         with pytest.raises(PreconditionError, match="must be >= 2"):
             SearchConfig(n=14, kind=Kind.NS, moduli=moduli)
@@ -169,6 +173,11 @@ def test_backtrack_first_mode_returns_at_most_one(bs_pool):
 def test_backtrack_flat_pair_has_no_completion():
     ones = SignSeq.from_text("+++++")
     assert backtrack_complete((ones, ones), 5, Kind.BS, SIDE_AB, mode="all") == []
+    # a fixed pair of the other side's length is refused, whichever side is filled
+    with pytest.raises(PreconditionError, match="fixed C,D pair must have length n"):
+        backtrack_complete((ones, ones), 4, Kind.BS, SIDE_AB)
+    with pytest.raises(PreconditionError, match="fixed A,B pair must have length n"):
+        backtrack_complete((ones, ones), 5, Kind.BS, SIDE_CD)
 
 
 def test_backtrack_sum_targets_restrict(bs_pool):
@@ -420,6 +429,17 @@ def test_checkpoint_rejects_other_config(tmp_path):
         load_checkpoint(path, other, len(build_tasks(other)))
     with pytest.raises(ResumeError):
         search(other, checkpoint_path=path)
+    # a header of this configuration with another task count
+    header, *lines = _journal(path)
+    tasks_total = len(build_tasks(cfg))
+    assert header["tasks_total"] == tasks_total
+    _write_journal(path, [dict(header, tasks_total=tasks_total + 1), *lines])
+    blob = _read_bytes(path)
+    with pytest.raises(ResumeError, match="task count does not match"):
+        load_checkpoint(path, cfg, tasks_total)
+    with pytest.raises(ResumeError, match="task count does not match"):
+        search(cfg, checkpoint_path=path)
+    assert _read_bytes(path) == blob
 
 
 def test_fresh_checkpoint_full_run(tmp_path):
