@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -164,6 +165,8 @@ def _cmd_profiles(args, out) -> int:
 
 
 def _cmd_psd(args, out) -> int:
+    if not math.isfinite(args.bound):
+        raise MalformedInputError(f"--bound {args.bound!r} must be a finite number")
     grid = specfilter.ThetaGrid.from_spec(args.grid)
     lines = [ln.strip() for ln in _read_text(args.file).splitlines() if ln.strip()]
     seqs = [SignSeq.from_text(ln) for ln in lines]
@@ -177,7 +180,7 @@ def _cmd_psd(args, out) -> int:
         items = [(s, SignSeq(())) for s in seqs]
     for a, b in items:
         peak = specfilter.pair_max(a, b, grid)
-        word = "keep" if peak <= args.bound + specfilter.EPS else "reject"
+        word = "keep" if specfilter.pair_filter(a, b, args.bound, grid) else "reject"
         print(f"max_f={peak:.9f} bound={args.bound:g} {word}", file=out)
     return 0
 

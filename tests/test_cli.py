@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from baseseq.cli import ResultRecord, main
+from baseseq.cli import ResultRecord, _cmd_psd, build_parser, main
 from baseseq.errors import MalformedInputError
 from baseseq.refdata import known_quad
 from baseseq.seqcore import quad_to_text
@@ -95,6 +95,18 @@ def test_psd_command(tmp_path):
     code, out, err = run_cli(["psd", "--file", str(path), "--pair", "--bound", "166"])
     assert code == 2 and out == ""
     assert err.strip() == "error: --pair needs an even number of sequences"
+
+
+def test_psd_refuses_a_bound_that_is_not_finite(tmp_path):
+    path = tmp_path / "zw.txt"
+    path.write_text(known_quad(41).c.text() + "\n")
+    for bound in ("nan", "inf", "-inf"):
+        code, out, err = run_cli(["psd", "--file", str(path), "--bound", bound])
+        assert code == 2 and out == ""
+        assert "--bound" in err
+    args = build_parser().parse_args(["psd", "--file", str(path), "--bound", "nan"])
+    with pytest.raises(MalformedInputError, match="--bound"):
+        _cmd_psd(args, io.StringIO())
 
 
 def test_psd_refuses_empty_input(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from baseseq import oracle
@@ -102,6 +103,38 @@ def test_packed_roundtrip(bs_pool, ns_pool, nns_pool):
                                                     for part in q.seqs() for x in part))
             assert old == sorted(quads, key=SeqQuad.sort_key) == quads
             assert all(SeqQuad.from_packed(q.packed(), q.n, q.kind) == q for q in quads)
+
+
+def _bitwise_signs(value, length):
+    """Element j is -1 iff bit length-1-j of ``value`` is set."""
+    return tuple(-1 if value >> (length - 1 - j) & 1 else 1 for j in range(length))
+
+
+def test_from_packed_matches_bit_reference():
+    # every value at lengths 0..12 and seeded values across byte borders
+    rng = random.Random(11)
+    cases = [(value, length) for length in range(13) for value in range(1 << length)]
+    cases += [(rng.getrandbits(length), length)
+              for length in (41, 63, 64, 65, 100) for _ in range(200)]
+    cases += [(0, 64), ((1 << 64) - 1, 64), (1 << 64, 65), (1, 100)]
+    for value, length in cases:
+        s = SignSeq.from_packed(value, length)
+        assert type(vars(s)["packed"]) is int  # preset, not computed on access
+        want = _bitwise_signs(value, length)
+        assert s.elements == want
+        assert set(s.elements) <= {1, -1}
+        built = SignSeq(want)
+        assert type(s.packed) is int and s.packed == built.packed == value
+        assert s == built and hash(s) == hash(built)
+
+
+def test_from_packed_takes_numpy_integers():
+    value = (1 << 63) | 0x5A5A_0F0F_1234_8765
+    for length in (41, 64):
+        v = value & ((1 << length) - 1)
+        s = SignSeq.from_packed(np.uint64(v), length)
+        assert s.elements == _bitwise_signs(v, length)
+        assert type(s.packed) is int and s.packed == v
 
 
 @pytest.mark.parametrize("length", range(4))
