@@ -39,7 +39,8 @@ pairs that pass both single tests pay for the pair product.  Many
 candidate pairs share a sequence (behind the published n = 41 half the
 first 40,000 pairs hold 3,808 distinct C and 3,456 distinct D), so each
 single maximum is memoised per (packed sequence, length, grid) in an
-LRU cache of at most ``SINGLE_CACHE_SIZE`` (65,536) entries, a few MB.
+LRU cache of at most ``SINGLE_CACHE_SIZE`` (65,536) entries, about 12 MB
+when full.
 """
 
 from __future__ import annotations
