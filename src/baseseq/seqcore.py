@@ -35,7 +35,6 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from typing import Iterator, Optional
 
 from .errors import MalformedInputError
@@ -51,8 +50,9 @@ class Kind(str, Enum):
 
 _CHAR_OF = {1: "+", -1: "-"}
 _SIGN_OF = {"+": 1, "-": -1}
-# the eight signs of a byte of a packed sequence, most significant bit first
-_SIGNS_OF_BYTE = tuple(tuple(-1 if byte >> 7 - k & 1 else 1 for k in range(8))
+# the eight signs of a byte of a packed sequence, most significant bit
+# first, as signed chars (the byte 255 reads as -1)
+_SIGNS_OF_BYTE = tuple(bytes(255 if byte >> 7 - k & 1 else 1 for k in range(8))
                        for byte in range(256))
 
 # a quad packed, one int per sequence (see the module docstring)
@@ -85,20 +85,20 @@ class SignSeq:
     def from_packed(cls, packed: int, length: int) -> "SignSeq":
         """Inverse of ``packed``: bit length-1-j set means element j is -1.
 
-        The signs are read a byte at a time from ``_SIGNS_OF_BYTE``, which
-        holds only +1 and -1, so the entry check of ``__post_init__`` is
-        skipped; the range check stays.  ``packed`` may be any integer type
-        (a numpy integer too) and is kept, as a Python int, as the cached
-        ``packed`` of the result.
+        The signs are read a byte at a time from ``_SIGNS_OF_BYTE``, whose
+        bytes read as signed chars are only +1 and -1, so the entry check
+        of ``__post_init__`` is skipped; the range check stays.
+        ``packed`` may be any integer type (a numpy integer too) and is
+        kept, as a Python int, as the cached ``packed`` of the result.
         """
         packed = operator.index(packed)
         if not 0 <= packed < 1 << length:
             raise MalformedInputError(f"packed value {packed} does not fit {length} signs")
-        signs = chain.from_iterable(map(_SIGNS_OF_BYTE.__getitem__,
-                                        packed.to_bytes(length + 7 >> 3, "big")))
+        signs = b"".join([_SIGNS_OF_BYTE[byte]
+                          for byte in packed.to_bytes(length + 7 >> 3, "big")])
         seq = object.__new__(cls)
         # the first -length % 8 signs pad the leading byte
-        object.__setattr__(seq, "elements", tuple(signs)[-length % 8:])
+        object.__setattr__(seq, "elements", tuple(memoryview(signs[-length % 8:]).cast("b")))
         object.__setattr__(seq, "packed", packed)
         return seq
 

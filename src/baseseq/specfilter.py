@@ -28,19 +28,6 @@ column only for the angles up to pi and for those whose mirror is not a
 grid angle (such as 2*pi); a mirrored angle reads its mirror's value.
 That halves the product on the standard grids, and the keep/reject
 decisions pinned in the tests are unchanged by it.
-
-``pair_filter`` first tests each sequence alone: it rejects the pair
-when either f_a or f_b already exceeds the bound plus EPS somewhere.
-That is sound because the other spectrum is nonnegative, so f_a + f_b
-is at least f_a at every angle, and the single maximum, computed with
-the same rounding of about 1e-10, lies within EPS of its exact value;
-a pair the full test would keep is never rejected by it.  Only the
-pairs that pass both single tests pay for the pair product.  Many
-candidate pairs share a sequence (behind the published n = 41 half the
-first 40,000 pairs hold 3,808 distinct C and 3,456 distinct D), so each
-single maximum is memoised per (packed sequence, length, grid) in an
-LRU cache of at most ``SINGLE_CACHE_SIZE`` (65,536) entries, about 12 MB
-when full.
 """
 
 from __future__ import annotations
@@ -55,8 +42,6 @@ from .errors import MalformedInputError, PreconditionError
 from .seqcore import SignSeq
 
 EPS = 1e-9
-# the most single-sequence maxima that ``pair_filter`` holds in its cache
-SINGLE_CACHE_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -158,23 +143,9 @@ def pair_max(a: SignSeq, b: SignSeq, grid: ThetaGrid) -> float:
     return float(_spectrum(rows, grid).max())
 
 
-@lru_cache(maxsize=SINGLE_CACHE_SIZE)
-def _single_max(packed: int, length: int, grid: ThetaGrid) -> float:
-    """Largest value of f over the grid for the packed sequence."""
-    return float(psd_vector(SignSeq.from_packed(packed, length), grid).max())
-
-
 def pair_filter(a: SignSeq, b: SignSeq, bound: float, grid: ThetaGrid) -> bool:
-    """True (keep) iff f_a + f_b stays within ``bound`` + slack everywhere.
-
-    Either sequence whose own maximum is above ``bound`` + slack rejects
-    the pair before the pair is evaluated (see the module docstring).
-    """
-    limit = bound + EPS
-    if (_single_max(a.packed, len(a), grid) > limit
-            or _single_max(b.packed, len(b), grid) > limit):
-        return False
-    return pair_max(a, b, grid) <= limit
+    """True (keep) iff f_a + f_b stays within ``bound`` + slack everywhere."""
+    return pair_max(a, b, grid) <= bound + EPS
 
 
 def screen_block(rows: np.ndarray, bound: float, grids: list[ThetaGrid]) -> np.ndarray:

@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 import re
@@ -6,7 +5,6 @@ import re
 import numpy as np
 import pytest
 
-from baseseq import specfilter
 from baseseq.errors import MalformedInputError
 from baseseq.refdata import known_quad
 from baseseq.searcher import SearchConfig
@@ -92,36 +90,33 @@ def test_pair_filter_keeps_published_pairs():
         assert pair_filter(quad.a, quad.b, 4 * n + 2, grid)
 
 
-def _screen_cases():
-    """(a, b, bound, grid) on seeded random pairs of lengths 1..64, equal or
-    one apart, at each pair's peak +- 1e-6 on every standard grid."""
+def _acf_peak(a, b, grid):
+    """max over the grid of f_a + f_b in the autocorrelation form."""
+    theta = np.array(grid.points)
+    total = np.zeros_like(theta)
+    for s in (a, b):
+        acf = np.correlate(s.elements, s.elements, "full")[len(s) - 1:] if len(s) else [0]
+        j = np.arange(1, len(acf))
+        total += acf[0] + 2 * (acf[1:] * np.cos(np.outer(theta, j))).sum(axis=1)
+    return float(total.max())
+
+
+def test_pair_filter_decides_near_the_peak():
+    # seeded pairs of lengths 1..64, equal or one apart, at each pair's
+    # peak (taken in the autocorrelation form) +- 1e-6 on every grid
     rng = random.Random(20)
+    want, got = [], []
     for spec in ("pi-over-100", "l=50", "l=1000"):
         grid = ThetaGrid.from_spec(spec)
         for la in range(1, 65):
             lb = rng.choice((la, la - 1))
             a = SignSeq(tuple(rng.choice((1, -1)) for _ in range(la)))
             b = SignSeq(tuple(rng.choice((1, -1)) for _ in range(lb)))
-            peak = pair_max(a, b, grid)
+            peak = _acf_peak(a, b, grid)
             for bound in (peak - 1e-6, peak + 1e-6):
-                yield a, b, bound, grid
-
-
-def test_pair_filter_equals_pair_max_decision():
-    # the single-sequence rejection never changes a decision, also from a
-    # cleared cache, and the cache stays within its bound
-    cases = list(_screen_cases())
-    q = known_quad(42)
-    cases += [(q.a, q.b, 170, ThetaGrid.from_spec(spec))
-              for spec in ("pi-over-100", "l=50", "l=1000")]
-    want = [pair_max(a, b, grid) <= bound + EPS for a, b, bound, grid in cases]
-    assert 0 < sum(want) < len(want)
-    for _ in range(2):
-        specfilter._single_max.cache_clear()
-        assert [pair_filter(*case) for case in cases] == want
-        info = specfilter._single_max.cache_info()
-        assert info.maxsize == specfilter.SINGLE_CACHE_SIZE
-        assert 0 < info.currsize <= info.maxsize
+                want.append(bound > peak)
+                got.append(pair_filter(a, b, bound, grid))
+    assert got == want
 
 
 def test_pair_filter_keeps_published_n42_ab_on_its_bound():
@@ -132,17 +127,6 @@ def test_pair_filter_keeps_published_n42_ab_on_its_bound():
         assert f"{pair_max(q.a, q.b, grid):.9f}" == "170.000000000"
         assert pair_filter(q.a, q.b, 170, grid)
         assert not pair_filter(q.a, q.b, 170 - 1e-6, grid)
-
-
-def test_single_sequence_cache_is_bounded(monkeypatch):
-    # a small bound of the same cache evicts and still decides the same
-    grid = ThetaGrid.from_spec("l=50")
-    small = functools.lru_cache(maxsize=8)(specfilter._single_max.__wrapped__)
-    monkeypatch.setattr(specfilter, "_single_max", small)
-    cases = [case for case in _screen_cases() if case[3] is grid]
-    for a, b, bound, _ in cases:
-        assert pair_filter(a, b, bound, grid) == (pair_max(a, b, grid) <= bound + EPS)
-        assert small.cache_info().currsize <= 8
 
 
 def test_pair_filter_rejects_flat_pair():
