@@ -387,6 +387,8 @@ def _refine_blocks(n: int, m: int, blocks: list[Block], s: SumProfile,
     """
     if kind is Kind.NNS and (n % 2 or m % 2):
         raise PreconditionError("near-normal residue profiles require even n and even m")
+    if not feasible_sum_profile(s, n, kind):
+        raise PreconditionError(f"sum profile {s} is not feasible for {kind.value} n={n}")
     fine = cache(_fine_vectors)
     signature = cache(lambda v: _signature(v, m))
     target = (4 * n + 2,) + (0,) * (m // 2)
@@ -447,7 +449,8 @@ def residue_profiles(n: int, m: int, s: SumProfile, kind: Kind,
     alternated sums when m is even), the class-pair end-column
     congruences, the square-sum identity and the vanishing periodic
     autocorrelation sums.  For structured kinds the B vector is derived
-    from the A vector (near-normal derivation needs even n and m).
+    from the A vector (near-normal derivation needs even n and m).  A sum
+    profile that ``feasible_sum_profile`` rejects is refused.
     """
     if m < 2:
         raise PreconditionError("modulus must be >= 2")

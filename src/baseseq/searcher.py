@@ -67,6 +67,7 @@ import numpy as np
 from . import equiv, numfilter, specfilter
 from .errors import PreconditionError, ResumeError, SearchInterrupted
 from .numfilter import SIDE_AB, SIDE_CD, ResidueProfile
+# verify is unused here, but benchmarks/tracing.py wraps searcher.verify by name
 from .seqcore import Kind, Packed, SeqQuad, SignSeq, SumProfile, packed_valid, verify
 
 _DEFAULT_MODULI = {Kind.BS: (3, 6), Kind.NS: (3, 6), Kind.NNS: (6,)}
@@ -499,17 +500,18 @@ def save_checkpoint(path: str, cfg: SearchConfig,
 
 def _journal_finds(texts, cfg: SearchConfig) -> Optional[list[Packed]]:
     """A journal line's finds as packed quads, or None unless each is four
-    +/- strings of lengths n+1, n+1, n, n that ``verify`` accepts."""
+    +/- strings of lengths n+1, n+1, n, n whose packed quad ``packed_valid``
+    accepts, the check the search ran when it made the find."""
     shape = [cfg.n + 1, cfg.n + 1, cfg.n, cfg.n]
     if not isinstance(texts, list) or not all(
             isinstance(q, list) and len(q) == 4 and all(
                 isinstance(t, str) and len(t) == k and set(t) <= {"+", "-"}
                 for t, k in zip(q, shape)) for q in texts):
         return None
-    quads = [SeqQuad(*map(SignSeq.from_text, q), cfg.kind) for q in texts]
-    if not all(verify(quad).valid for quad in quads):
+    finds = [tuple(SignSeq.from_text(t).packed for t in q) for q in texts]
+    if not all(packed_valid(q, cfg.n, cfg.kind) for q in finds):
         return None
-    return [quad.packed() for quad in quads]
+    return finds
 
 
 def load_checkpoint(path: str, cfg: SearchConfig,

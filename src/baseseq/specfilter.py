@@ -22,12 +22,13 @@ both, so a pair whose exact spectrum meets the bound is never rejected.
 ``_spectrum`` is the only evaluation.  It takes a leading block axis, so
 ``screen_block`` screens a whole block of pairs with one product per
 grid (each grid only on the pairs the earlier ones kept), and
-``pair_filter``, ``pair_max`` and ``psd_vector`` are blocks of one.  A
-real sequence has f(2*pi - theta) = f(theta), so the table holds a
-column only for the angles up to pi and for those whose mirror is not a
-grid angle (such as 2*pi); a mirrored angle reads its mirror's value.
-That halves the product on the standard grids, and the keep/reject
-decisions pinned in the tests are unchanged by it.
+``pair_filter`` and ``pair_max`` are blocks of one.  A real sequence
+has f(2*pi - theta) = f(theta), and only the maximum over the grid is
+ever read, so the table holds a column only for the angles up to pi
+and for those whose mirror is not a grid angle (such as 2*pi); the
+mirrored angles are skipped.  That halves the product on the standard
+grids, and the keep/reject decisions pinned in the tests are unchanged
+by it.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ EPS = 1e-9
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """Strictly increasing angles in (0, 2*pi], with a display label."""
+    """Strictly increasing angles in (0, 2*pi]."""
 
     points: tuple[float, ...]
-    label: str
 
     def __post_init__(self):
         if not self.points:
@@ -60,8 +60,7 @@ class ThetaGrid:
                 raise MalformedInputError("grid points must increase within (0, 2*pi]")
             prev = t
         # the spectrum table is looked up by grid for every screened pair,
-        # so the hash of the angles is taken once (floats hash the same in
-        # every process, unlike the label)
+        # so the hash of the angles is taken once
         object.__setattr__(self, "_hash", hash(self.points))
 
     def __hash__(self) -> int:
@@ -72,15 +71,14 @@ class ThetaGrid:
         """Angles j*pi/k for j = 1..2k (covers (0, 2*pi])."""
         if k < 1:
             raise PreconditionError("k must be >= 1")
-        return cls(tuple(j * math.pi / k for j in range(1, 2 * k + 1)), f"pi-over-{k}")
+        return cls(tuple(j * math.pi / k for j in range(1, 2 * k + 1)))
 
     @classmethod
     def uniform(cls, count: int) -> "ThetaGrid":
         """Angles 2*j*pi/count for j = 1..count."""
         if count < 1:
             raise PreconditionError("count must be >= 1")
-        return cls(tuple(2.0 * j * math.pi / count for j in range(1, count + 1)),
-                   f"l={count}")
+        return cls(tuple(2.0 * j * math.pi / count for j in range(1, count + 1)))
 
     @classmethod
     @lru_cache(maxsize=32)
@@ -97,22 +95,16 @@ class ThetaGrid:
 
 
 @lru_cache(maxsize=32)
-def _dft_table(grid: ThetaGrid, length: int) -> tuple[np.ndarray, np.ndarray]:
+def _dft_table(grid: ThetaGrid, length: int) -> np.ndarray:
     """[cos(j*theta) | sin(j*theta)] over the kept angles (up to pi, or
-    without a mirror 2*pi - theta in the grid), row j = 0..length-1, and
-    for every grid angle the column that holds its value."""
+    without a mirror 2*pi - theta in the grid), row j = 0..length-1."""
     points = np.asarray(grid.points)
     low = int(np.searchsorted(points, math.pi, side="right"))
-    kept, cols = list(range(low)), list(range(low))
-    for k in range(low, len(points)):
-        mirror = np.flatnonzero(np.abs(2.0 * math.pi - points[k] - points[:low]) <= 1e-12)
-        if mirror.size:
-            cols.append(int(mirror[0]))
-        else:
-            cols.append(len(kept))
-            kept.append(k)
+    kept = list(range(low)) + [
+        k for k in range(low, len(points))
+        if not np.any(np.abs(2.0 * math.pi - points[k] - points[:low]) <= 1e-12)]
     angles = np.outer(np.arange(length), points[kept])
-    return np.hstack((np.cos(angles), np.sin(angles))), np.array(cols)
+    return np.hstack((np.cos(angles), np.sin(angles)))
 
 
 def _spectrum(rows: np.ndarray, grid: ThetaGrid) -> np.ndarray:
@@ -121,18 +113,12 @@ def _spectrum(rows: np.ndarray, grid: ThetaGrid) -> np.ndarray:
     ``rows`` has shape (blocks, rows, length); the result has shape
     (blocks, kept angles), see ``_dft_table``.
     """
-    table, _ = _dft_table(grid, rows.shape[-1])
+    table = _dft_table(grid, rows.shape[-1])
     parts = rows @ table
     parts *= parts
     total = parts.sum(axis=1)
     half = table.shape[1] // 2
     return total[:, :half] + total[:, half:]
-
-
-def psd_vector(seq: SignSeq, grid: ThetaGrid) -> np.ndarray:
-    """Spectrum values of one sequence at every grid angle."""
-    spectrum = _spectrum(np.array([[seq.elements]], dtype=float), grid)
-    return spectrum[0, _dft_table(grid, len(seq))[1]]
 
 
 def pair_max(a: SignSeq, b: SignSeq, grid: ThetaGrid) -> float:

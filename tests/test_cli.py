@@ -8,7 +8,7 @@ import pytest
 from baseseq.cli import ResultRecord, _cmd_psd, build_parser, main
 from baseseq.errors import MalformedInputError
 from baseseq.refdata import known_quad
-from baseseq.seqcore import quad_to_text
+from baseseq.seqcore import Kind, parse_quads, quad_to_text
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -24,6 +24,7 @@ def test_data_files_match_refdata():
     for n in (41, 42, 43):
         path = DATA / f"bs{n + 1}_{n}.txt"
         assert path.read_text().strip() == quad_to_text(known_quad(n))
+        assert parse_quads(path.read_text(), Kind.BS) == [known_quad(n)]
 
 
 def test_verify_published_file():
@@ -290,6 +291,15 @@ def test_profiles_refuses_near_normal_odd_n():
     code, out, err = run_cli(["profiles", "--n", "5", "--kind", "nns",
                               "--sums=-4,-2,-1,-1,-2,-4,-1,-1"])
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_profiles_refuses_infeasible_sums():
+    # the published BS 41 sums print 19,192 mod-3 profiles; with a' moved
+    # from 0 to 4 they break the sum laws, which m = 3 alone never reads
+    code, out, err = run_cli(["profiles", "--n", "41", "--kind", "bs",
+                              "--sums=-2,0,9,9,4,2,9,9"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "-2,0,9,9,4,2,9,9" in err
 
 
 def test_profiles_rejects_modulus_below_two():

@@ -97,6 +97,21 @@ def test_canonical_sum_profile_refuses_infeasible(values, n, kind):
         canonical_sum_profile(SumProfile.from_tuple(values), n, kind)
 
 
+@pytest.mark.parametrize("values,n,kind",
+                         [(v, 43, Kind.NS) for v in NS43_MISPRINTS]
+                         + [((-2, 0, 9, 9, 4, 2, 9, 9), 41, Kind.BS)])
+def test_residue_stage_refuses_infeasible_sum_profiles(values, n, kind):
+    # the misprints, and the published BS 41 sums with a' moved from 0 to 4;
+    # the plain half fits, so only the sum laws can refuse them
+    s = SumProfile.from_tuple(values)
+    whole = ResidueProfile(1, *((v,) for v in values[:4]))
+    assert whole.square_sum() == 4 * n + 2
+    with pytest.raises(PreconditionError, match=f"sum profile {s} is not feasible"):
+        residue_profiles(n, 3, s, kind)
+    with pytest.raises(PreconditionError, match=f"sum profile {s} is not feasible"):
+        refine_profiles(n, whole, s, kind)
+
+
 def test_feasible_on_published_quads():
     for n in (41, 42, 43):
         sums = row_sums(known_quad(n))

@@ -837,6 +837,30 @@ def test_checkpoint_finds_are_validated(tmp_path):
         assert _read_bytes(path) == blob
 
 
+def test_near_normal_checkpoint_refuses_a_base_quad(tmp_path, bs_pool):
+    # a valid base quad of n = 4 whose B breaks the near-normal partner
+    # rule; the line carries a recomputed digest, so only the check of the
+    # finds as near-normal quads can refuse it
+    quad = next(q for q in bs_pool[4] if (verify(SeqQuad(*q.seqs(), Kind.NNS))
+                                          .structural_violation or "").startswith("coupling"))
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=4, kind=Kind.NNS)
+    tasks_total = len(build_tasks(cfg))
+    with pytest.raises(SearchInterrupted):
+        search(cfg, checkpoint_path=path, interrupt_after_tasks=2)
+    header, *lines = _journal(path)
+    finds = [[seq.text() for seq in quad.seqs()]]
+    line = dict(lines[1], finds=finds)
+    line["digest"] = _line_digest(cfg.digest(), 1, finds, line["stats"])
+    _write_journal(path, [header, lines[0], line])
+    blob = _read_bytes(path)
+    with pytest.raises(ResumeError, match="task 1 has a find that is not a valid nns quad"):
+        load_checkpoint(path, cfg, tasks_total)
+    with pytest.raises(ResumeError, match="task 1"):
+        search(cfg, checkpoint_path=path)
+    assert _read_bytes(path) == blob
+
+
 def test_checkpoint_longer_than_task_list_is_refused(tmp_path):
     # the extra line carries a recomputed digest, so only the line count
     # can refuse it

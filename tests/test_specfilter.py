@@ -9,27 +9,26 @@ from baseseq.errors import MalformedInputError
 from baseseq.refdata import known_quad
 from baseseq.searcher import SearchConfig
 from baseseq.seqcore import Kind, SignSeq, hall_f
-from baseseq.specfilter import EPS, ThetaGrid, pair_filter, pair_max, psd_vector
+from baseseq.specfilter import EPS, ThetaGrid, pair_filter, pair_max, screen_block
 
 
 def test_grid_constructors():
     g = ThetaGrid.pi_over(100)
-    assert g.label == "pi-over-100"
     assert len(g.points) == 200
     assert g.points[0] == pytest.approx(math.pi / 100)
     assert g.points[-1] == pytest.approx(2 * math.pi)
     u = ThetaGrid.uniform(50)
-    assert len(u.points) == 50 and u.label == "l=50"
+    assert len(u.points) == 50
     assert ThetaGrid.from_spec("l=1000").points[-1] == pytest.approx(2 * math.pi)
 
 
 def test_grid_validation():
     with pytest.raises(MalformedInputError):
-        ThetaGrid((), "empty")
+        ThetaGrid(())
     with pytest.raises(MalformedInputError):
-        ThetaGrid((1.0, 0.5), "unsorted")
+        ThetaGrid((1.0, 0.5))
     with pytest.raises(MalformedInputError):
-        ThetaGrid((0.0, 1.0), "zero not allowed")
+        ThetaGrid((0.0, 1.0))
     with pytest.raises(MalformedInputError):
         ThetaGrid.from_spec("nonsense")
 
@@ -42,21 +41,27 @@ def test_grid_spec_with_a_bad_count_names_the_spec(spec):
         SearchConfig(n=7, kind=Kind.NS, grids=(spec,))
 
 
-def test_psd_vector_examples():
+EMPTY = SignSeq(())
+
+
+def _at(a, b, theta):
+    """f_a + f_b at the one angle theta, through pair_max."""
+    return pair_max(a, b, ThetaGrid((theta,)))
+
+
+def test_single_angle_pair_max_examples():
     ones5 = SignSeq.from_text("+++++")
-    tiny = ThetaGrid((1e-9,), "near-zero")
-    assert psd_vector(ones5, tiny)[0] == pytest.approx(25.0)
+    assert _at(ones5, EMPTY, 1e-9) == pytest.approx(25.0)
     pm = SignSeq.from_text("+-")
-    grid_pi = ThetaGrid((math.pi,), "pi")
-    assert psd_vector(pm, grid_pi)[0] == pytest.approx(4.0)
-    assert psd_vector(SignSeq(()), grid_pi)[0] == 0.0
+    assert _at(pm, EMPTY, math.pi) == pytest.approx(4.0)
+    assert _at(EMPTY, EMPTY, math.pi) == 0.0
 
 
-def test_psd_vector_matches_hall_f():
-    grid = ThetaGrid.uniform(37)
+def test_single_angle_pair_max_matches_hall_f():
+    # every angle of the grid, mirrored ones (beyond pi) included
     s = SignSeq.from_text("++-+--++-")
-    vec = psd_vector(s, grid)
-    for theta, value in zip(grid.points, vec):
+    for theta in ThetaGrid.uniform(37).points:
+        value = _at(s, EMPTY, theta)
         assert value == pytest.approx(hall_f(s, theta), abs=1e-9)
         assert value >= -EPS
 
@@ -78,8 +83,7 @@ def test_pair_max_matches_autocorrelation_form():
 
 def test_published_sequence_bounded_by_total():
     quad = known_quad(41)
-    grid = ThetaGrid.pi_over(100)
-    assert float(np.max(psd_vector(quad.a, grid))) <= 166 + EPS
+    assert pair_max(quad.a, EMPTY, ThetaGrid.pi_over(100)) <= 166 + EPS
 
 
 def test_pair_filter_keeps_published_pairs():
@@ -131,7 +135,7 @@ def test_pair_filter_keeps_published_n42_ab_on_its_bound():
 
 def test_pair_filter_rejects_flat_pair():
     ones = SignSeq.from_text("+++++")
-    grid = ThetaGrid((0.01, math.pi / 2, math.pi), "coarse")
+    grid = ThetaGrid((0.01, math.pi / 2, math.pi))
     assert not pair_filter(ones, ones, 22, grid)
     assert pair_max(ones, ones, grid) > 22
 
@@ -144,17 +148,18 @@ def test_pair_filter_empty_partner():
 
 def test_quad_spectra_sum_to_constant():
     quad = known_quad(42)
-    grid = ThetaGrid.uniform(64)
-    total = sum(psd_vector(s, grid) for s in quad.seqs())
-    assert np.allclose(total, 4 * 42 + 2, atol=1e-9)
+    for theta in ThetaGrid.uniform(64).points:
+        total = _at(quad.a, quad.b, theta) + _at(quad.c, quad.d, theta)
+        assert total == pytest.approx(4 * 42 + 2, abs=1e-9)
 
 
 def test_quad_spectra_identity_on_oracle_sample(bs_pool, ns_pool):
     grid = ThetaGrid.uniform(32)
     for n, pool in ((5, bs_pool[5]), (7, ns_pool[7])):
         for quad in pool[::max(1, len(pool) // 20)]:
-            total = sum(psd_vector(s, grid) for s in quad.seqs())
-            assert np.allclose(total, 4 * n + 2, atol=1e-9)
+            for theta in grid.points:
+                total = _at(quad.a, quad.b, theta) + _at(quad.c, quad.d, theta)
+                assert total == pytest.approx(4 * n + 2, abs=1e-9)
 
 
 def test_grid_refinement_monotonicity():
@@ -166,3 +171,24 @@ def test_grid_refinement_monotonicity():
     bound = 20.0
     if not pair_filter(a, b, bound, coarse):
         assert not pair_filter(a, b, bound, fine)
+
+
+@pytest.mark.parametrize("specs", [("pi-over-100",), ("l=50", "l=1000")],
+                         ids=["pi-over-100", "l=50+l=1000"])
+def test_screen_block_keeps_what_pair_filter_keeps(specs):
+    # seeded blocks of equal-length pairs at bound 4L+2, as the search
+    # screens them: kept indices equal the pairs every grid's pair_filter keeps
+    rng = random.Random(21)
+    grids = [ThetaGrid.from_spec(spec) for spec in specs]
+    mixed = 0
+    for length in range(1, 65):
+        pairs = [tuple(SignSeq(tuple(rng.choice((1, -1)) for _ in range(length)))
+                       for _ in range(2)) for _ in range(12)]
+        rows = np.array([[a.elements, b.elements] for a, b in pairs], dtype=float)
+        bound = 4 * length + 2
+        want = [i for i, (a, b) in enumerate(pairs)
+                if all(pair_filter(a, b, bound, grid) for grid in grids)]
+        keep = screen_block(rows, bound, grids)
+        assert keep.tolist() == want
+        mixed += 0 < len(want) < len(pairs)
+    assert mixed
