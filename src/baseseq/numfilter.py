@@ -45,15 +45,26 @@ C,D side the congruence holds for all class pairs including the one
 containing position 1; the sign-level list keeps the printed i >= 2
 range, which is strictly weaker, and the mismatch is intentional.
 
-Profiles are refined in *blocks*.  A block is a list of A,B halves and
-a list of C,D halves (a half is one side's two class-sum vectors) such
-that every pairing of the two is a profile; the sum profile itself is
-the one block at modulus 1.  Refining a block to a multiple modulus
-splits each of its halves once, groups each side's results by
-signature (square sum and periodic autocorrelations), and emits one
-block per pair of signatures that add up to (4n+2, 0, ..., 0).  Blocks
-refined from disjoint blocks are disjoint, so a modulus chain refines
-every half once and never lists the full profiles between its steps.
+Profiles are refined in *blocks*.  A half is one side's two class-sum
+vectors x and y, and a *product* is a tuple of x vectors and a tuple of
+y vectors every pairing of which is a half.  A block is a list of A,B
+products and a list of C,D products such that every A,B half paired
+with every C,D half is a profile; the sum profile itself is the one
+block at modulus 1.  Refining a block to a multiple modulus splits each
+coarse vector of its products once into its fine vectors, grouped by
+key and then by signature (square sum and periodic autocorrelations).
+Joining a product's x groups with its y groups on their keys gives one
+new product per pair of groups, so a signature sum is formed once per
+pair of groups, not once per half.  One block is emitted per A,B and C,D
+signature pair that adds up to (4n+2, 0, ..., 0).  Blocks refined from
+disjoint blocks are disjoint, so a modulus chain refines every vector
+once, and a side's halves are listed only where they are returned.  A
+coarse vector's split depends on nothing but the vector, the class
+sizes, the alternated target and the class pairs, so ``_split`` keeps
+it in a memo shared by every sum profile and call.  The memo is bounded
+at ``_SPLIT_MEMO`` = 4,096 entries, the fine vectors of one coarse
+vector each: at most 48 from modulus 3 to 6 at n = 41, and at most
+2,912 from modulus 1 to 6 at n = 44 (the near-normal chain).
 """
 
 from __future__ import annotations
@@ -61,8 +72,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from typing import Optional
+from functools import lru_cache
+from typing import AbstractSet, Optional
 
 from .equiv import profile_orbit
 from .errors import PreconditionError
@@ -365,80 +376,142 @@ def _derive_partner_sums(k: tuple[int, ...], n: int, m: int,
 
 
 Half = tuple[tuple[int, ...], tuple[int, ...]]
-# A,B halves and C,D halves; every pairing of the two is a profile
-Block = tuple[list[Half], list[Half]]
+# x vectors and y vectors; every pairing of the two is a half
+Product = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+# A,B products and C,D products; every pairing of their halves is a profile
+Block = tuple[list[Product], list[Product]]
+# fine vectors by key, then by signature
+Split = dict[tuple[int, ...], dict[tuple[int, ...], tuple[tuple[int, ...], ...]]]
+
+# entries of the ``_split`` memo; the whole BS n = 41 residue stage splits
+# 4,917 distinct coarse vectors, NS 41 824, BS 30 2,491 and NNS 44 32
+_SPLIT_MEMO = 4096
+
+
+@lru_cache(maxsize=_SPLIT_MEMO)
+def _split(coarse: tuple[int, ...], sizes: tuple[int, ...], alt_total: Optional[int],
+           pairs: tuple[tuple[int, int], ...]) -> Split:
+    """``_fine_vectors`` of one coarse vector at modulus len(sizes), by key,
+    then by ``_signature``.  A vector's key is its class-pair sums
+    (v_j + v_p) mod 4 over ``pairs``.  The result is shared: read it only."""
+    m = len(sizes)
+    out: dict = {}
+    for v in _fine_vectors(coarse, sizes, alt_total):
+        key = tuple([(v[j] + v[p]) % 4 for j, p in pairs])
+        out.setdefault(key, {}).setdefault(_signature(v, m), []).append(v)
+    return {key: {sig: tuple(vs) for sig, vs in group.items()} for key, group in out.items()}
+
+
+def _merged(splits: list[Split]) -> Split:
+    """The splits of a product's coarse vectors as one."""
+    if len(splits) == 1:
+        return splits[0]
+    out: Split = {}
+    for split in splits:
+        for key, group in split.items():
+            merged = out.setdefault(key, {})
+            for sig, vs in group.items():
+                merged[sig] = merged.get(sig, ()) + vs
+    return out
+
+
+def _halves(products: list[Product]) -> list[Half]:
+    return [(x, y) for xs, ys in products for x in xs for y in ys]
 
 
 def _refine_blocks(n: int, m: int, blocks: list[Block], s: SumProfile,
                    kind: Kind) -> list[Block]:
     """The blocks at modulus m whose profiles merge onto those of ``blocks``.
 
-    Each side's halves in a block are split into all halves at modulus m
-    that merge onto them, and grouped by signature: the sum of the two
-    vectors' ``_signature``.  Enforced per half: class bounds and
-    parities, the merge, alternated sums when m is even, and the
-    class-pair end-column congruence, as a join of x and y on their
-    class-pair keys; for structured kinds the B vector is derived from
-    the A vector and must be one of the fine vectors of the coarse B
-    half.  One block is emitted per A,B and C,D signature pair that adds
-    up to (4n+2, 0, ..., 0): the square-sum identity and vanishing
-    periodic autocorrelations.  Blocks refined from disjoint blocks are
-    disjoint, so every half is refined once.
+    Each product's coarse vectors are split (``_split``, memoised) into
+    all vectors at modulus m that merge onto them, and the splits of its
+    x vectors are joined with those of its y vectors on their class-pair
+    keys, a group of equal signature at a time: every x group and y group
+    of matching keys make one product, whose halves all have the sum of
+    the two signatures.  Enforced per half: class bounds and parities,
+    the merge, alternated sums when m is even, and the class-pair
+    end-column congruence.  For structured kinds the B vector is derived
+    from the A vector and must be one of the fine vectors of the coarse
+    B vector, which is tested per A vector, so that side's products hold
+    one half each.  One block is emitted per A,B and C,D signature pair
+    that adds up to (4n+2, 0, ..., 0): the square-sum identity and
+    vanishing periodic autocorrelations.  The C,D side is joined after
+    the A,B side and keeps only the signatures that complete an A,B one.
+    Blocks refined from disjoint blocks are disjoint, so every vector is
+    refined once.
     """
     if kind is Kind.NNS and (n % 2 or m % 2):
         raise PreconditionError("near-normal residue profiles require even n and even m")
     if not feasible_sum_profile(s, n, kind):
         raise PreconditionError(f"sum profile {s} is not feasible for {kind.value} n={n}")
-    fine = cache(_fine_vectors)
-    signature = cache(lambda v: _signature(v, m))
     target = (4 * n + 2,) + (0,) * (m // 2)
 
-    def by_signature(side: str, halves: list[Half]) -> dict[tuple[int, ...], list[Half]]:
+    def by_signature(side: str, products: list[Product],
+                     wanted: Optional[AbstractSet[tuple[int, ...]]] = None,
+                     ) -> dict[tuple[int, ...], list[Product]]:
         length, alts = ((n + 1, (s.a_alt, s.b_alt)) if side == SIDE_AB
                         else (n, (s.c_alt, s.d_alt)))
         sizes = class_sizes(length, m)
         if m % 2:
             alts = (None, None)
         # class j pairs with class (L-1-j) mod m; a pair's four sums are
-        # 2 mod 4 at the A,B end pair (j = 0) and 0 mod 4 everywhere else
-        pairs = [(j, p) for j in range(m) if j < (p := (length - 1 - j) % m)]
+        # 2 mod 4 at the A,B end pair (j = 0) and 0 mod 4 everywhere else,
+        # so x of key k joins y of key (want - k) mod 4
+        pairs = tuple((j, p) for j in range(m) if j < (p := (length - 1 - j) % m))
         wants = [2 if side == SIDE_AB and j == 0 else 0 for j, _ in pairs]
         derived = side == SIDE_AB and kind is not Kind.BS
-        groups: dict[tuple[int, ...], list[Half]] = {}
-        for coarse in halves:
-            buckets: dict[tuple[int, ...], dict[tuple[int, ...], None]] = {}
-            for y in fine(coarse[1], sizes, alts[1]):
-                key = tuple([(w - y[j] - y[p]) % 4 for w, (j, p) in zip(wants, pairs)])
-                buckets.setdefault(key, {})[y] = None
-            for x in fine(coarse[0], sizes, alts[0]):
-                ys = buckets.get(tuple([(x[j] + x[p]) % 4 for j, p in pairs]), ())
+        groups: dict[tuple[int, ...], list[Product]] = {}
+        for coarse_xs, coarse_ys in products:
+            x_split = _merged([_split(c, sizes, alts[0], pairs) for c in coarse_xs])
+            y_split = _merged([_split(c, sizes, alts[1], pairs) for c in coarse_ys])
+            for key, x_groups in x_split.items():
+                y_groups = y_split.get(tuple([(w - k) % 4 for w, k in zip(wants, key)]))
+                if not y_groups:
+                    continue
                 if derived:
-                    partner = _derive_partner_sums(x, n, m, kind)
-                    ys = (partner,) if partner in ys else ()
-                for y in ys:
-                    sig = tuple([a + b for a, b in zip(signature(x), signature(y))])
-                    groups.setdefault(sig, []).append((x, y))
+                    y_sigs = {y: sig for sig, ys in y_groups.items() for y in ys}
+                    for x_sig, xs in x_groups.items():
+                        for x in xs:
+                            partner = _derive_partner_sums(x, n, m, kind)
+                            y_sig = y_sigs.get(partner)
+                            if y_sig is not None:
+                                sig = tuple([a + b for a, b in zip(x_sig, y_sig)])
+                                if wanted is None or sig in wanted:
+                                    groups.setdefault(sig, []).append(((x,), (partner,)))
+                    continue
+                for x_sig, xs in x_groups.items():
+                    if wanted is not None and len(wanted) < len(y_groups):
+                        for sig in wanted:
+                            ys = y_groups.get(tuple([a - b for a, b in zip(sig, x_sig)]))
+                            if ys:
+                                groups.setdefault(sig, []).append((xs, ys))
+                        continue
+                    for y_sig, ys in y_groups.items():
+                        sig = tuple([a + b for a, b in zip(x_sig, y_sig)])
+                        if wanted is None or sig in wanted:
+                            groups.setdefault(sig, []).append((xs, ys))
         return groups
 
     out = []
     for ab, cd in blocks:
-        cd_groups = by_signature(SIDE_CD, cd)
-        for sig, ab_halves in by_signature(SIDE_AB, ab).items():
-            cd_halves = cd_groups.get(tuple(t - x for t, x in zip(target, sig)))
-            if cd_halves:
-                out.append((ab_halves, cd_halves))
+        ab_groups = by_signature(SIDE_AB, ab)
+        complements = {tuple([t - x for t, x in zip(target, sig)]): sig for sig in ab_groups}
+        for cd_sig, cd_products in by_signature(SIDE_CD, cd, complements.keys()).items():
+            out.append((ab_groups[complements[cd_sig]], cd_products))
     return out
 
 
 def _whole(s: SumProfile) -> Block:
     """The sum profile as the one block at modulus 1."""
-    return [((s.a,), (s.b,))], [((s.c,), (s.d,))]
+    return [(((s.a,),), ((s.b,),))], [(((s.c,),), ((s.d,),))]
 
 
 def _profiles(m: int, blocks: list[Block]) -> list[ResidueProfile]:
-    return sorted((ResidueProfile(m, k, r, p, q)
-                   for ab, cd in blocks for k, r in ab for p, q in cd),
-                  key=ResidueProfile.as_flat)
+    out = []
+    for ab, cd in blocks:
+        cd_halves = _halves(cd)
+        out.extend(ResidueProfile(m, k, r, p, q) for k, r in _halves(ab) for p, q in cd_halves)
+    return sorted(out, key=ResidueProfile.as_flat)
 
 
 def residue_profiles(n: int, m: int, s: SumProfile, kind: Kind,
@@ -466,7 +539,7 @@ def residue_halves(n: int, moduli: tuple[int, ...], s: SumProfile, kind: Kind,
     blocks = [_whole(s)]
     for m in moduli:
         blocks = _refine_blocks(n, m, blocks, s, kind)
-    return sorted(h for block in blocks for h in block[side == SIDE_CD])
+    return sorted(h for block in blocks for h in _halves(block[side == SIDE_CD]))
 
 
 def refine_profiles(n: int, prof: ResidueProfile, s: SumProfile, kind: Kind,
@@ -487,8 +560,8 @@ def refine_profiles(n: int, prof: ResidueProfile, s: SumProfile, kind: Kind,
     if prof.square_sum() != 4 * n + 2:
         raise PreconditionError("profile square sum must equal 4n+2")
     m = 2 * prof.modulus
-    blocks = _refine_blocks(n, m, [([(prof.a_class_sums, prof.b_class_sums)],
-                                     [(prof.c_class_sums, prof.d_class_sums)])], s, kind)
+    blocks = _refine_blocks(n, m, [([((prof.a_class_sums,), (prof.b_class_sums,))],
+                                     [((prof.c_class_sums,), (prof.d_class_sums,))])], s, kind)
     if project is None:
         return _profiles(m, blocks)
-    return sorted(h for block in blocks for h in block[project == "pq"])
+    return sorted(h for block in blocks for h in _halves(block[project == "pq"]))

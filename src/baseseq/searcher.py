@@ -68,7 +68,8 @@ from . import equiv, numfilter, specfilter
 from .errors import PreconditionError, ResumeError, SearchInterrupted
 from .numfilter import SIDE_AB, SIDE_CD, ResidueProfile
 # verify is unused here, but benchmarks/tracing.py wraps searcher.verify by name
-from .seqcore import Kind, Packed, SeqQuad, SignSeq, SumProfile, packed_valid, verify
+from .seqcore import (Kind, Packed, SeqQuad, SignSeq, SumProfile, packed_from_text,
+                      packed_text, packed_valid, verify)
 
 _DEFAULT_MODULI = {Kind.BS: (3, 6), Kind.NS: (3, 6), Kind.NNS: (6,)}
 _DEFAULT_GRIDS = {Kind.BS: ("pi-over-100",), Kind.NS: ("l=50", "l=1000"),
@@ -486,14 +487,18 @@ def _line_digest(cfg_digest: str, index: int, finds, stats) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _lengths(n: int) -> tuple[int, int, int, int]:
+    return (n + 1, n + 1, n, n)
+
+
 def save_checkpoint(path: str, cfg: SearchConfig,
                     finished: list[tuple[int, list[Packed], dict]]) -> None:
     """Append a journal line for each ``run_task`` result in ``finished``."""
     cfg_digest = cfg.digest()
+    lengths = _lengths(cfg.n)
     with open(path, "a", encoding="utf-8") as fh:
         for index, finds, stats in finished:
-            texts = [[seq.text() for seq in SeqQuad.from_packed(q, cfg.n, cfg.kind).seqs()]
-                     for q in finds]
+            texts = [[packed_text(x, k) for x, k in zip(q, lengths)] for q in finds]
             digest = _line_digest(cfg_digest, index, texts, stats)
             fh.write(json.dumps({"finds": texts, "stats": stats, "digest": digest}) + "\n")
 
@@ -502,13 +507,13 @@ def _journal_finds(texts, cfg: SearchConfig) -> Optional[list[Packed]]:
     """A journal line's finds as packed quads, or None unless each is four
     +/- strings of lengths n+1, n+1, n, n whose packed quad ``packed_valid``
     accepts, the check the search ran when it made the find."""
-    shape = [cfg.n + 1, cfg.n + 1, cfg.n, cfg.n]
+    lengths = _lengths(cfg.n)
     if not isinstance(texts, list) or not all(
             isinstance(q, list) and len(q) == 4 and all(
                 isinstance(t, str) and len(t) == k and set(t) <= {"+", "-"}
-                for t, k in zip(q, shape)) for q in texts):
+                for t, k in zip(q, lengths)) for q in texts):
         return None
-    finds = [tuple(SignSeq.from_text(t).packed for t in q) for q in texts]
+    finds = [tuple(map(packed_from_text, q)) for q in texts]
     if not all(packed_valid(q, cfg.n, cfg.kind) for q in finds):
         return None
     return finds

@@ -16,7 +16,9 @@ zero at every shift s = 1..n.  Two structured subclasses tie B to A:
 A sequence is stored as an element tuple (I/O, indexing) and, packed,
 as one int: element j of a length-L sequence sits at bit L-1-j, and -1
 is a set bit.  ``SignSeq.packed``/``from_packed`` are the only
-sequence-level encoder and decoder of this layout, and a packed quad is
+sequence-level encoder and decoder of this layout, ``packed_from_text``/
+``packed_text`` convert it straight from and to the +/- text (the
+checkpoint journal's form), and a packed quad is
 the tuple of the four packed sequences (``SeqQuad.packed``/
 ``from_packed``).  The first element is the most significant bit and +1
 the clear bit, so among quads of one n the order of packed quads is the
@@ -54,6 +56,10 @@ _SIGN_OF = {"+": 1, "-": -1}
 # first, as signed chars (the byte 255 reads as -1)
 _SIGNS_OF_BYTE = tuple(bytes(255 if byte >> 7 - k & 1 else 1 for k in range(8))
                        for byte in range(256))
+
+# the +/- text of a packed sequence is its binary numeral, + for 0 and - for 1
+_TEXT_TO_DIGITS = str.maketrans("+-", "01")
+_DIGITS_TO_TEXT = str.maketrans("01", "+-")
 
 # a quad packed, one int per sequence (see the module docstring)
 Packed = tuple[int, int, int, int]
@@ -143,6 +149,18 @@ class SignSeq:
 
     def __str__(self) -> str:
         return self.text()
+
+
+def packed_from_text(text: str) -> int:
+    """The packed sequence whose text is ``text``, a non-empty string of
+    '+' and '-' only (the caller checks that; ``int`` would also take
+    spaces and underscores)."""
+    return int(text.translate(_TEXT_TO_DIGITS), 2)
+
+
+def packed_text(x: int, length: int) -> str:
+    """The '+'/'-' text of the packed sequence ``x`` of ``length`` >= 1 signs."""
+    return format(x, f"0{length}b").translate(_DIGITS_TO_TEXT)
 
 
 def packed_autocorr(x: int, length: int) -> tuple[int, ...]:

@@ -294,6 +294,29 @@ def test_structured_residue_halves_pinned():
         "793cd6efc94906751320f122d476bce06e1e31d84bde29a57d955206f305a7d8"
 
 
+@pytest.mark.parametrize("n,kind,moduli,index", [(12, Kind.BS, (3, 6), 34),
+                                                 (26, Kind.NNS, (6,), 1),
+                                                 (41, Kind.NS, (3, 6), 3)],
+                         ids=["bs12", "nns26", "ns41"])
+def test_residue_halves_do_not_depend_on_the_split_memo(n, kind, moduli, index):
+    """One profile's halves, cold (memo just cleared) and warm (after every
+    other profile of that n), on both sides; the memo is bounded."""
+    profiles = sum_profiles(n, kind)
+
+    def halves(s):
+        return [residue_halves(n, moduli, s, kind, side) for side in (SIDE_AB, SIDE_CD)]
+
+    numfilter._split.cache_clear()
+    cold = halves(profiles[index])
+    numfilter._split.cache_clear()
+    for s in profiles[:index] + profiles[index + 1:]:
+        halves(s)
+    hits = numfilter._split.cache_info().hits
+    assert halves(profiles[index]) == cold
+    assert numfilter._split.cache_info().hits > hits
+    assert numfilter._split.cache_info().maxsize is not None
+
+
 def test_residue_halves_is_union_of_refine_profiles():
     for n, kind in ((7, Kind.BS), (9, Kind.NS)):
         for s in sum_profiles(n, kind)[:3]:

@@ -308,6 +308,9 @@ PINNED_TASKS = [
      "8db805ef75f3db0fa875ac7a131cba7b81be1c6f4441510388ee951ecabef86a"),
     (SearchConfig(n=8, kind=Kind.NNS, moduli=(2, 4, 8)), 42,
      "8d49761f99a8cd081741a943b099da31132a34bff0feb4d7e8a87147d0b14ee3"),
+    # the task list the first-solution BS 12 benchmark builds
+    (SearchConfig(n=12, kind=Kind.BS), 9229,
+     "15baac5e854f592462610c3a4ede3b388b98e42e28993af48b47dba15d1d027a"),
 ]
 
 

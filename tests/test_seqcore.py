@@ -8,9 +8,9 @@ import pytest
 from baseseq import oracle
 from baseseq.errors import MalformedInputError
 from baseseq.refdata import known_quad
-from baseseq.seqcore import (Kind, SeqQuad, SignSeq, hall_f, paf, parse_quads,
-                             partner_elements, quad_to_text, row_sums, total_autocorr,
-                             verify)
+from baseseq.seqcore import (Kind, SeqQuad, SignSeq, hall_f, packed_from_text, packed_text,
+                             paf, parse_quads, partner_elements, quad_to_text, row_sums,
+                             total_autocorr, verify)
 
 
 def seq(text):
@@ -126,6 +126,17 @@ def test_from_packed_matches_bit_reference():
         built = SignSeq(want)
         assert type(s.packed) is int and s.packed == built.packed == value
         assert s == built and hash(s) == hash(built)
+
+
+def test_packed_text_conversions_match_signseq():
+    # every value at lengths 1..12 and seeded values across byte borders
+    rng = random.Random(13)
+    cases = [(value, length) for length in range(1, 13) for value in range(1 << length)]
+    cases += [(rng.getrandbits(length), length) for length in (41, 63, 64, 65) for _ in range(200)]
+    for value, length in cases:
+        text = SignSeq.from_packed(value, length).text()
+        assert packed_text(value, length) == text
+        assert packed_from_text(text) == SignSeq.from_text(text).packed == value
 
 
 def test_from_packed_takes_numpy_integers():
