@@ -51,20 +51,22 @@ y vectors every pairing of which is a half.  A block is a list of A,B
 products and a list of C,D products such that every A,B half paired
 with every C,D half is a profile; the sum profile itself is the one
 block at modulus 1.  Refining a block to a multiple modulus splits each
-coarse vector of its products once into its fine vectors, grouped by
-key and then by signature (square sum and periodic autocorrelations).
-Joining a product's x groups with its y groups on their keys gives one
-new product per pair of groups, so a signature sum is formed once per
-pair of groups, not once per half.  One block is emitted per A,B and C,D
-signature pair that adds up to (4n+2, 0, ..., 0).  Blocks refined from
-disjoint blocks are disjoint, so a modulus chain refines every vector
-once, and a side's halves are listed only where they are returned.  A
-coarse vector's split depends on nothing but the vector, the class
-sizes, the alternated target and the class pairs, so ``_split`` keeps
-it in a memo shared by every sum profile and call.  The memo is bounded
-at ``_SPLIT_MEMO`` = 4,096 entries, the fine vectors of one coarse
-vector each: at most 48 from modulus 3 to 6 at n = 41, and at most
-2,912 from modulus 1 to 6 at n = 44 (the near-normal chain).
+coarse vector of its products into its fine vectors, grouped by key and
+then by signature (square sum and periodic autocorrelations).  For each
+coarse (x, y) pairing of a product, joining the x groups with the y
+groups on their keys gives one new product per pair of groups, so a
+signature sum is formed once per pair of groups, not once per half.
+One block is emitted per A,B and C,D signature pair that adds up to
+(4n+2, 0, ..., 0).  Blocks refined from disjoint blocks are disjoint, so
+a modulus chain refines every vector pairing once, and a side's halves
+are listed only where they are returned.  A coarse vector's split
+depends on nothing but the vector, the class sizes, the alternated
+target and the class pairs, so ``_split`` keeps it in a memo shared by
+every sum profile and call; ``searcher.build_tasks`` clears it when the
+task list is built.  The memo is bounded at ``_SPLIT_MEMO`` = 4,096
+entries, the fine vectors of one coarse vector each: at most 48 from
+modulus 3 to 6 at n = 41, and at most 2,912 from modulus 1 to 6 at
+n = 44 (the near-normal chain).
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import AbstractSet, Optional
+from typing import Optional
 
 from .equiv import profile_orbit
 from .errors import PreconditionError
@@ -402,19 +404,6 @@ def _split(coarse: tuple[int, ...], sizes: tuple[int, ...], alt_total: Optional[
     return {key: {sig: tuple(vs) for sig, vs in group.items()} for key, group in out.items()}
 
 
-def _merged(splits: list[Split]) -> Split:
-    """The splits of a product's coarse vectors as one."""
-    if len(splits) == 1:
-        return splits[0]
-    out: Split = {}
-    for split in splits:
-        for key, group in split.items():
-            merged = out.setdefault(key, {})
-            for sig, vs in group.items():
-                merged[sig] = merged.get(sig, ()) + vs
-    return out
-
-
 def _halves(products: list[Product]) -> list[Half]:
     return [(x, y) for xs, ys in products for x in xs for y in ys]
 
@@ -423,20 +412,19 @@ def _refine_blocks(n: int, m: int, blocks: list[Block], s: SumProfile,
                    kind: Kind) -> list[Block]:
     """The blocks at modulus m whose profiles merge onto those of ``blocks``.
 
-    Each product's coarse vectors are split (``_split``, memoised) into
-    all vectors at modulus m that merge onto them, and the splits of its
-    x vectors are joined with those of its y vectors on their class-pair
-    keys, a group of equal signature at a time: every x group and y group
-    of matching keys make one product, whose halves all have the sum of
-    the two signatures.  Enforced per half: class bounds and parities,
-    the merge, alternated sums when m is even, and the class-pair
-    end-column congruence.  For structured kinds the B vector is derived
-    from the A vector and must be one of the fine vectors of the coarse
-    B vector, which is tested per A vector, so that side's products hold
-    one half each.  One block is emitted per A,B and C,D signature pair
-    that adds up to (4n+2, 0, ..., 0): the square-sum identity and
-    vanishing periodic autocorrelations.  The C,D side is joined after
-    the A,B side and keeps only the signatures that complete an A,B one.
+    Each coarse vector of a product is split (``_split``, memoised) into
+    all vectors at modulus m that merge onto it.  For each coarse (x, y)
+    pairing of a product, the split of x is joined with the split of y
+    on their class-pair keys, a group of equal signature at a time: every
+    x group and y group of matching keys make one product, whose halves
+    all have the sum of the two signatures.  Enforced per half: class
+    bounds and parities, the merge, alternated sums when m is even, and
+    the class-pair end-column congruence.  For structured kinds the B
+    vector is derived from the A vector and must be one of the fine
+    vectors of the coarse B vector, which is tested per A vector, so that
+    side's products hold one half each.  One block is emitted per A,B and
+    C,D signature pair that adds up to (4n+2, 0, ..., 0): the square-sum
+    identity and vanishing periodic autocorrelations.
     Blocks refined from disjoint blocks are disjoint, so every vector is
     refined once.
     """
@@ -447,7 +435,6 @@ def _refine_blocks(n: int, m: int, blocks: list[Block], s: SumProfile,
     target = (4 * n + 2,) + (0,) * (m // 2)
 
     def by_signature(side: str, products: list[Product],
-                     wanted: Optional[AbstractSet[tuple[int, ...]]] = None,
                      ) -> dict[tuple[int, ...], list[Product]]:
         length, alts = ((n + 1, (s.a_alt, s.b_alt)) if side == SIDE_AB
                         else (n, (s.c_alt, s.d_alt)))
@@ -462,42 +449,35 @@ def _refine_blocks(n: int, m: int, blocks: list[Block], s: SumProfile,
         derived = side == SIDE_AB and kind is not Kind.BS
         groups: dict[tuple[int, ...], list[Product]] = {}
         for coarse_xs, coarse_ys in products:
-            x_split = _merged([_split(c, sizes, alts[0], pairs) for c in coarse_xs])
-            y_split = _merged([_split(c, sizes, alts[1], pairs) for c in coarse_ys])
-            for key, x_groups in x_split.items():
-                y_groups = y_split.get(tuple([(w - k) % 4 for w, k in zip(wants, key)]))
-                if not y_groups:
-                    continue
-                if derived:
-                    y_sigs = {y: sig for sig, ys in y_groups.items() for y in ys}
-                    for x_sig, xs in x_groups.items():
-                        for x in xs:
-                            partner = _derive_partner_sums(x, n, m, kind)
-                            y_sig = y_sigs.get(partner)
-                            if y_sig is not None:
-                                sig = tuple([a + b for a, b in zip(x_sig, y_sig)])
-                                if wanted is None or sig in wanted:
-                                    groups.setdefault(sig, []).append(((x,), (partner,)))
-                    continue
-                for x_sig, xs in x_groups.items():
-                    if wanted is not None and len(wanted) < len(y_groups):
-                        for sig in wanted:
-                            ys = y_groups.get(tuple([a - b for a, b in zip(sig, x_sig)]))
-                            if ys:
-                                groups.setdefault(sig, []).append((xs, ys))
+            for coarse_x, coarse_y in itertools.product(coarse_xs, coarse_ys):
+                y_split = _split(coarse_y, sizes, alts[1], pairs)
+                for key, x_groups in _split(coarse_x, sizes, alts[0], pairs).items():
+                    y_groups = y_split.get(tuple([(w - k) % 4 for w, k in zip(wants, key)]))
+                    if not y_groups:
                         continue
-                    for y_sig, ys in y_groups.items():
-                        sig = tuple([a + b for a, b in zip(x_sig, y_sig)])
-                        if wanted is None or sig in wanted:
+                    if derived:
+                        y_sigs = {y: sig for sig, ys in y_groups.items() for y in ys}
+                        for x_sig, xs in x_groups.items():
+                            for x in xs:
+                                partner = _derive_partner_sums(x, n, m, kind)
+                                y_sig = y_sigs.get(partner)
+                                if y_sig is not None:
+                                    sig = tuple([a + b for a, b in zip(x_sig, y_sig)])
+                                    groups.setdefault(sig, []).append(((x,), (partner,)))
+                        continue
+                    for x_sig, xs in x_groups.items():
+                        for y_sig, ys in y_groups.items():
+                            sig = tuple([a + b for a, b in zip(x_sig, y_sig)])
                             groups.setdefault(sig, []).append((xs, ys))
         return groups
 
     out = []
     for ab, cd in blocks:
         ab_groups = by_signature(SIDE_AB, ab)
-        complements = {tuple([t - x for t, x in zip(target, sig)]): sig for sig in ab_groups}
-        for cd_sig, cd_products in by_signature(SIDE_CD, cd, complements.keys()).items():
-            out.append((ab_groups[complements[cd_sig]], cd_products))
+        for cd_sig, cd_products in by_signature(SIDE_CD, cd).items():
+            ab_products = ab_groups.get(tuple([t - x for t, x in zip(target, cd_sig)]))
+            if ab_products:
+                out.append((ab_products, cd_products))
     return out
 
 

@@ -422,6 +422,8 @@ def build_tasks(cfg: SearchConfig) -> list[tuple]:
     for si, s in enumerate(numfilter.sum_profiles(cfg.n, cfg.kind)):
         for hi, half in enumerate(residue_halves(cfg, s)):
             tasks.append((len(tasks), si, hi, s.as_tuple(), half))
+    # no task reads the split memo: free it before the tasks run
+    numfilter._split.cache_clear()
     return tasks
 
 

@@ -284,6 +284,7 @@ def test_residue_halves_cover_published_quad_full_scale():
 def test_build_tasks_deterministic():
     cfg = SearchConfig(n=5, kind=Kind.NS)
     assert build_tasks(cfg) == build_tasks(cfg)
+    assert numfilter._split.cache_info().currsize == 0  # no task reads the memo
 
 
 # sha256 of repr(build_tasks(cfg)), recorded before the residue stage
