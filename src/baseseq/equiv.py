@@ -27,7 +27,26 @@ bit reversal, alternation an XOR with the odd-position mask), and
 no member is unpacked to compare it.  A step takes a move list's images
 in list order, so the BFS order of an orbit, and with it the members of
 a capped partial orbit, depends on the move list alone and not on the
-encoding.
+encoding.  ``orbit``, ``first_visits`` and ``kind_generators`` run that
+BFS; their orders and capped partials are pinned by the tests.
+
+Dedup, ``canonical`` and the searcher's final step (``first_classes``)
+enumerate no member.  Every move acts on the (A, B) pair alone, on the
+(C, D) pair alone, or, for the one coupled move of each list
+(alternate_all, or struct_alternate for NS), on both pairs
+independently.  So a class is a union of disjoint blocks P x Q, P an
+orbit of (A, B) pairs under the A,B-only moves (at most 32 members) and
+Q an orbit of (C, D) pairs under the C,D-only moves, column_swap
+included (up to 128 members on random quads).  Each side orbit is
+closed once per call and memoised by side value.  The coupled move c sends the members of P x Q
+to the blocks ids(c(P)) x ids(c(Q)), every pair of an orbit meeting
+c(P) with one meeting c(Q), since the side moves reach every (p, q) of
+the block.  A class is the closure of its first block under that rule:
+its canonical is the least (min P, min Q) over its blocks and its size
+is the sum of |P| * |Q|.  A class need not be one block and its
+alternate: at even n alternation does not map column-swap orbits onto
+column-swap orbits, and random BS 8 quads have classes of two to six
+blocks.
 
 The same moves act on the eight row sums of a quad as signed
 permutations; that cheap action is used to deduplicate sum profiles
@@ -36,6 +55,7 @@ without materializing sequences.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
@@ -245,6 +265,125 @@ def first_visits(items: Iterable[Packed], n: int, kind: Kind,
         yield i, cls
 
 
+# --- classes as blocks of side orbits ---------------------------------------
+
+# moves acting on the (A, B) pair alone, and the coupled moves, which act
+# on both pairs but on each independently; every other move acts on the
+# (C, D) pair alone
+_AB_MOVES = frozenset([Transform(op, w) for op in ("negate", "reverse") for w in "ab"]
+                      + [SWAP_AB, NEG_AB_SWAP, STRUCT_NEGATE, STRUCT_REVERSE])
+_COUPLED = frozenset([ALTERNATE_ALL, STRUCT_ALTERNATE])
+_ZERO_PAIR = (0, 0)
+
+Pair = tuple[int, int]
+
+# a move's action on one pair does not depend on the other pair, so it is
+# read off the image of a quad whose other pair is zero
+
+
+def _on_ab(move: Move) -> Callable[[Pair], Pair]:
+    return lambda p: move(p + _ZERO_PAIR)[:2]
+
+
+def _on_cd(move: Move) -> Callable[[Pair], Optional[Pair]]:
+    def side_move(p: Pair) -> Optional[Pair]:  # None where column_swap finds no block
+        image = move(_ZERO_PAIR + p)
+        return None if image is None else image[2:]
+    return side_move
+
+
+class _SideOrbits(dict):
+    """Orbits of one side's pairs under the moves acting on that side
+    alone, memoised: every pair seen maps to its orbit's members, sorted
+    (one list per orbit, so its first member names the orbit)."""
+
+    def __init__(self, moves: list, couplings: list):
+        super().__init__()
+        self.step = lambda p: [move(p) for move in moves]
+        self.couplings = couplings  # this side's half of each coupled move
+        self.coupled = {}  # least member -> per coupled move, the orbits of its images
+
+    def __missing__(self, p: Pair) -> list[Pair]:
+        members = sorted(_closure(p, self.step, DEFAULT_ORBIT_CAP))
+        for m in members:
+            self[m] = members
+        return members
+
+    def images(self, least: Pair) -> list[set[Pair]]:
+        """For each coupled move c, the orbits (by least member) that meet
+        c(P), P the orbit whose least member is ``least``."""
+        out = self.coupled.get(least)
+        if out is None:
+            out = self.coupled[least] = [{self[c(m)][0] for m in self[least]}
+                                         for c in self.couplings]
+        return out
+
+
+class BlockClass:
+    """An equivalence class as a union of disjoint blocks P x Q: P an orbit
+    of (A, B) pairs and Q an orbit of (C, D) pairs, each a sorted list."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: list[tuple[list[Pair], list[Pair]]]):
+        self.blocks = blocks
+
+    @property
+    def canonical(self) -> Packed:
+        """The least member; packed order is the quad order."""
+        return min(ps[0] + qs[0] for ps, qs in self.blocks)
+
+    @property
+    def size(self) -> int:
+        return sum(len(ps) * len(qs) for ps, qs in self.blocks)
+
+    def members(self, count: Optional[int] = None) -> list[Packed]:
+        """The least ``count`` members (all by default), sorted."""
+        return sorted(p + q for ps, qs in self.blocks for p in ps for q in qs)[:count]
+
+
+def first_classes(items: Iterable[Packed], n: int, kind: Kind,
+                  cap: int = DEFAULT_ORBIT_CAP,
+                  moves: Optional[Iterable[Transform]] = None,
+                  ) -> Iterator[tuple[int, BlockClass]]:
+    """``(i, class)`` for each packed quad ``i`` of ``n`` that lies in no
+    earlier input's class, in input order: the classes ``first_visits``
+    yields, closed as blocks (see the module docstring) without
+    enumerating a member.
+
+    Raises :class:`OrbitCapExceeded` when a class has more than ``cap``
+    members, carrying its least ``cap`` members, sorted.
+    """
+    if cap < 1:
+        raise PreconditionError("orbit cap must be >= 1")
+    table = _move_table(kind, n)
+    moves = list(GENERATORS[kind] if moves is None else moves)
+    coupled = [table[t] for t in moves if t in _COUPLED]
+    ab = _SideOrbits([_on_ab(table[t]) for t in moves if t in _AB_MOVES],
+                     [_on_ab(c) for c in coupled])
+    cd = _SideOrbits([_on_cd(table[t]) for t in moves
+                      if t not in _AB_MOVES and t not in _COUPLED],
+                     [_on_cd(c) for c in coupled])
+    seen: set[tuple[Pair, Pair]] = set()  # the blocks of every class yielded
+    for i, q in enumerate(items):
+        start = (ab[q[:2]][0], cd[q[2:]][0])
+        if start in seen:
+            continue
+        seen.add(start)
+        blocks = [start]
+        for p, r in blocks:  # blocks grows while it is read: the BFS queue
+            for ps, rs in zip(ab.images(p), cd.images(r)):
+                for block in itertools.product(ps, rs):
+                    if block not in seen:
+                        seen.add(block)
+                        blocks.append(block)
+        cls = BlockClass([(ab[p], cd[r]) for p, r in blocks])
+        if cls.size > cap:
+            raise OrbitCapExceeded(cap, [SeqQuad.from_packed(m, n, kind)
+                                         for m in cls.members(cap)])
+        yield i, cls
+
+
 def apply(quad: SeqQuad, t: Transform) -> SeqQuad:
     """Apply one transform; validity of the quad is preserved.
 
@@ -289,7 +428,8 @@ def orbit(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQuad]:
 def canonical(quad: SeqQuad, cap: int = DEFAULT_ORBIT_CAP) -> SeqQuad:
     """Least orbit member under the fixed total order (+1 sorts before -1)."""
     n, kind = quad.n, quad.kind
-    return SeqQuad.from_packed(min(_equivalence_class(quad.packed(), n, kind, cap)), n, kind)
+    _, cls = next(first_classes([quad.packed()], n, kind, cap))
+    return SeqQuad.from_packed(cls.canonical, n, kind)
 
 
 def dedup(quads: Iterable[SeqQuad], cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQuad]:
@@ -304,7 +444,7 @@ def dedup(quads: Iterable[SeqQuad], cap: int = DEFAULT_ORBIT_CAP) -> list[SeqQua
     n, kind = quads[0].n, quads[0].kind
     if any(q.n != n or q.kind != kind for q in quads):
         raise MalformedInputError("dedup requires uniform n and kind")
-    reps = [min(cls) for _, cls in first_visits((q.packed() for q in quads), n, kind, cap)]
+    reps = [cls.canonical for _, cls in first_classes((q.packed() for q in quads), n, kind, cap)]
     return [SeqQuad.from_packed(r, n, kind) for r in sorted(reps)]
 
 

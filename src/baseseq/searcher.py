@@ -588,12 +588,12 @@ def _finalize(cfg: SearchConfig, tasks: list[tuple],
 
     if cfg.orbit_dedup:
         if cfg.kind is Kind.NS:  # regrow first: see equiv.NS_REGROW
-            grown = list(equiv.first_visits(finds, cfg.n, cfg.kind, cfg.orbit_cap,
-                                            equiv.NS_REGROW))
-            stages = [stages[i] for i, cls in grown for _ in cls]
-            finds = [q for _, cls in grown for q in cls]
-        reps = {min(cls): stages[i]
-                for i, cls in equiv.first_visits(finds, cfg.n, cfg.kind, cfg.orbit_cap)}
+            grown = [(i, cls.members()) for i, cls in equiv.first_classes(
+                finds, cfg.n, cfg.kind, cfg.orbit_cap, equiv.NS_REGROW)]
+            stages = [stages[i] for i, members in grown for _ in members]
+            finds = [q for _, members in grown for q in members]
+        reps = {cls.canonical: stages[i]
+                for i, cls in equiv.first_classes(finds, cfg.n, cfg.kind, cfg.orbit_cap)}
         finds, stages = list(reps), list(reps.values())
     order = sorted(range(len(finds)), key=finds.__getitem__)
     return SearchResult(quads=[SeqQuad.from_packed(finds[i], cfg.n, cfg.kind) for i in order],

@@ -212,6 +212,23 @@ def test_search_cli_orbit_cap_exceeded():
     assert err.startswith("error:") and "cap" in err
 
 
+def test_search_and_canon_orbit_cap_boundary(tmp_path):
+    # the largest BS 4 class has 1,024 members (see test_equiv): a cap of
+    # 1,024 changes no byte, one of 1,023 exits 2 with no record written
+    code, records, _ = run_cli(["oracle", "--n", "4", "--kind", "bs"])
+    assert code == 0
+    path = tmp_path / "oracle.txt"
+    path.write_text(records)
+    for argv in (["search", "--n", "4", "--kind", "bs"],
+                 ["canon", "--kind", "bs", "--file", str(path)]):
+        code, fresh, _ = run_cli(argv)
+        assert code == 0 and fresh
+        assert run_cli(argv + ["--orbit-cap", "1024"])[:2] == (0, fresh)
+        code, out, err = run_cli(argv + ["--orbit-cap", "1023"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cap of 1023" in err
+
+
 def test_search_and_canon_reject_orbit_cap_zero(tmp_path):
     code, out, err = run_cli(["search", "--n", "3", "--kind", "bs", "--orbit-cap", "0"])
     assert code == 2 and out == ""

@@ -1,5 +1,7 @@
 import hashlib
 import random
+from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -11,8 +13,8 @@ from baseseq.equiv import (ALTERNATE_ALL, COLUMN_SWAP, STRUCT_ALTERNATE,
 from baseseq.errors import (ApplicabilityError, MalformedInputError, OrbitCapExceeded,
                             PreconditionError)
 from baseseq.refdata import known_quad
-from baseseq.searcher import SearchConfig, build_tasks, run_task
-from baseseq.seqcore import Kind, SeqQuad, SignSeq, row_sums, verify
+from baseseq.searcher import SearchConfig, build_tasks, run_task, search
+from baseseq.seqcore import Kind, SeqQuad, SignSeq, partner_mask, row_sums, verify
 
 
 def _sample(pool, count, seed):
@@ -287,8 +289,101 @@ def test_first_visits_ns_regrow_pinned(ns_pool):
     assert (len(lines), _digest(lines)) == REGROW_VISITS
 
 
-def test_first_visits_bs8_search_finds_pinned():
+@lru_cache(maxsize=1)
+def _bs8_finds():
     cfg = SearchConfig(n=8, kind=Kind.BS)
-    finds = [q for task in build_tasks(cfg) for q in run_task(cfg, task)[1]]
-    lines = _visit_lines(finds, 8, Kind.BS)
+    return [q for task in build_tasks(cfg) for q in run_task(cfg, task)[1]]
+
+
+def test_first_visits_bs8_search_finds_pinned():
+    lines = _visit_lines(_bs8_finds(), 8, Kind.BS)
     assert (len(lines), _digest(lines)) == BS8_VISITS
+
+
+# --- block classes against the BFS closure -----------------------------------
+#
+# first_classes (what _finalize, canonical and dedup run) must find the
+# classes first_visits finds by BFS: the same first-visit indices, and for
+# each class the same canonical, size and member set
+
+
+def _check_block_classes(items, n, kind, moves=None):
+    """Check first_classes against first_visits on ``items``; return the
+    most blocks any class spans."""
+    bfs = list(equiv.first_visits(items, n, kind, moves=moves))
+    blocks = list(equiv.first_classes(items, n, kind, moves=moves))
+    assert [i for i, _ in blocks] == [i for i, _ in bfs]
+    for (_, members), (_, cls) in zip(bfs, blocks):
+        assert cls.canonical == min(members)
+        assert cls.size == len(members)
+        assert cls.members() == sorted(members)
+    return max(len(cls.blocks) for _, cls in blocks)
+
+
+def _random_quads(n, kind, moves, count, seed):
+    """``count`` seeded random packed quads of ``n`` (B derived from A for
+    ns/nns): one in twenty a fresh draw, the others the image of an earlier
+    one under a random word of ``moves``, so most inputs fall in the class
+    of an earlier one and classes are met in a random order."""
+    rng = random.Random(seed)
+    step = equiv._step(kind, n, moves)
+    out = []
+    for _ in range(count):
+        if not out or rng.random() < 0.05:
+            a, b = rng.getrandbits(n + 1), rng.getrandbits(n + 1)
+            if kind is not Kind.BS:
+                b = a ^ partner_mask(n, kind) | 1
+            out.append((a, b, rng.getrandbits(n), rng.getrandbits(n)))
+            continue
+        q = rng.choice(out)
+        for _ in range(8):
+            q = rng.choice([img for img in step(q) if img is not None])
+        out.append(q)
+    return out
+
+
+def test_block_classes_match_bfs_on_finds_and_published_quads(ns_pool):
+    _check_block_classes(_bs8_finds(), 8, Kind.BS)
+    for n, quads in ns_pool.items():
+        if quads:
+            _check_block_classes([q.packed() for q in quads], n, Kind.NS, equiv.NS_REGROW)
+    for n in (41, 42, 43):
+        q = known_quad(n).packed()
+        _check_block_classes([q], n, Kind.BS)
+        assert next(equiv.first_classes([q], n, Kind.BS))[1].size == 4096
+
+
+RANDOM_CLASS_CASES = [(4, Kind.BS, None), (5, Kind.BS, None), (6, Kind.BS, None),
+                      (8, Kind.BS, None), (9, Kind.BS, None), (8, Kind.NS, None),
+                      (8, Kind.NS, equiv.NS_REGROW), (8, Kind.NNS, None)]
+
+
+def test_block_classes_match_bfs_on_random_quads():
+    spans = [_check_block_classes(_random_quads(n, kind, moves, 1000, seed), n, kind, moves)
+             for seed, (n, kind, moves) in enumerate(RANDOM_CLASS_CASES)]
+    # a class of more than two blocks: alternation does not map the side
+    # orbits onto side orbits, so the general closure is exercised
+    assert max(spans) >= 3
+
+
+def test_orbit_cap_boundary_on_block_classes():
+    # the exhaustive BS 4 search: 68 raw finds in classes of 256, 512 and
+    # 1,024 members
+    cfg = SearchConfig(n=4, kind=Kind.BS)
+    raw = search(replace(cfg, orbit_dedup=False)).quads
+    visits = list(equiv.first_visits([q.packed() for q in raw], 4, Kind.BS))
+    i, members = max(visits, key=lambda v: len(v[1]))
+    k, q = len(members), raw[i]
+    assert k == 1024
+    least = [SeqQuad.from_packed(m, 4, Kind.BS) for m in sorted(members)[:k - 1]]
+
+    fresh = search(cfg)
+    capped = search(replace(cfg, orbit_cap=k))
+    assert (capped.quads, capped.stages) == (fresh.quads, fresh.stages)
+    assert dedup(raw, cap=k) == dedup(raw) == fresh.quads
+    assert canonical(q, cap=k) == canonical(q)
+    for run in (lambda: search(replace(cfg, orbit_cap=k - 1)),
+                lambda: dedup(raw, cap=k - 1), lambda: canonical(q, cap=k - 1)):
+        with pytest.raises(OrbitCapExceeded) as err:
+            run()
+        assert err.value.partial == least  # the least k - 1 members, sorted
