@@ -29,10 +29,15 @@ last pair and the middle position check every shift still open.
 
 Filtering keeps the parent-major order of each level, so the full rows
 come out by candidate and, within one, in the order of a depth-first
-search over the levels; first mode depends on it.  ``run_task`` cuts
-the expansion's fills into blocks of at most ``_BLOCK``, screens each
-block with one numpy product per grid on the signs decoded from the
-packed bits, and completes its passers in one kernel call.
+search over the levels; first mode depends on it.  ``search`` hands the
+tasks over in runs of consecutive tasks of one sum profile (``_runs``),
+and ``run_tasks`` makes one pass over a run: one expansion walk from a
+root row per task, so the fills come out in task order, cut into blocks
+of at most ``_BLOCK`` that may span tasks.  Each block is screened with
+one numpy product per grid on the signs decoded from the packed bits,
+and its passers are completed in one kernel call, the run having one
+sum profile and so one set of targets; finds and counters are then
+split back per task.
 ``seqcore.packed_valid`` checks each completion as a packed quad, so a
 find is never unpacked on its way to the journal and orbit closure.  A
 sequence of the filled side has at most 64 signs, so searches support
@@ -56,8 +61,10 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import multiprocessing
 import os
+import select
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -137,8 +144,10 @@ class SearchConfig:
 # --- the level kernel ----------------------------------------------------------
 
 
-# candidates are screened and completed in blocks of at most this many
-_BLOCK = 128
+# candidates are screened and completed in blocks of at most this many;
+# on a 2-vCPU Xeon the runs of NS 16 and NNS 16 and 18 took 5-12 % less
+# time with 512 or 1,024 than with 128, and no less with 2,048
+_BLOCK = 1024
 # completion expands at most this many rows at a time, expansion a
 # quarter of that: little is pruned near the top of a long side, so each
 # level of an expansion holds a full chunk while the walk descends
@@ -269,18 +278,26 @@ def _walk(levels: tuple[tuple[np.ndarray, ...], ...], cand: np.ndarray, rows: np
     return descend(0, cand, rows)
 
 
-def _expand(n: int, kind: Kind, side: str, m: int, need_x: tuple[int, ...],
-            need_y: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """The fills of ``side`` whose class sums mod ``m`` are ``need_x`` and
-    ``need_y``, as (fills, 2) arrays of packed x and y, in DFS order."""
+def _expand(n: int, kind: Kind, side: str, m: int,
+            halves: list[tuple[tuple[int, ...], tuple[int, ...]]],
+            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The fills of ``side`` whose class sums mod ``m`` are one of
+    ``halves``, (x, y) pairs of class-sum vectors: one walk over a root
+    row per half yields arrays (half, fills), each fill's position in
+    ``halves`` and its (fills, 2) packed x and y, in the order of the
+    halves and within one in DFS order."""
     length = numfilter.column_cases(n, side, kind)[0]
-    lanes = _root_lanes(length, m, (*need_x, *need_y))
-    if lanes is None:
+    cand, roots = [], []
+    for k, (need_x, need_y) in enumerate(halves):
+        lanes = _root_lanes(length, m, (*need_x, *need_y))
+        if lanes is not None:
+            cand.append(k)
+            roots.append(np.concatenate((np.zeros(2, np.uint64), lanes)))
+    if not roots:
         return
-    root = np.concatenate((np.zeros(2, np.uint64), lanes))[None]
-    for _, rows in _walk(_kernel_rows(n, kind, side, m), np.zeros(1, np.uint8), root,
-                         _FRONTIER // 4):
-        yield rows[:, :2]
+    cand = np.array(cand, np.min_scalar_type(len(halves)))  # one byte a row for a few halves
+    for cand, rows in _walk(_kernel_rows(n, kind, side, m), cand, np.array(roots), _FRONTIER // 4):
+        yield cand, rows[:, :2]
 
 
 def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
@@ -362,7 +379,7 @@ def expand_candidates(prof: ResidueProfile, n: int, kind: Kind,
     tx, ty = _side_sums(prof, side)
     length = numfilter.column_cases(n, side, kind)[0]
     return ((SignSeq.from_packed(x, length), SignSeq.from_packed(y, length))
-            for fills in _expand(n, kind, side, prof.modulus, tx, ty)
+            for _, fills in _expand(n, kind, side, prof.modulus, [(tx, ty)])
             for x, y in fills.tolist())
 
 
@@ -420,11 +437,41 @@ def build_tasks(cfg: SearchConfig) -> list[tuple]:
     """Flattened deterministic task list: one (sum profile, half) each."""
     tasks = []
     for si, s in enumerate(numfilter.sum_profiles(cfg.n, cfg.kind)):
+        s_tuple = s.as_tuple()
         for hi, half in enumerate(residue_halves(cfg, s)):
-            tasks.append((len(tasks), si, hi, s.as_tuple(), half))
+            tasks.append((len(tasks), si, hi, s_tuple, half))
     # no task reads the split memo: free it before the tasks run
     numfilter._split.cache_clear()
     return tasks
+
+
+def _candidate_bound(cfg: SearchConfig, half: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+    """The candidates a task's half can have at most, the end columns
+    aside: the ways to give each class of the start side its sum, over
+    x's classes and, unless y is x's derived partner (NS, NNS), y's."""
+    length = numfilter.column_cases(cfg.n, cfg.start_side, cfg.kind)[0]
+    sizes = numfilter.class_sizes(length, cfg.moduli[-1])
+    vectors = half if cfg.kind is Kind.BS else half[:1]
+    return math.prod(math.comb(size, (size + want) // 2)
+                     for vector in vectors for size, want in zip(sizes, vector))
+
+
+def _runs(cfg: SearchConfig, tasks: list[tuple], cap: Optional[int] = None,
+          ) -> Iterator[list[tuple]]:
+    """Cut consecutive ``tasks`` into runs for ``run_tasks``, lazily.  A run
+    ends at a sum-profile boundary, at ``cap`` tasks, or where the summed
+    ``_candidate_bound`` of its halves would pass ``_FRONTIER``; a task
+    above that bound runs alone."""
+    run, total = [], 0
+    for task in tasks:
+        bound = _candidate_bound(cfg, task[4])
+        if run and (task[1] != run[-1][1] or len(run) == cap or total + bound > _FRONTIER):
+            yield run
+            run, total = [], 0
+        run.append(task)
+        total += bound
+    if run:
+        yield run
 
 
 def _signs(rows: np.ndarray, length: int) -> np.ndarray:
@@ -433,14 +480,18 @@ def _signs(rows: np.ndarray, length: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[Packed], dict]:
-    """Expand, screen and complete one (sum profile, residue half) unit, in
-    blocks of at most ``_BLOCK`` candidates; its finds come as packed quads.
+def run_tasks(cfg: SearchConfig, run: list[tuple]) -> list[tuple[int, list[Packed], dict]]:
+    """Expand, screen and complete a run of consecutive tasks of one sum
+    profile in one pass, in blocks of at most ``_BLOCK`` candidates that
+    may span tasks.  Returns each task's index, finds as packed quads and
+    counters, in task order.
 
-    In first mode the counters stop at the candidate of the first find,
-    as if the candidates were taken one at a time."""
-    index, _si, _hi, s_tuple, (need_x, need_y) = task
-    s = SumProfile.from_tuple(s_tuple)
+    In first mode the pass stops at the first find: its task's counters
+    stop at its candidate, as if the candidates were taken one at a time,
+    and the tasks after it are not reported."""
+    if any(task[1] != run[0][1] for task in run):
+        raise PreconditionError("a run holds the tasks of one sum profile")
+    s = SumProfile.from_tuple(run[0][3])
     grids = [specfilter.ThetaGrid.from_spec(g) for g in cfg.grids]
     bound = 4 * cfg.n + 2
     if cfg.start_side == SIDE_CD:
@@ -448,29 +499,43 @@ def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[Packed], dict]:
     else:
         fill_side, fill_targets = SIDE_CD, (s.c, s.d, s.c_alt, s.d_alt)
     length = numfilter.column_cases(cfg.n, cfg.start_side, cfg.kind)[0]
-    stats = dict.fromkeys(_STAT_KEYS, 0)
-    found = []
-    expansion = _expand(cfg.n, cfg.kind, cfg.start_side, cfg.moduli[-1], need_x, need_y)
-    blocks = (fills[lo:lo + _BLOCK] for fills in expansion
+    seen, passed = np.zeros(len(run), np.int64), np.zeros(len(run), np.int64)
+    found: list[list[Packed]] = [[] for _ in run]
+    reported = None  # all of them, or in first mode those up to the find's
+    expansion = _expand(cfg.n, cfg.kind, cfg.start_side, cfg.moduli[-1],
+                        [task[4] for task in run])
+    blocks = ((owner[lo:lo + _BLOCK], fills[lo:lo + _BLOCK]) for owner, fills in expansion
               for lo in range(0, len(fills), _BLOCK))
-    for block in blocks:
+    for owner, block in blocks:
         keep = specfilter.screen_block(_signs(block, length), bound, grids)
-        seen = len(block)
+        end = len(block)
         for p, quad in _verified(block[keep], cfg.n, cfg.kind, fill_side, fill_targets):
-            found.append(quad)
+            c = int(keep[p])
+            found[owner[c]].append(quad)
             if cfg.first_solution_only:
-                seen = int(keep[p]) + 1
+                end, reported = c + 1, int(owner[c]) + 1
                 break
-        stats["candidates"] += seen
-        stats["psd_rejected"] += seen - int(np.count_nonzero(keep < seen))
-        if cfg.first_solution_only and found:
+        seen += np.bincount(owner[:end], minlength=len(run))
+        passed += np.bincount(owner[keep[keep < end]], minlength=len(run))
+        if reported is not None:
             break
-    stats["completions"] = len(found)
-    return index, found, stats
+    return [(task[0], finds, dict(zip(_STAT_KEYS, (int(c), int(c - k), len(finds)))))
+            for task, finds, c, k in zip(run[:reported], found, seen, passed)]
+
+
+def run_task(cfg: SearchConfig, task: tuple) -> tuple[int, list[Packed], dict]:
+    """``run_tasks`` on the run of one (sum profile, residue half) task."""
+    return run_tasks(cfg, [task])[0]
+
+
+def _stopped(fd: int) -> bool:
+    """Whether a byte was written to the pipe whose read end is ``fd``."""
+    return bool(select.select([fd], [], [], 0)[0])
 
 
 def _pool_entry(args):
-    return run_task(*args)
+    cfg, run, stop = args
+    return [] if _stopped(stop) else run_tasks(cfg, run)
 
 
 # --- checkpointing -----------------------------------------------------------
@@ -495,7 +560,7 @@ def _lengths(n: int) -> tuple[int, int, int, int]:
 
 def save_checkpoint(path: str, cfg: SearchConfig,
                     finished: list[tuple[int, list[Packed], dict]]) -> None:
-    """Append a journal line for each ``run_task`` result in ``finished``."""
+    """Append a journal line for each task result in ``finished``."""
     cfg_digest = cfg.digest()
     lengths = _lengths(cfg.n)
     with open(path, "a", encoding="utf-8") as fh:
@@ -612,22 +677,38 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
         with open(checkpoint_path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"version": _CHECKPOINT_VERSION, "config_digest": cfg.digest(),
                                  "tasks_total": len(tasks)}) + "\n")
-    unsaved = []  # run_task results since the last save
+    unsaved = []  # task results since the last save
     # a first-mode checkpoint that already holds a find is finished
     stop_early = cfg.first_solution_only and any(done)
     pending = [] if stop_early else tasks[len(done):]
 
     with contextlib.ExitStack() as stack:
         workers = min(cfg.worker_count, len(pending), os.cpu_count() or 1)
+        halt = None
         if workers > 1:
+            # Leaving the block terminates the pool, and a worker killed
+            # while it writes a result keeps the result queue's lock, which
+            # the pool's feeder thread may still wait for.  So a search that
+            # stops early first writes to this pipe, which stops the feed
+            # and makes the workers skip the runs fed before, and takes the
+            # results still due: no worker is busy when the pool ends.
+            stop_r, stop_w = os.pipe()
+            stack.callback(os.close, stop_r)
+            stack.callback(os.close, stop_w)
             ctx = multiprocessing.get_context("fork")
             pool = stack.enter_context(ctx.Pool(workers))
-            runs = pool.imap(_pool_entry, [(cfg, task) for task in pending], chunksize=1)
+            # Pool.map's chunk rule, so that every worker gets runs
+            runs = itertools.takewhile(lambda _: not _stopped(stop_r), _runs(
+                cfg, pending, -(-len(pending) // (4 * workers))))
+            results = pool.imap(_pool_entry, ((cfg, run, stop_r) for run in runs), chunksize=1)
+
+            def halt():
+                os.write(stop_w, b"\0")
+                for _ in results:
+                    pass
         else:
-            runs = (run_task(cfg, task) for task in pending)
-        # leaving the block terminates the pool, so a break or an
-        # interrupt stops the workers still running
-        for index, finds, st in runs:
+            results = (run_tasks(cfg, run) for run in _runs(cfg, pending))
+        for index, finds, st in itertools.chain.from_iterable(results):
             for key in stats_total:
                 stats_total[key] += st[key]
             done.append(finds)
@@ -639,6 +720,8 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
                                     or len(done) == len(tasks) or stop_early or interrupt):
                 save_checkpoint(checkpoint_path, cfg, unsaved)
                 unsaved = []
+            if halt and (interrupt or stop_early):
+                halt()
             if interrupt:
                 raise SearchInterrupted(f"interrupted after {len(done)} tasks")
             if stop_early:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -1012,9 +1013,96 @@ def test_exhaustive_16_counters_pinned(cfg, counts, classes):
     assert cert["classes"] == classes and cert["tasks"] == cert["tasks_completed"]
 
 
+# --- runs of tasks ---------------------------------------------------------------
+#
+# search hands its tasks to run_tasks in runs of consecutive tasks
+# (searcher._runs); neither the cut nor the pool may change a record, a
+# stage, a certificate counter or a journal byte.
+
+def _one_run_per_task(cfg, tasks, cap=None):
+    return ([task] for task in tasks)
+
+
+def _one_run_per_profile(cfg, tasks, cap=None):
+    return (list(run) for _, run in itertools.groupby(tasks, key=lambda task: task[1]))
+
+
+RUN_CASES = [
+    SearchConfig(n=9, kind=Kind.BS),
+    SearchConfig(n=16, kind=Kind.NS),
+    SearchConfig(n=16, kind=Kind.NNS),
+    SearchConfig(n=12, kind=Kind.BS, first_solution_only=True),
+    SearchConfig(n=15, kind=Kind.NS, first_solution_only=True),
+    SearchConfig(n=14, kind=Kind.NNS, first_solution_only=True),
+]
+
+
+@pytest.mark.parametrize("cfg", RUN_CASES, ids=["bs9", "ns16", "nns16", "bs12-first",
+                                                "ns15-first", "nns14-first"])
+def test_run_cut_and_pool_change_nothing(cfg, tmp_path, monkeypatch):
+    monkeypatch.setattr(searcher.os, "cpu_count", lambda: 2)  # two workers make a pool
+    default = searcher._runs
+    tasks = build_tasks(cfg)
+    assert len(list(default(cfg, tasks))) < len(tasks)  # runs of more than one task
+
+    def run(cut, workers):
+        monkeypatch.setattr(searcher, "_runs", cut)
+        path = os.fspath(tmp_path / f"{cut.__name__}-{workers}.json")
+        res = search(dataclasses.replace(cfg, worker_count=workers), checkpoint_path=path)
+        return res, _read_bytes(path)
+
+    ref, journal = run(default, 1)
+    for cut in (_one_run_per_task, default, _one_run_per_profile):
+        for workers in (1, 2):
+            res, other = run(cut, workers)
+            assert _same_result(res, ref) and other == journal, (cut.__name__, workers)
+
+
+def test_runs_cut_at_profiles_bounds_and_the_cap():
+    cfg = SearchConfig(n=41, kind=Kind.BS)  # C,D classes mod 6 of sizes 7 7 7 7 7 6
+    one = (7, 7, 7, 7, 7, 6)             # every sign fixed: 1 candidate
+    some = (1, 7, 7, 7, 7, 6)            # C(7, 4) = 35 ways
+    every = (1, 1, 1, 1, 1, 0)           # far above _FRONTIER
+    halves = [(one, one), (one, one), (every, one), (one, one)] + [(some, some)] * 8
+    profiles = [0] * 4 + [1] * 8
+    tasks = [(i, si, 0, (0,) * 8, half) for i, (si, half) in enumerate(zip(profiles, halves))]
+    assert [searcher._candidate_bound(cfg, half) for half in halves[:3]] == \
+        [1, 1, 35 ** 5 * 20]
+    cut = lambda cap=None: [[task[0] for task in run]
+                            for run in searcher._runs(cfg, tasks, cap)]
+    # the large task runs alone, no run crosses a profile, and 35 ** 2 =
+    # 1225 candidates a task fit six times into 8192
+    assert cut() == [[0, 1], [2], [3], [4, 5, 6, 7, 8, 9], [10, 11]]
+    assert cut(cap=4) == [[0, 1], [2], [3], [4, 5, 6, 7], [8, 9, 10, 11]]
+    assert cut(cap=1) == [[i] for i in range(12)]
+    # runs are cut lazily: the first one reads one task past its end
+    stream = iter(tasks)
+    assert next(searcher._runs(cfg, stream))[-1] == tasks[1]
+    assert next(stream) == tasks[3]
+    with pytest.raises(PreconditionError, match="one sum profile"):
+        searcher.run_tasks(cfg, tasks[3:5])
+
+
+@pytest.mark.parametrize("cfg", [SearchConfig(n=8, kind=Kind.BS, worker_count=2),
+                                 SearchConfig(n=16, kind=Kind.NNS, worker_count=2)],
+                         ids=["bs8", "nns16"])
+def test_interrupt_inside_a_run_on_two_workers(cfg, tmp_path, monkeypatch):
+    monkeypatch.setattr(searcher.os, "cpu_count", lambda: 2)
+    fresh_path, path = os.fspath(tmp_path / "fresh.json"), os.fspath(tmp_path / "ck.json")
+    fresh = search(cfg, checkpoint_path=fresh_path)
+    tasks = build_tasks(cfg)
+    runs = list(searcher._runs(cfg, tasks, -(-len(tasks) // 8)))  # the pool's cut
+    k = sum(len(run) for run in runs[:2]) + 1  # the first task of the third run
+    assert len(runs[2]) > 1
+    with pytest.raises(SearchInterrupted):
+        search(cfg, checkpoint_path=path, interrupt_after_tasks=k)
+    assert _read_bytes(path).count(b"\n") == 1 + k
+    assert _same_result(search(cfg, checkpoint_path=path), fresh)
+    assert _read_bytes(path) == _read_bytes(fresh_path)
+
 # --- block size and frontier bound ---------------------------------------------
 #
-# run_task screens and completes _BLOCK candidates at a time, and the
+# run_tasks screens and completes _BLOCK candidates at a time, and the
 # completion kernel expands at most _FRONTIER rows at a time; neither may
 # change a record, a stage or a certificate counter.
 
@@ -1028,9 +1116,13 @@ BLOCK_CASES = [
 @pytest.mark.parametrize("cfg", BLOCK_CASES, ids=["bs9", "ns15-first", "nns14-first"])
 def test_block_size_changes_nothing(cfg, monkeypatch):
     default = search(cfg)
-    for size in (1, 7):
-        monkeypatch.setattr(searcher, "_BLOCK", size)
-        assert _same_result(search(cfg), default), size
+    # with one task a run, the first find's task is the last of its run
+    # while later blocks still hold its candidates
+    for cut in (searcher._runs, _one_run_per_task):
+        monkeypatch.setattr(searcher, "_runs", cut)
+        for size in (1, 7):
+            monkeypatch.setattr(searcher, "_BLOCK", size)
+            assert _same_result(search(cfg), default), (cut.__name__, size)
 
 
 def test_frontier_bound_keeps_completion_order(monkeypatch):
@@ -1045,6 +1137,7 @@ def test_frontier_bound_keeps_completion_order(monkeypatch):
     test_expand_candidates_order_pinned_published_half()
     for cfg, count, digest in PINNED_TASK_STREAMS:
         test_expand_candidates_task_streams_pinned(cfg, count, digest)
+
 
 
 def test_search_refuses_n_above_63():
