@@ -66,8 +66,8 @@ import multiprocessing
 import os
 import select
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterator, Optional
+from functools import lru_cache, partial
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -145,9 +145,10 @@ class SearchConfig:
 
 
 # candidates are screened and completed in blocks of at most this many;
-# on a 2-vCPU Xeon the runs of NS 16 and NNS 16 and 18 took 5-12 % less
-# time with 512 or 1,024 than with 128, and no less with 2,048
-_BLOCK = 1024
+# larger blocks speed up runs of small tasks, but at n = 41 the screen's
+# temporaries then outgrow the allocator's mmap threshold, and a BS 41
+# block of 512 took twice the time per candidate of two blocks of 128
+_BLOCK = 128
 # completion expands at most this many rows at a time, expansion a
 # quarter of that: little is pruned near the top of a long side, so each
 # level of an expansion holds a full chunk while the walk descends
@@ -295,9 +296,9 @@ def _expand(n: int, kind: Kind, side: str, m: int,
             roots.append(np.concatenate((np.zeros(2, np.uint64), lanes)))
     if not roots:
         return
-    cand = np.array(cand, np.min_scalar_type(len(halves)))  # one byte a row for a few halves
-    for cand, rows in _walk(_kernel_rows(n, kind, side, m), cand, np.array(roots), _FRONTIER // 4):
-        yield cand, rows[:, :2]
+    cand = np.array(cand, np.min_scalar_type(len(halves)))  # the least dtype that indexes halves
+    for owner, rows in _walk(_kernel_rows(n, kind, side, m), cand, np.array(roots), _FRONTIER // 4):
+        yield owner, rows[:, :2]
 
 
 def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
@@ -480,7 +481,8 @@ def _signs(rows: np.ndarray, length: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def run_tasks(cfg: SearchConfig, run: list[tuple]) -> list[tuple[int, list[Packed], dict]]:
+def run_tasks(cfg: SearchConfig, run: list[tuple], stop: Optional[Callable[[], bool]] = None,
+              ) -> list[tuple[int, list[Packed], dict]]:
     """Expand, screen and complete a run of consecutive tasks of one sum
     profile in one pass, in blocks of at most ``_BLOCK`` candidates that
     may span tasks.  Returns each task's index, finds as packed quads and
@@ -488,7 +490,8 @@ def run_tasks(cfg: SearchConfig, run: list[tuple]) -> list[tuple[int, list[Packe
 
     In first mode the pass stops at the first find: its task's counters
     stop at its candidate, as if the candidates were taken one at a time,
-    and the tasks after it are not reported."""
+    and the tasks after it are not reported.  ``stop``, if given, is asked
+    after each block; once it says yes, the pass ends and reports no task."""
     if any(task[1] != run[0][1] for task in run):
         raise PreconditionError("a run holds the tasks of one sum profile")
     s = SumProfile.from_tuple(run[0][3])
@@ -519,6 +522,8 @@ def run_tasks(cfg: SearchConfig, run: list[tuple]) -> list[tuple[int, list[Packe
         passed += np.bincount(owner[keep[keep < end]], minlength=len(run))
         if reported is not None:
             break
+        if stop is not None and stop():
+            return []
     return [(task[0], finds, dict(zip(_STAT_KEYS, (int(c), int(c - k), len(finds)))))
             for task, finds, c, k in zip(run[:reported], found, seen, passed)]
 
@@ -535,7 +540,8 @@ def _stopped(fd: int) -> bool:
 
 def _pool_entry(args):
     cfg, run, stop = args
-    return [] if _stopped(stop) else run_tasks(cfg, run)
+    halted = partial(_stopped, stop)
+    return [] if halted() else run_tasks(cfg, run, halted)
 
 
 # --- checkpointing -----------------------------------------------------------
@@ -689,8 +695,9 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
             # Leaving the block terminates the pool, and a worker killed
             # while it writes a result keeps the result queue's lock, which
             # the pool's feeder thread may still wait for.  So a search that
-            # stops early first writes to this pipe, which stops the feed
-            # and makes the workers skip the runs fed before, and takes the
+            # stops early first writes to this pipe, which stops the feed,
+            # makes the workers skip the runs fed before and end the runs in
+            # progress after their current block, and then takes the
             # results still due: no worker is busy when the pool ends.
             stop_r, stop_w = os.pipe()
             stack.callback(os.close, stop_r)

@@ -20,15 +20,15 @@ pi-over-100, l=50 and l=1000.  The acceptance slack of 1e-9 lies above
 both, so a pair whose exact spectrum meets the bound is never rejected.
 
 ``_spectrum`` is the only evaluation.  It takes a leading block axis, so
-``screen_block`` screens a block of pairs with one product per grid and
-slice of at most ``_PRODUCTS`` values (each grid only on the pairs the
-earlier ones kept), and ``pair_filter`` and ``pair_max`` are blocks of
-one.  A real sequence has f(2*pi - theta) = f(theta), and only the
-maximum over the grid is ever read, so the table holds a column only
-for the angles up to pi and for those whose mirror is not a grid angle
-(such as 2*pi); the mirrored angles are skipped.  That halves the
-product on the standard grids, and the keep/reject decisions pinned in
-the tests are unchanged by it.
+``screen_block`` screens a whole block of pairs with one product per
+grid (each grid only on the pairs the earlier ones kept), and
+``pair_filter`` and ``pair_max`` are blocks of one.  A real sequence
+has f(2*pi - theta) = f(theta), and only the maximum over the grid is
+ever read, so the table holds a column only for the angles up to pi
+and for those whose mirror is not a grid angle (such as 2*pi); the
+mirrored angles are skipped.  That halves the product on the standard
+grids, and the keep/reject decisions pinned in the tests are unchanged
+by it.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ from .errors import MalformedInputError, PreconditionError
 from .seqcore import SignSeq
 
 EPS = 1e-9
-# screen_block makes at most this many float64 products per _spectrum call
-# (128 kB), so its memory does not grow with the block size
-_PRODUCTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -145,9 +142,5 @@ def screen_block(rows: np.ndarray, bound: float, grids: list[ThetaGrid]) -> np.n
     """
     keep = np.arange(len(rows))
     for grid in grids:
-        step = max(1, _PRODUCTS // (rows.shape[1] * _dft_table(grid, rows.shape[2]).shape[1]))
-        ok = np.ones(len(keep), bool)
-        for lo in range(0, len(keep), step):
-            ok[lo:lo + step] = _spectrum(rows[keep[lo:lo + step]], grid).max(axis=1) <= bound + EPS
-        keep = keep[ok]
+        keep = keep[_spectrum(rows[keep], grid).max(axis=1) <= bound + EPS]
     return keep

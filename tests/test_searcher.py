@@ -1100,6 +1100,21 @@ def test_interrupt_inside_a_run_on_two_workers(cfg, tmp_path, monkeypatch):
     assert _same_result(search(cfg, checkpoint_path=path), fresh)
     assert _read_bytes(path) == _read_bytes(fresh_path)
 
+def test_a_run_asked_to_stop_ends_after_its_block_and_reports_nothing(monkeypatch):
+    # a search that stops early on a pool asks its workers' runs to end
+    cfg = SearchConfig(n=16, kind=Kind.NNS)
+    run = max(searcher._runs(cfg, build_tasks(cfg)), key=len)
+    assert searcher.run_tasks(cfg, run, lambda: False) == searcher.run_tasks(cfg, run)
+    stop_r, stop_w = os.pipe()
+    os.write(stop_w, b"\0")
+    assert searcher._pool_entry((cfg, run, stop_r)) == []
+    os.close(stop_r)
+    os.close(stop_w)
+    monkeypatch.setattr(searcher, "_BLOCK", 1)
+    asked = []
+    assert searcher.run_tasks(cfg, run, lambda: asked.append(1) or len(asked) == 3) == []
+    assert len(asked) == 3
+
 # --- block size and frontier bound ---------------------------------------------
 #
 # run_tasks screens and completes _BLOCK candidates at a time, and the

@@ -5,7 +5,6 @@ import re
 import numpy as np
 import pytest
 
-from baseseq import specfilter
 from baseseq.errors import MalformedInputError
 from baseseq.refdata import known_quad
 from baseseq.searcher import SearchConfig
@@ -193,12 +192,3 @@ def test_screen_block_keeps_what_pair_filter_keeps(specs):
         assert keep.tolist() == want
         mixed += 0 < len(want) < len(pairs)
     assert mixed
-
-
-@pytest.mark.parametrize("specs", [("pi-over-100",), ("l=50", "l=1000")],
-                         ids=["pi-over-100", "l=50+l=1000"])
-def test_screen_block_in_slices_keeps_what_pair_filter_keeps(specs, monkeypatch):
-    # 2,048 products are 5 pairs on pi-over-100 and one on l=1000, so every
-    # block of the test above is screened in slices
-    monkeypatch.setattr(specfilter, "_PRODUCTS", 2048)
-    test_screen_block_keeps_what_pair_filter_keeps(specs)
