@@ -166,6 +166,11 @@ def _check_length(n: int) -> None:
                                 "hold each sequence in 64 bits")
 
 
+def _lane_bytes(m: int) -> int:
+    """The bytes of a row's lane words mod ``m``: 4m lanes, in whole uint64 words."""
+    return -(-4 * m // 8) * 8
+
+
 @lru_cache(maxsize=256)
 def _kernel_rows(n: int, kind: Kind, side: str, m: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """Each level of ``numfilter.column_cases`` as level-kernel arrays:
@@ -181,7 +186,7 @@ def _kernel_rows(n: int, kind: Kind, side: str, m: int) -> tuple[tuple[np.ndarra
     out = []
     placed, low = 0, length
     for positions, options in levels:
-        bits, spend = [], np.zeros((len(options), -(-4 * m // 8) * 8), np.uint8)
+        bits, spend = [], np.zeros((len(options), _lane_bytes(m)), np.uint8)
         for k, option in enumerate(options):
             cells = list(zip(positions, option, option[len(positions):]))
             bits.append((sum((xv < 0) << top - p for p, xv, _ in cells),
@@ -212,7 +217,7 @@ def _root_lanes(length: int, m: int, targets) -> Optional[np.ndarray]:
                for sign in (1, -1)]
     if any(budget < 0 or budget % 1 for budget in budgets):
         return None
-    lanes = np.zeros(-(-4 * m // 8) * 8, np.uint8)
+    lanes = np.zeros(_lane_bytes(m), np.uint8)
     lanes[:4 * m] = [int(budget) for budget in budgets]
     return lanes.view(np.uint64)
 
@@ -491,7 +496,7 @@ def run_tasks(cfg: SearchConfig, run: list[tuple], stop: Optional[Callable[[], b
     In first mode the pass stops at the first find: its task's counters
     stop at its candidate, as if the candidates were taken one at a time,
     and the tasks after it are not reported.  ``stop``, if given, is asked
-    after each block; once it says yes, the pass ends and reports no task."""
+    before each block; once it says yes, the pass ends and reports no task."""
     if any(task[1] != run[0][1] for task in run):
         raise PreconditionError("a run holds the tasks of one sum profile")
     s = SumProfile.from_tuple(run[0][3])
@@ -510,6 +515,8 @@ def run_tasks(cfg: SearchConfig, run: list[tuple], stop: Optional[Callable[[], b
     blocks = ((owner[lo:lo + _BLOCK], fills[lo:lo + _BLOCK]) for owner, fills in expansion
               for lo in range(0, len(fills), _BLOCK))
     for owner, block in blocks:
+        if stop is not None and stop():
+            return []
         keep = specfilter.screen_block(_signs(block, length), bound, grids)
         end = len(block)
         for p, quad in _verified(block[keep], cfg.n, cfg.kind, fill_side, fill_targets):
@@ -522,8 +529,6 @@ def run_tasks(cfg: SearchConfig, run: list[tuple], stop: Optional[Callable[[], b
         passed += np.bincount(owner[keep[keep < end]], minlength=len(run))
         if reported is not None:
             break
-        if stop is not None and stop():
-            return []
     return [(task[0], finds, dict(zip(_STAT_KEYS, (int(c), int(c - k), len(finds)))))
             for task, finds, c, k in zip(run[:reported], found, seen, passed)]
 
@@ -540,8 +545,7 @@ def _stopped(fd: int) -> bool:
 
 def _pool_entry(args):
     cfg, run, stop = args
-    halted = partial(_stopped, stop)
-    return [] if halted() else run_tasks(cfg, run, halted)
+    return run_tasks(cfg, run, partial(_stopped, stop))
 
 
 # --- checkpointing -----------------------------------------------------------
@@ -622,15 +626,17 @@ def load_checkpoint(path: str, cfg: SearchConfig,
     for index, entry in enumerate(lines):
         stats, texts = entry.get("stats"), entry.get("finds")
         if not isinstance(stats, dict) or set(stats) != set(_STAT_KEYS) \
-                or not all(type(v) is int for v in stats.values()):
+                or not all(type(v) is int and v >= 0 for v in stats.values()):
             raise ResumeError(f"checkpoint line for task {index} has no certificate counters")
         if entry.get("digest") != _line_digest(cfg_digest, index, texts, stats):
             raise ResumeError(f"checkpoint digest mismatch at task {index}")
-        # the digest is unkeyed, so each find is checked as a quad of this search
+        # the digest is unkeyed, so finds are checked as quads of this search, counters against them
         finds = _journal_finds(texts, cfg)
         if finds is None:
             raise ResumeError(f"checkpoint line for task {index} has a find that is not "
                               f"a valid {cfg.kind.value} quad of n={cfg.n}")
+        if stats["psd_rejected"] > stats["candidates"] or stats["completions"] != len(finds):
+            raise ResumeError(f"checkpoint line for task {index} has counters no search writes")
         results.append(finds)
         for key in total:
             total[key] += stats[key]
@@ -685,20 +691,18 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
                                  "tasks_total": len(tasks)}) + "\n")
     unsaved = []  # task results since the last save
     # a first-mode checkpoint that already holds a find is finished
-    stop_early = cfg.first_solution_only and any(done)
-    pending = [] if stop_early else tasks[len(done):]
+    pending = [] if cfg.first_solution_only and any(done) else tasks[len(done):]
 
     with contextlib.ExitStack() as stack:
         workers = min(cfg.worker_count, len(pending), os.cpu_count() or 1)
-        halt = None
         if workers > 1:
             # Leaving the block terminates the pool, and a worker killed
             # while it writes a result keeps the result queue's lock, which
-            # the pool's feeder thread may still wait for.  So a search that
-            # stops early first writes to this pipe, which stops the feed,
-            # makes the workers skip the runs fed before and end the runs in
-            # progress after their current block, and then takes the
-            # results still due: no worker is busy when the pool ends.
+            # the feeder thread may still wait for.  So every exit but a
+            # BaseException such as Ctrl-C (whose workers die with their
+            # results) writes to this pipe, which stops the feed and ends
+            # each run before its next block, and takes the results still
+            # due, errors included: no worker is busy when the pool ends.
             stop_r, stop_w = os.pipe()
             stack.callback(os.close, stop_r)
             stack.callback(os.close, stop_w)
@@ -709,32 +713,36 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
                 cfg, pending, -(-len(pending) // (4 * workers))))
             results = pool.imap(_pool_entry, ((cfg, run, stop_r) for run in runs), chunksize=1)
 
-            def halt():
-                os.write(stop_w, b"\0")
-                for _ in results:
-                    pass
+            @stack.push
+            def halt(kind, *_):
+                if kind is None or issubclass(kind, Exception):
+                    os.write(stop_w, b"\0")
+                    while True:  # the loop's own error is the one raised
+                        with contextlib.suppress(Exception):
+                            for _ in results:
+                                pass
+                            break
         else:
             results = (run_tasks(cfg, run) for run in _runs(cfg, pending))
+
+        @stack.callback
+        def flush():  # first on every exit, Ctrl-C too: journals the tasks reported
+            batch, unsaved[:] = unsaved[:], []  # first, so a failed write is never retried
+            if checkpoint_path and batch:
+                save_checkpoint(checkpoint_path, cfg, batch)
         for index, finds, st in itertools.chain.from_iterable(results):
             for key in stats_total:
                 stats_total[key] += st[key]
             done.append(finds)
             unsaved.append((index, finds, st))
-            stop_early = cfg.first_solution_only and bool(finds)
-            interrupt = (not stop_early and interrupt_after_tasks is not None
-                         and interrupt_after_tasks <= len(done) < len(tasks))
-            if checkpoint_path and (len(done) % cfg.checkpoint_interval == 0
-                                    or len(done) == len(tasks) or stop_early or interrupt):
-                save_checkpoint(checkpoint_path, cfg, unsaved)
-                unsaved = []
-            if halt and (interrupt or stop_early):
-                halt()
-            if interrupt:
-                raise SearchInterrupted(f"interrupted after {len(done)} tasks")
-            if stop_early:
+            if len(done) % cfg.checkpoint_interval == 0:
+                flush()
+            if cfg.first_solution_only and finds:
                 break
+            if interrupt_after_tasks is not None and (
+                    interrupt_after_tasks <= len(done) < len(tasks)):
+                raise SearchInterrupted(f"interrupted after {len(done)} tasks")
 
-    completed = len(done) == len(tasks) or stop_early
     result = _finalize(cfg, tasks[:len(done)], done)
     result.certificate = {
         "n": cfg.n,
@@ -746,7 +754,7 @@ def search(cfg: SearchConfig, checkpoint_path: Optional[str] = None,
         "sum_profiles": len(numfilter.sum_profiles(cfg.n, cfg.kind)),
         "tasks": len(tasks),
         "tasks_completed": len(done),
-        "exhaustive": (not cfg.first_solution_only) and completed,
+        "exhaustive": not cfg.first_solution_only and len(done) == len(tasks),
         "classes": len(result.quads),
         "config_digest": cfg.digest(),
         **stats_total,

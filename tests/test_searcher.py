@@ -10,7 +10,7 @@ import types
 import numpy as np
 import pytest
 
-from baseseq import numfilter, searcher
+from baseseq import cli, numfilter, searcher
 from baseseq.errors import PreconditionError, ResumeError, SearchInterrupted
 from baseseq.numfilter import ResidueProfile, quad_residue_profile
 from baseseq.refdata import known_quad
@@ -842,6 +842,39 @@ def test_checkpoint_finds_are_validated(tmp_path):
         assert _read_bytes(path) == blob
 
 
+def test_checkpoint_counters_are_validated(tmp_path, capsys):
+    # each edited line carries a recomputed digest and its own finds, so
+    # only the check of the counters can refuse it; a resume that took the
+    # first edit would certify candidates, psd_rejected and completions of
+    # 15 / 1,000,012 / 123 where a fresh run reads 22 / 12 / 32
+    path = os.fspath(tmp_path / "ck.json")
+    cfg = SearchConfig(n=7, kind=Kind.NS)
+    tasks_total = len(build_tasks(cfg))
+    search(cfg, checkpoint_path=path)
+    header, *lines = _journal(path)
+    index, line = next((i, line) for i, line in enumerate(lines) if line["finds"])
+    stats = line["stats"]
+    edits = [
+        dict(candidates=-5, psd_rejected=1_000_000, completions=99),
+        dict(stats, psd_rejected=-1),                           # a negative counter
+        dict(stats, psd_rejected=stats["candidates"] + 1),      # more rejected than seen
+        dict(stats, completions=len(line["finds"]) + 1),        # a count of finds not on the line
+    ]
+    for edit in edits:
+        edited = dict(line, stats=edit)
+        edited["digest"] = _line_digest(cfg.digest(), index, line["finds"], edit)
+        _write_journal(path, [header, *lines[:index], edited, *lines[index + 1:]])
+        blob = _read_bytes(path)
+        with pytest.raises(ResumeError, match=f"task {index} has (no certificate )?counters"):
+            load_checkpoint(path, cfg, tasks_total)
+        with pytest.raises(ResumeError, match=f"task {index}"):
+            search(cfg, checkpoint_path=path)
+        assert cli.main(["search", "--n", "7", "--kind", "ns", "--checkpoint", path,
+                         "--out", os.devnull, "--cert", os.devnull]) == 2
+        assert f"task {index} has " in capsys.readouterr().err
+        assert _read_bytes(path) == blob
+
+
 def test_near_normal_checkpoint_refuses_a_base_quad(tmp_path, bs_pool):
     # a valid base quad of n = 4 whose B breaks the near-normal partner
     # rule; the line carries a recomputed digest, so only the check of the
@@ -1100,8 +1133,65 @@ def test_interrupt_inside_a_run_on_two_workers(cfg, tmp_path, monkeypatch):
     assert _same_result(search(cfg, checkpoint_path=path), fresh)
     assert _read_bytes(path) == _read_bytes(fresh_path)
 
+
+# the ways a search can fail on the way: a run that raises in a worker (one
+# run, or every run from that one on), and a journal write that fails
+FAULTS = [("worker", 2, 1), ("worker", 2, 3), ("every-run", 2, 1), ("write", 1, 1),
+          ("write", 2, 1)]
+
+
+@pytest.mark.parametrize("fault, workers, interval", FAULTS,
+                         ids=["worker", "worker-interval3", "every-run", "write-1", "write-2"])
+def test_a_failed_search_leaves_a_journal_to_resume(fault, workers, interval, tmp_path,
+                                                    monkeypatch):
+    # every exit journals the tasks reported before it and idles the pool,
+    # so the error reaches the caller and the resume completes the journal
+    monkeypatch.setattr(searcher.os, "cpu_count", lambda: 2)
+    cfg = SearchConfig(n=8, kind=Kind.BS, worker_count=workers, checkpoint_interval=interval)
+    fresh_path, path = os.fspath(tmp_path / "fresh.json"), os.fspath(tmp_path / "ck.json")
+    fresh = search(SearchConfig(n=8, kind=Kind.BS), checkpoint_path=fresh_path)
+    fresh_journal = _read_bytes(fresh_path)
+    tasks = build_tasks(cfg)
+    # the first task of the pool run that holds task 200
+    first = next(run[0][0] for run in searcher._runs(cfg, tasks, -(-len(tasks) // (4 * workers)))
+                 if any(task[0] == 200 for task in run))
+    saves = []
+    save, run_tasks = searcher.save_checkpoint, searcher.run_tasks
+
+    def save_or_fail(path, cfg, finished):
+        saves.append([index for index, _, _ in finished])
+        if fault == "write" and len(saves) == 100:
+            raise OSError("no space left on device")
+        save(path, cfg, finished)
+
+    def run_or_fail(cfg, run, stop=None):
+        if fault != "write" and (run[0][0] == first or fault == "every-run" and run[0][0] > first):
+            raise RuntimeError(f"run from task {run[0][0]} failed")
+        return run_tasks(cfg, run, stop)
+
+    monkeypatch.setattr(searcher, "save_checkpoint", save_or_fail)
+    monkeypatch.setattr(searcher, "run_tasks", run_or_fail)  # before the pool forks
+    error = OSError if fault == "write" else RuntimeError
+    with pytest.raises(error, match="no space" if fault == "write" else f"task {first} failed"):
+        search(cfg, checkpoint_path=path)
+    journal = _read_bytes(path)
+    assert fresh_journal.startswith(journal)
+    if fault == "write":
+        # the failed batch is not written again, and no empty flush follows
+        assert saves == [[i] for i in range(100)]
+        assert journal.count(b"\n") == 1 + 99
+    else:  # every task reported before the error, each saved once
+        assert [i for batch in saves for i in batch] == list(range(first))
+        assert all(saves)
+        assert journal.count(b"\n") == 1 + first
+    monkeypatch.setattr(searcher, "save_checkpoint", save)
+    monkeypatch.setattr(searcher, "run_tasks", run_tasks)
+    assert _same_result(search(cfg, checkpoint_path=path), fresh)
+    assert _read_bytes(path) == fresh_journal
+
+
 def test_a_run_asked_to_stop_ends_after_its_block_and_reports_nothing(monkeypatch):
-    # a search that stops early on a pool asks its workers' runs to end
+    # a search that leaves its pool, but for Ctrl-C, asks its workers' runs to end
     cfg = SearchConfig(n=16, kind=Kind.NNS)
     run = max(searcher._runs(cfg, build_tasks(cfg)), key=len)
     assert searcher.run_tasks(cfg, run, lambda: False) == searcher.run_tasks(cfg, run)
