@@ -33,11 +33,11 @@ search over the levels; first mode depends on it.  ``search`` hands the
 tasks over in runs of consecutive tasks of one sum profile (``_runs``),
 and ``run_tasks`` makes one pass over a run: one expansion walk from a
 root row per task, so the fills come out in task order, cut into blocks
-of at most ``_BLOCK`` that may span tasks.  Each block is screened with
-one numpy product per grid on the signs decoded from the packed bits,
-and its passers are completed in one kernel call, the run having one
-sum profile and so one set of targets; finds and counters are then
-split back per task.
+of at most ``_BLOCK`` that may span tasks.  Each block is screened on
+its packed bits (a popcount, then one numpy product per grid), and its
+passers are completed in one kernel call, the run having one sum
+profile and so one set of targets; finds and counters are then split
+back per task.
 ``seqcore.packed_valid`` checks each completion as a packed quad, so a
 find is never unpacked on its way to the journal and orbit closure.  A
 sequence of the filled side has at most 64 signs, so searches support
@@ -75,8 +75,8 @@ from . import equiv, numfilter, specfilter
 from .errors import PreconditionError, ResumeError, SearchInterrupted
 from .numfilter import SIDE_AB, SIDE_CD, ResidueProfile
 # verify is unused here, but benchmarks/tracing.py wraps searcher.verify by name
-from .seqcore import (Kind, Packed, SeqQuad, SignSeq, SumProfile, packed_from_text,
-                      packed_text, packed_valid, verify)
+from .seqcore import (Kind, Packed, SeqQuad, SignSeq, SumProfile, disagreements,
+                      packed_from_text, packed_text, packed_valid, verify)
 
 _DEFAULT_MODULI = {Kind.BS: (3, 6), Kind.NS: (3, 6), Kind.NNS: (6,)}
 _DEFAULT_GRIDS = {Kind.BS: ("pi-over-100",), Kind.NS: ("l=50", "l=1000"),
@@ -222,16 +222,6 @@ def _root_lanes(length: int, m: int, targets) -> Optional[np.ndarray]:
     return lanes.view(np.uint64)
 
 
-def _disagreements(x: np.ndarray, y: np.ndarray, shifts: np.ndarray,
-                   masks: np.ndarray) -> np.ndarray:
-    """Sign changes of packed x and y at each shift, summed: a (shifts,
-    rows) count with N_x(s) + N_y(s) = 2(length-s) - 2*count.  Shifts
-    are the outer axis, so every operation runs along the rows."""
-    shifts, masks = shifts[:, None], masks[:, None]
-    return (np.bitwise_count((x ^ x >> shifts) & masks)
-            + np.bitwise_count((y ^ y >> shifts) & masks))
-
-
 def _children(level: tuple[np.ndarray, ...], wants: Optional[np.ndarray], cand: np.ndarray,
               rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows one level below the rows (cand, rows), parent-major and
@@ -252,7 +242,7 @@ def _children(level: tuple[np.ndarray, ...], wants: Optional[np.ndarray], cand: 
     cand = cand[keep // options]
     below = np.take(below.reshape(count * options, width), keep, axis=0)
     if wants is not None:
-        ok = (_disagreements(below[:, 0], below[:, 1], shifts, masks)
+        ok = (disagreements(below[:, 0], below[:, 1], shifts, masks)
               == wants[:, cand]).all(axis=0)
         cand, below = cand[ok], np.compress(ok, below, axis=0)
     return cand, below
@@ -337,8 +327,8 @@ def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
     # the fixed side, which must bring 0 there.
     s = np.arange(1, n + 1)
     masks = np.array([(1 << fixed_len - k) - 1 for k in range(1, n + 1)], np.uint64)
-    half_sums = (fixed_len - s)[:, None] - _disagreements(fixed[:, 0], fixed[:, 1],
-                                                          s.astype(np.uint64), masks)
+    half_sums = (fixed_len - s)[:, None] - disagreements(fixed[:, 0], fixed[:, 1],
+                                                         s.astype(np.uint64), masks)
     live = ~half_sums[length - 1:].any(axis=0)
     span = (length - s[:length - 1])[:, None]
     wants = span + half_sums[:length - 1]
@@ -480,12 +470,6 @@ def _runs(cfg: SearchConfig, tasks: list[tuple], cap: Optional[int] = None,
         yield run
 
 
-def _signs(rows: np.ndarray, length: int) -> np.ndarray:
-    """Packed (pairs, 2) rows as their (pairs, 2, length) entries +-1.0."""
-    bits = rows[..., None] >> np.arange(length - 1, -1, -1, dtype=np.uint64) & 1
-    return 1.0 - 2.0 * bits
-
-
 def run_tasks(cfg: SearchConfig, run: list[tuple], stop: Optional[Callable[[], bool]] = None,
               ) -> list[tuple[int, list[Packed], dict]]:
     """Expand, screen and complete a run of consecutive tasks of one sum
@@ -517,7 +501,7 @@ def run_tasks(cfg: SearchConfig, run: list[tuple], stop: Optional[Callable[[], b
     for owner, block in blocks:
         if stop is not None and stop():
             return []
-        keep = specfilter.screen_block(_signs(block, length), bound, grids)
+        keep = specfilter.screen_block(block, length, bound, grids)
         end = len(block)
         for p, quad in _verified(block[keep], cfg.n, cfg.kind, fill_side, fill_targets):
             c = int(keep[p])

@@ -24,10 +24,12 @@ the tuple of the four packed sequences (``SeqQuad.packed``/
 the clear bit, so among quads of one n the order of packed quads is the
 quad order: ``sort_key`` is the packed quad.  This module states the
 laws of the packed quad once each: the autocorrelation by popcount
-(``packed_autocorr``), the partner rule (``partner_mask``) and validity
-(``packed_valid``, which ``verify`` reports).  The completion kernel
-builds its fills in this form, ``packed_valid`` checks them and the orbit
-moves act on them, so a find stays a packed quad from kernel to records.
+(``packed_autocorr``; ``disagreements`` over numpy arrays of pairs for
+the spectrum screen and the completion kernel), the partner rule
+(``partner_mask``) and validity (``packed_valid``, which ``verify``
+reports).  The completion kernel builds its fills in this form,
+``packed_valid`` checks them and the orbit moves act on them, so a find
+stays a packed quad from kernel to records.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .errors import MalformedInputError
 
@@ -168,6 +172,17 @@ def packed_autocorr(x: int, length: int) -> tuple[int, ...]:
     the overlap at s less twice its sign changes, the set bits of x ^ x >> s."""
     return tuple(length - s - 2 * ((x ^ x >> s) & (1 << length - s) - 1).bit_count()
                  for s in range(length))
+
+
+def disagreements(x: np.ndarray, y: np.ndarray, shifts: np.ndarray,
+                  masks: np.ndarray) -> np.ndarray:
+    """``packed_autocorr``'s sign changes of arrays of packed x and y of
+    one length L <= 64 at each shift, summed: a (shifts, rows) count with
+    N_x(s) + N_y(s) = 2(L-s) - 2*count when mask s holds the low L-s bits.
+    Shifts are the outer axis, so every operation runs along the rows."""
+    shifts, masks = shifts[:, None], masks[:, None]
+    return (np.bitwise_count((x ^ x >> shifts) & masks)
+            + np.bitwise_count((y ^ y >> shifts) & masks))
 
 
 def paf(seq: SignSeq, shift: int) -> int:

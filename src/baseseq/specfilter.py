@@ -6,29 +6,31 @@ pair whose summed spectrum exceeds 4n+2 anywhere therefore cannot be
 half of a valid quad.  The test is conservative screening only: passing
 it proves nothing, final validity is always established by verification.
 
-Spectra are evaluated from the sign vector itself: f(theta) is the
-squared modulus of its DFT, sum_j x_j e^{i j theta}, taken as one
-product of the sign rows with a cached [cos j*theta | sin j*theta] table
-followed by a sum of squares.  Mathematically this is the same f as
-N(0) + 2 sum_s N(s) cos(s*theta); only the rounding differs.  The signs
-are exact; the angles j*theta carry a rounding error of about 3e-14 at
-length 42, so near the bound 4n+2 of an n around 41 the computed
-f_a + f_b is within about 1e-10 of its exact value.  Measured on the
-first 40,000 candidates behind the published n = 41 half, it differs
-from the autocorrelation form by at most 4.6e-12 on each of
-pi-over-100, l=50 and l=1000.  The acceptance slack of 1e-9 lies above
-both, so a pair whose exact spectrum meets the bound is never rejected.
+Spectra are evaluated from the aperiodic autocorrelations: a sequence
+of length L has f(theta) = L + sum_s N(s) 2cos(s*theta), one product
+``L + N[1:] @ T`` with a cached table T of 2cos(s*theta), s = 1..L-1
+(``_cos_table``).  The N(s) are exact integers (``seqcore``'s popcount
+law), so only T and the sum round: the angles s*theta carry an error of
+at most about 3e-14 at L = 42, and as |N_a(s) + N_b(s)| <= 2(L-s), the
+computed f_a + f_b of an n around 41 is within about 1e-10 of its exact
+value.  On the first 40,000 candidates behind the published n = 41
+half, f_a + f_b differs from ``seqcore.hall_f`` by at most 3.4e-13 on
+pi-over-100, 2.8e-13 on l=50 and 4.5e-13 on l=1000 (``pair_max``;
+4.0e-13, 4.0e-13 and 4.5e-13 as ``screen_block`` sums it).  The
+acceptance slack of 1e-9 lies above all of these, so a pair whose exact
+spectrum meets the bound is never rejected.
 
-``_spectrum`` is the only evaluation.  It takes a leading block axis, so
-``screen_block`` screens a whole block of pairs with one product per
-grid (each grid only on the pairs the earlier ones kept), and
-``pair_filter`` and ``pair_max`` are blocks of one.  A real sequence
-has f(2*pi - theta) = f(theta), and only the maximum over the grid is
-ever read, so the table holds a column only for the angles up to pi
-and for those whose mirror is not a grid angle (such as 2*pi); the
-mirrored angles are skipped.  That halves the product on the standard
-grids, and the keep/reject decisions pinned in the tests are unchanged
-by it.
+``pair_max`` and ``pair_filter`` add the spectra of the two sequences,
+each read from a bounded memo keyed by packed value, length and grid
+(``_spectrum``, N from ``seqcore.packed_autocorr``, at any length): a
+candidate stream repeats its sequences far more often than its pairs.
+``screen_block`` takes a block of packed pairs of at most 64 signs, sums
+each pair's N by one broadcast popcount (``seqcore.disagreements``) and
+makes one product per grid, each grid only on the pairs the earlier
+ones kept.  A real sequence has f(2*pi - theta) = f(theta), and only the
+maximum over the grid is ever read, so T holds a column only for the
+angles up to pi and for those whose mirror is not a grid angle (such as
+2*pi); the mirrored angles are skipped.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MalformedInputError, PreconditionError
-from .seqcore import SignSeq
+from .seqcore import SignSeq, disagreements, packed_autocorr
 
 EPS = 1e-9
 
@@ -95,38 +97,29 @@ class ThetaGrid:
 
 
 @lru_cache(maxsize=32)
-def _dft_table(grid: ThetaGrid, length: int) -> np.ndarray:
-    """[cos(j*theta) | sin(j*theta)] over the kept angles (up to pi, or
-    without a mirror 2*pi - theta in the grid), row j = 0..length-1."""
+def _cos_table(grid: ThetaGrid, length: int) -> np.ndarray:
+    """2*cos(s*theta), row s = 1..length-1, over the kept angles: those up
+    to pi, and those whose mirror 2*pi - theta is not in the grid."""
     points = np.asarray(grid.points)
     low = int(np.searchsorted(points, math.pi, side="right"))
     kept = list(range(low)) + [
         k for k in range(low, len(points))
         if not np.any(np.abs(2.0 * math.pi - points[k] - points[:low]) <= 1e-12)]
-    angles = np.outer(np.arange(length), points[kept])
-    return np.hstack((np.cos(angles), np.sin(angles)))
+    return 2.0 * np.cos(np.outer(np.arange(1, length), points[kept]))
 
 
-def _spectrum(rows: np.ndarray, grid: ThetaGrid) -> np.ndarray:
-    """Summed spectrum of each block's sign rows at the kept grid angles.
-
-    ``rows`` has shape (blocks, rows, length); the result has shape
-    (blocks, kept angles), see ``_dft_table``.
-    """
-    table = _dft_table(grid, rows.shape[-1])
-    parts = rows @ table
-    parts *= parts
-    total = parts.sum(axis=1)
-    half = table.shape[1] // 2
-    return total[:, :half] + total[:, half:]
+@lru_cache(maxsize=1024)
+def _spectrum(packed: int, length: int, grid: ThetaGrid) -> np.ndarray:
+    """f of one packed sequence at the kept angles, read-only (it is shared)."""
+    acf = np.array(packed_autocorr(packed, length)[1:], dtype=float)
+    f = length + acf @ _cos_table(grid, length)
+    f.flags.writeable = False
+    return f
 
 
 def pair_max(a: SignSeq, b: SignSeq, grid: ThetaGrid) -> float:
     """Largest value of f_a + f_b over the grid."""
-    length = max(len(a), len(b))
-    rows = np.array(((a.elements + (0,) * (length - len(a)),
-                      b.elements + (0,) * (length - len(b))),), dtype=float)
-    return float(_spectrum(rows, grid).max())
+    return float((_spectrum(a.packed, len(a), grid) + _spectrum(b.packed, len(b), grid)).max())
 
 
 def pair_filter(a: SignSeq, b: SignSeq, bound: float, grid: ThetaGrid) -> bool:
@@ -134,13 +127,20 @@ def pair_filter(a: SignSeq, b: SignSeq, bound: float, grid: ThetaGrid) -> bool:
     return pair_max(a, b, grid) <= bound + EPS
 
 
-def screen_block(rows: np.ndarray, bound: float, grids: list[ThetaGrid]) -> np.ndarray:
+def screen_block(rows: np.ndarray, length: int, bound: float,
+                 grids: list[ThetaGrid]) -> np.ndarray:
     """Indices of the pairs that every grid keeps, as ``pair_filter`` would.
 
-    ``rows`` has shape (pairs, 2, length); the grids run in order, each
-    on the pairs that the earlier ones kept.
+    ``rows`` holds the (pairs, 2) packed sequences of ``length`` <= 64
+    signs each; the grids run in order, each on the pairs that the earlier
+    ones kept.
     """
+    overlap = np.arange(length - 1, 0, -1)  # at the shifts 1..length-1
+    masks = (np.uint64(1) << overlap.astype(np.uint64)) - np.uint64(1)
+    changes = disagreements(rows[:, 0], rows[:, 1], np.arange(1, length, dtype=np.uint64), masks)
+    acf = 2 * overlap[:, None] - 2.0 * changes  # N_x + N_y at each shift, per pair
     keep = np.arange(len(rows))
     for grid in grids:
-        keep = keep[_spectrum(rows[keep], grid).max(axis=1) <= bound + EPS]
+        peaks = (acf[:, keep].T @ _cos_table(grid, length)).max(axis=1)
+        keep = keep[2 * length + peaks <= bound + EPS]
     return keep

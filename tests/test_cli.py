@@ -98,6 +98,33 @@ def test_psd_command(tmp_path):
     assert err.strip() == "error: --pair needs an even number of sequences"
 
 
+# a seeded 90/89-sign pair, longer than the 64 signs a packed search
+# sequence holds, and its psd lines at bound 362 on each grid: the pair,
+# then each sequence alone (recorded with the DFT form of the screen)
+LONG_PAIR = ("-+++--+-++-++---++-+++++--+-+-++-+-++-++-+-----++-+-+++--++++----++--++++"
+             "----++++++--++-+-",
+             "-++++--++--++++---+-+---+-+--++---+--+-+-+--+-+++----+---+++--+-+-++-++---"
+             "----+++++-+-+-+")
+LONG_PAIR_PSD = {
+    "pi-over-100": ["667.172107607", "504.049148420", "477.729199190"],
+    "l=50": ["590.587280097", "396.996894380", "477.729199190"],
+    "l=1000": ["688.213077089", "517.068496705", "486.080683884"],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(LONG_PAIR_PSD))
+def test_psd_of_sequences_longer_than_64_signs(tmp_path, grid):
+    path = tmp_path / "long.txt"
+    path.write_text("\n".join(LONG_PAIR) + "\n")
+    lines = []
+    for extra in (["--pair"], []):
+        code, out, _ = run_cli(["psd", "--file", str(path), "--grid", grid,
+                                "--bound", "362", *extra])
+        assert code == 0
+        lines += out.splitlines()
+    assert lines == [f"max_f={peak} bound=362 reject" for peak in LONG_PAIR_PSD[grid]]
+
+
 def test_psd_refuses_a_bound_that_is_not_finite(tmp_path):
     path = tmp_path / "zw.txt"
     path.write_text(known_quad(41).c.text() + "\n")

@@ -9,7 +9,7 @@ from baseseq.errors import MalformedInputError
 from baseseq.refdata import known_quad
 from baseseq.searcher import SearchConfig
 from baseseq.seqcore import Kind, SignSeq, hall_f
-from baseseq.specfilter import EPS, ThetaGrid, pair_filter, pair_max, screen_block
+from baseseq.specfilter import EPS, ThetaGrid, _spectrum, pair_filter, pair_max, screen_block
 
 
 def test_grid_constructors():
@@ -184,11 +184,56 @@ def test_screen_block_keeps_what_pair_filter_keeps(specs):
     for length in range(1, 65):
         pairs = [tuple(SignSeq(tuple(rng.choice((1, -1)) for _ in range(length)))
                        for _ in range(2)) for _ in range(12)]
-        rows = np.array([[a.elements, b.elements] for a, b in pairs], dtype=float)
+        rows = np.array([[a.packed, b.packed] for a, b in pairs], dtype=np.uint64)
         bound = 4 * length + 2
         want = [i for i, (a, b) in enumerate(pairs)
                 if all(pair_filter(a, b, bound, grid) for grid in grids)]
-        keep = screen_block(rows, bound, grids)
+        keep = screen_block(rows, length, bound, grids)
         assert keep.tolist() == want
         mixed += 0 < len(want) < len(pairs)
     assert mixed
+
+
+def test_screen_block_with_repeated_sequences():
+    # blocks of pairs (x, x), of one sequence in both columns and of the
+    # same pair twice, at a bound between the peaks: kept indices equal
+    # the pairs every grid's pair_filter keeps
+    rng = random.Random(22)
+    grids = [ThetaGrid.from_spec("l=50"), ThetaGrid.from_spec("l=1000")]
+    mixed = 0
+    for length in (1, 2, 7, 19, 41, 64):
+        x, y, z, w = (SignSeq(tuple(rng.choice((1, -1)) for _ in range(length)))
+                      for _ in range(4))
+        pairs = [(x, x), (x, y), (y, x), (x, y), (z, z), (w, x), (z, w), (z, w), (y, y)]
+        rows = np.array([[a.packed, b.packed] for a, b in pairs], dtype=np.uint64)
+        bound = sorted(pair_max(a, b, grids[1]) for a, b in pairs)[len(pairs) // 2]
+        want = [i for i, (a, b) in enumerate(pairs)
+                if all(pair_filter(a, b, bound, grid) for grid in grids)]
+        assert screen_block(rows, length, bound, grids).tolist() == want
+        mixed += 0 < len(want) < len(pairs)
+    assert mixed
+    empty = screen_block(np.zeros((0, 2), dtype=np.uint64), 41, 166, grids)
+    assert empty.tolist() == []
+
+
+def test_spectrum_memo_is_bounded_read_only_and_warm_equals_cold():
+    grid = ThetaGrid.from_spec("pi-over-100")
+    q = known_quad(41)
+    seqs = (q.a, q.b, q.c, q.d, EMPTY)
+
+    def peaks():
+        return [pair_max(a, b, grid) for a in seqs for b in seqs]
+
+    peaks()
+    warm = peaks()
+    assert _spectrum.cache_info().hits >= 2 * len(warm)
+    _spectrum.cache_clear()
+    assert peaks() == warm  # the same floats, not merely close ones
+    f = _spectrum(q.a.packed, len(q.a), grid)
+    assert not f.flags.writeable
+    with pytest.raises(ValueError):
+        f[0] = 0.0
+    for packed in range(1100):  # more distinct sequences than the memo holds
+        pair_max(SignSeq.from_packed(packed, 12), EMPTY, grid)
+    info = _spectrum.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize <= 1024
