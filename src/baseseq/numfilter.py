@@ -280,7 +280,7 @@ class ResidueProfile:
         return sum(x * x for v in self.vectors() for x in v)
 
     def as_flat(self) -> tuple[int, ...]:
-        return tuple(x for v in self.vectors() for x in v)
+        return self.a_class_sums + self.b_class_sums + self.c_class_sums + self.d_class_sums
 
     def check(self) -> None:
         """Refuse a profile that is not one class sum per class in each vector."""

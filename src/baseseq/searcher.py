@@ -374,9 +374,9 @@ def expand_candidates(prof: ResidueProfile, n: int, kind: Kind,
     _check_length(n)
     tx, ty = _side_sums(prof, side)
     length = numfilter.column_cases(n, side, kind)[0]
-    return ((SignSeq.from_packed(x, length), SignSeq.from_packed(y, length))
-            for _, fills in _expand(n, kind, side, prof.modulus, [(tx, ty)])
-            for x, y in fills.tolist())
+    decode = SignSeq.from_packed_block
+    return (pair for _, fills in _expand(n, kind, side, prof.modulus, [(tx, ty)])
+            for pair in zip(decode(fills[:, 0], length), decode(fills[:, 1], length)))
 
 
 def candidate_matches_profile(pair: tuple[SignSeq, SignSeq], prof: ResidueProfile,

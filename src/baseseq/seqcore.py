@@ -16,14 +16,17 @@ zero at every shift s = 1..n.  Two structured subclasses tie B to A:
 A sequence is stored as an element tuple (I/O, indexing) and, packed,
 as one int: element j of a length-L sequence sits at bit L-1-j, and -1
 is a set bit.  ``SignSeq.packed``/``from_packed`` are the only
-sequence-level encoder and decoder of this layout, ``packed_from_text``/
-``packed_text`` convert it straight from and to the +/- text (the
-checkpoint journal's form), and a packed quad is
-the tuple of the four packed sequences (``SeqQuad.packed``/
-``from_packed``).  The first element is the most significant bit and +1
-the clear bit, so among quads of one n the order of packed quads is the
-quad order: ``sort_key`` is the packed quad.  This module states the
-laws of the packed quad once each: the autocorrelation by popcount
+sequence-level encoder and decoder of this layout; beside
+``from_packed``, ``from_packed_block`` decodes a uint64 array of
+sequences of at most 64 signs in one ``np.unpackbits`` pass (a block of
+the candidate expansion), each distinct value once.
+``packed_from_text``/``packed_text`` convert it straight from and to
+the +/- text (the checkpoint journal's form), and a packed quad is the
+tuple of the four packed sequences (``SeqQuad.packed``/``from_packed``).
+The first element is the most significant bit and +1 the clear bit, so
+among quads of one n the order of packed quads is the quad order:
+``sort_key`` is the packed quad.  This module states the laws of the
+packed quad once each: the autocorrelation by popcount
 (``packed_autocorr``; ``disagreements`` over numpy arrays of pairs for
 the spectrum screen and the completion kernel), the partner rule
 (``partner_mask``) and validity (``packed_valid``, which ``verify``
@@ -39,6 +42,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -111,6 +115,33 @@ class SignSeq:
         object.__setattr__(seq, "elements", tuple(memoryview(signs[-length % 8:]).cast("b")))
         object.__setattr__(seq, "packed", packed)
         return seq
+
+    @classmethod
+    def from_packed_block(cls, values: np.ndarray, length: int) -> list["SignSeq"]:
+        """``from_packed`` of each entry of a uint64 array of sequences of
+        ``length`` <= 64 signs, in order, decoded in one pass.
+
+        Each distinct value is decoded once and its entries share that
+        SignSeq (a block of the candidate expansion holds about 0.3 to 0.4
+        distinct sequences per entry, and every object built is one more
+        for the garbage collector to scan).  The bits come from
+        ``np.unpackbits`` on the big-endian bytes, whose last ``length``
+        columns are the sequence, most significant first; the entry check
+        is skipped as in ``from_packed``, the range check stays, and each
+        result's ``packed`` is preset to its Python int.
+        """
+        if not 0 <= length <= 64:
+            raise MalformedInputError(f"a block decodes sequences of 0..64 signs, not {length}")
+        distinct, inverse = np.unique(values, return_inverse=True)
+        if length < 64 and (distinct >> np.uint64(length)).any():
+            raise MalformedInputError(f"a packed value does not fit {length} signs")
+        bits = np.unpackbits(distinct.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
+        rows = (1 - 2 * bits[:, 64 - length:].astype(np.int8)).tolist()
+        seqs = list(map(object.__new__, repeat(cls, len(rows))))
+        for seq, packed, row in zip(seqs, distinct.tolist(), rows):
+            object.__setattr__(seq, "elements", tuple(row))
+            object.__setattr__(seq, "packed", packed)
+        return list(map(seqs.__getitem__, inverse.tolist()))
 
     @cached_property
     def packed(self) -> int:

@@ -17,13 +17,33 @@ value.  On the first 40,000 candidates behind the published n = 41
 half, f_a + f_b differs from ``seqcore.hall_f`` by at most 3.4e-13 on
 pi-over-100, 2.8e-13 on l=50 and 4.5e-13 on l=1000 (``pair_max``;
 4.0e-13, 4.0e-13 and 4.5e-13 as ``screen_block`` sums it).  The
-acceptance slack of 1e-9 lies above all of these, so a pair whose exact
-spectrum meets the bound is never rejected.
+acceptance margin EPS = 1e-9 lies above all of these, so a pair whose
+exact spectrum meets the bound is never rejected.
 
 ``pair_max`` and ``pair_filter`` add the spectra of the two sequences,
 each read from a bounded memo keyed by packed value, length and grid
 (``_spectrum``, N from ``seqcore.packed_autocorr``, at any length): a
 candidate stream repeats its sequences far more often than its pairs.
+A memo entry holds f and its peak, the largest value of f, computed once.
+As every f is nonnegative, a sequence whose own peak exceeds the bound
+rejects every pair that holds it: ``pair_filter`` rejects on a's peak
+before it looks up b, and on b's peak before it adds the two.  The
+computed f of a sequence can still be slightly negative where the exact
+f is 0 (as f(pi) is for a sequence of zero alternated sum), so a peak must
+exceed the limit c = bound + EPS by ``_slack``(L) = 2^-48 (L+3)^3, L the
+longer length, for that decision to equal ``pair_max(a, b) <= c``.  The
+slack covers the rounding of f at any length L, with u = 2^-53: the N(s)
+are exact, |N(s)| <= L-s, and each 2cos(s*theta) is off by at most
+2(2*pi*s + 16)u (the product s*theta rounds once, cos is 1-Lipschitz and
+allowed 8 ulps), which sums to about 2.1 u L^3 + 16 u L^2; the product of
+L-1 terms of total size at most L(L-1), plus L, rounds by at most about
+u L^3 + u L^2.  So the computed f is within 4u(L+3)^3 of the exact f at
+the grid angle, and is >= -4u(L+3)^3.  If a peak p has fl(p - slack) > c,
+the two computed values at p's angle add up, before rounding, to more
+than c + 28u(L+3)^3 >= c + ulp(c) (when c > 0, c < p <= L^2 + 4u(L+3)^3;
+when c < 0, either |c| <= L^2 or the sum, >= -8u(L+3)^3, lies far above
+c), so the rounded sum exceeds c too.  At L = 42 the slack is 3.2e-10.
+
 ``screen_block`` takes a block of packed pairs of at most 64 signs, sums
 each pair's N by one broadcast popcount (``seqcore.disagreements``) and
 makes one product per grid, each grid only on the pairs the earlier
@@ -109,22 +129,41 @@ def _cos_table(grid: ThetaGrid, length: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _spectrum(packed: int, length: int, grid: ThetaGrid) -> np.ndarray:
-    """f of one packed sequence at the kept angles, read-only (it is shared)."""
+def _spectrum(packed: int, length: int, grid: ThetaGrid) -> tuple[np.ndarray, float]:
+    """f of one packed sequence at the kept angles, read-only (it is shared),
+    and its peak, the largest value of f."""
     acf = np.array(packed_autocorr(packed, length)[1:], dtype=float)
     f = length + acf @ _cos_table(grid, length)
     f.flags.writeable = False
-    return f
+    return f, float(f.max())
+
+
+def _slack(length: int) -> float:
+    """How far above the limit one sequence's peak must lie to reject every
+    pair of sequences of at most ``length`` signs that holds it."""
+    return 2.0 ** -48 * (length + 3) ** 3
 
 
 def pair_max(a: SignSeq, b: SignSeq, grid: ThetaGrid) -> float:
     """Largest value of f_a + f_b over the grid."""
-    return float((_spectrum(a.packed, len(a), grid) + _spectrum(b.packed, len(b), grid)).max())
+    return float((_spectrum(a.packed, len(a), grid)[0]
+                  + _spectrum(b.packed, len(b), grid)[0]).max())
 
 
 def pair_filter(a: SignSeq, b: SignSeq, bound: float, grid: ThetaGrid) -> bool:
-    """True (keep) iff f_a + f_b stays within ``bound`` + slack everywhere."""
-    return pair_max(a, b, grid) <= bound + EPS
+    """True (keep) iff f_a + f_b stays within ``bound + EPS`` everywhere,
+    that is iff ``pair_max(a, b, grid) <= bound + EPS``.  A sequence whose
+    own peak lies more than ``_slack`` above that limit rejects the pair
+    alone, so b is looked up only if a passes."""
+    limit = bound + EPS
+    slack = _slack(max(len(a), len(b)))
+    fa, peak = _spectrum(a.packed, len(a), grid)
+    if peak - slack > limit:
+        return False
+    fb, peak = _spectrum(b.packed, len(b), grid)
+    if peak - slack > limit:
+        return False
+    return float((fa + fb).max()) <= limit
 
 
 def screen_block(rows: np.ndarray, length: int, bound: float,

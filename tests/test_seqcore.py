@@ -157,6 +157,35 @@ def test_from_packed_rejects_out_of_range(length):
         SeqQuad.from_packed((0, 0, 1 << length, 0), length, Kind.BS)
 
 
+def test_from_packed_block_equals_from_packed():
+    # lengths 0..64: 0, the all-minus value 2^L - 1 and seeded values, as
+    # one uint64 block each, against from_packed value by value; the block
+    # holds every value twice, and equal values share one SignSeq
+    rng = random.Random(17)
+    for length in range(65):
+        values = [0, (1 << length) - 1] + [rng.getrandbits(length) for _ in range(40)]
+        values += values[::-1]
+        block = SignSeq.from_packed_block(np.array(values, dtype=np.uint64), length)
+        assert len(block) == len(values)
+        assert all(block[k] is block[-1 - k] for k in range(len(values)))
+        for s, value in zip(block, values):
+            want = SignSeq.from_packed(value, length)
+            assert type(vars(s)["packed"]) is int  # preset, not computed on access
+            assert s.packed == want.packed == value
+            assert s.elements == want.elements
+            assert all(type(x) is int for x in s.elements)
+            assert s == want and hash(s) == hash(want)
+        assert SignSeq.from_packed_block(np.zeros(0, dtype=np.uint64), length) == []
+
+
+def test_from_packed_block_rejects_out_of_range():
+    with pytest.raises(MalformedInputError):
+        SignSeq.from_packed_block(np.zeros(1, dtype=np.uint64), 65)
+    for length in (0, 1, 41, 63):
+        with pytest.raises(MalformedInputError):
+            SignSeq.from_packed_block(np.array([0, 1 << length], dtype=np.uint64), length)
+
+
 def test_row_sums():
     q = SeqQuad(seq("++"), seq("+-"), seq("+"), seq("-"), Kind.BS)
     sums = row_sums(q)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -5,11 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from baseseq import numfilter
 from baseseq.errors import MalformedInputError
 from baseseq.refdata import known_quad
-from baseseq.searcher import SearchConfig
+from baseseq.searcher import SIDE_CD, SearchConfig, expand_candidates
 from baseseq.seqcore import Kind, SignSeq, hall_f
-from baseseq.specfilter import EPS, ThetaGrid, _spectrum, pair_filter, pair_max, screen_block
+from baseseq.specfilter import (EPS, ThetaGrid, _slack, _spectrum, pair_filter, pair_max,
+                                screen_block)
 
 
 def test_grid_constructors():
@@ -123,6 +126,84 @@ def test_pair_filter_decides_near_the_peak():
     assert got == want
 
 
+GRIDS = ("pi-over-100", "l=50", "l=1000")
+
+
+def _with_root(rng, length, period):
+    """A random sequence of ``length`` signs with f = 0 at theta = 2*pi/period
+    (period 2 or 4): runs of ``period // 2`` signs each repeated once, so
+    that its computed f may fall slightly below 0 there."""
+    x = []
+    while len(x) < length:
+        run = [rng.choice((1, -1)) for _ in range(period // 2)]
+        x += run + run
+    return SignSeq(tuple(x[:length]))
+
+
+def _edge_bounds(a, b, grid):
+    """Bounds around each sequence's own peak (+- 1e-7, +- the slack, and a
+    limit bound + EPS one float either side of peak - slack) and around the
+    pair's peak, where a rounded sum below a sequence's own peak keeps."""
+    slack = _slack(max(len(a), len(b)))
+    for s in (a, b):
+        peak = _spectrum(s.packed, len(s), grid)[1]
+        yield from (peak - 1e-7, peak + 1e-7, peak - slack, peak + slack)
+        edge = peak - slack - EPS
+        yield from (edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf))
+    edge = pair_max(a, b, grid) - EPS
+    yield from (edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf))
+
+
+def _decides_as_pair_max(pairs, grid, bounds):
+    for a, b in pairs:
+        peak = pair_max(a, b, grid)
+        for bound in bounds(a, b):
+            assert pair_filter(a, b, bound, grid) == (peak <= bound + EPS), (a, b, bound)
+
+
+def test_pair_filter_decides_as_pair_max():
+    # on every grid: seeded pairs of lengths 1..64 and a few longer ones,
+    # and pairs that hold a sequence with f = 0 at pi (zero alternated sum)
+    # or at pi/2, next to a sequence whose peak lies at that angle; some of
+    # the latter add up, rounded, below that peak
+    rng = random.Random(23)
+
+    def rand(length):
+        return SignSeq(tuple(rng.choice((1, -1)) for _ in range(length)))
+
+    below = 0
+    for spec in GRIDS:
+        grid = ThetaGrid.from_spec(spec)
+        pairs = [(rand(la), rand(rng.choice((la, la - 1))))
+                 for la in list(range(1, 65)) + [65, 80, 101]]
+        for length in range(4, 65, 4):
+            alternating = SignSeq((1, -1) * (length // 2))  # peak L^2 at pi
+            quarter = SignSeq((1, 1, -1, -1) * (length // 4))  # peak at pi/2
+            zero = _with_root(rng, length, 2)
+            assert zero.alt_sum() == 0
+            pairs += [(zero, rand(length)), (rand(length), zero), (alternating, zero),
+                      (zero, alternating), (zero, zero), (zero, EMPTY)]
+            pairs += [(quarter, _with_root(rng, length, 4)) for _ in range(6)]
+        _decides_as_pair_max(pairs, grid, lambda a, b: _edge_bounds(a, b, grid))
+        below += sum(pair_max(a, b, grid) < _spectrum(a.packed, len(a), grid)[1]
+                     for a, b in pairs)
+    assert below
+
+
+@pytest.mark.parametrize("spec", GRIDS)
+def test_pair_filter_decides_as_pair_max_on_paper41_candidates(spec):
+    # the first 2,000 candidates behind the published n = 41 mod-6 half,
+    # at 4n+2 (none keeps) and at the median pair peak (some keep)
+    half = numfilter.quad_residue_profile(known_quad(41), 6)
+    prof = numfilter.ResidueProfile(6, (0,) * 6, (0,) * 6, half.c_class_sums, half.d_class_sums)
+    pairs = list(itertools.islice(expand_candidates(prof, 41, Kind.BS, SIDE_CD), 2000))
+    grid = ThetaGrid.from_spec(spec)
+    median = sorted(pair_max(a, b, grid) for a, b in pairs)[len(pairs) // 2]
+    _decides_as_pair_max(pairs, grid, lambda a, b: (166, median))
+    kept = sum(pair_filter(a, b, median, grid) for a, b in pairs)
+    assert 0 < kept < len(pairs)
+
+
 def test_pair_filter_keeps_published_n42_ab_on_its_bound():
     # f_C + f_D is 0 at theta = pi, so f_A + f_B meets 4n+2 = 170 exactly
     q = known_quad(42)
@@ -229,7 +310,8 @@ def test_spectrum_memo_is_bounded_read_only_and_warm_equals_cold():
     assert _spectrum.cache_info().hits >= 2 * len(warm)
     _spectrum.cache_clear()
     assert peaks() == warm  # the same floats, not merely close ones
-    f = _spectrum(q.a.packed, len(q.a), grid)
+    f, peak = _spectrum(q.a.packed, len(q.a), grid)  # the entry holds f and its peak
+    assert peak == f.max()
     assert not f.flags.writeable
     with pytest.raises(ValueError):
         f[0] = 0.0
@@ -237,3 +319,9 @@ def test_spectrum_memo_is_bounded_read_only_and_warm_equals_cold():
         pair_max(SignSeq.from_packed(packed, 12), EMPTY, grid)
     info = _spectrum.cache_info()
     assert info.maxsize is not None and info.currsize == info.maxsize <= 1024
+    # a pair whose first sequence alone exceeds the bound never looks up the second
+    _spectrum(q.a.packed, len(q.a), grid)
+    before = _spectrum.cache_info()
+    assert not pair_filter(q.a, SignSeq.from_packed(0b101101, 6), peak - 1, grid)
+    after = _spectrum.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
