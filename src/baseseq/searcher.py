@@ -23,9 +23,10 @@ over odd positions, ((x+x')/2, (x-x')/2) of each row sum, and also
 checks every shift a level completes: placing pair t of a length-L fill
 completes shift L-t, so one broadcast ``np.bitwise_count`` of
 (z ^ z >> s) & mask over x and y checks it against each candidate's
-wanted count of sign changes, derived from the fixed pair once per
-block (a count no shift can reach becomes a sentinel).  The even-length
-last pair and the middle position check every shift still open.
+wanted count of sign changes, derived from the fixed pairs' summed
+autocorrelations (a count no shift can reach becomes a sentinel).  The
+even-length last pair and the middle position check every shift still
+open.
 
 Filtering keeps the parent-major order of each level, so the full rows
 come out by candidate and, within one, in the order of a depth-first
@@ -33,11 +34,13 @@ search over the levels; first mode depends on it.  ``search`` hands the
 tasks over in runs of consecutive tasks of one sum profile (``_runs``),
 and ``run_tasks`` makes one pass over a run: one expansion walk from a
 root row per task, so the fills come out in task order, cut into blocks
-of at most ``_BLOCK`` that may span tasks.  Each block is screened on
-its packed bits (a popcount, then one numpy product per grid), and its
-passers are completed in one kernel call, the run having one sum
-profile and so one set of targets; finds and counters are then split
-back per task.
+of at most ``_BLOCK`` that may span tasks.  Each block's summed
+autocorrelations N_x(s) + N_y(s) are counted once
+(``seqcore.pair_autocorr``, one popcount); the screen makes one numpy
+product of them per grid, and the passers' columns give the completion
+its wanted counts.  The passers are completed in one kernel call, the
+run having one sum profile and so one set of targets; finds and
+counters are then split back per task.
 ``seqcore.packed_valid`` checks each completion as a packed quad, so a
 find is never unpacked on its way to the journal and orbit closure.  A
 sequence of the filled side has at most 64 signs, so searches support
@@ -76,7 +79,7 @@ from .errors import PreconditionError, ResumeError, SearchInterrupted
 from .numfilter import SIDE_AB, SIDE_CD, ResidueProfile
 # verify is unused here, but benchmarks/tracing.py wraps searcher.verify by name
 from .seqcore import (Kind, Packed, SeqQuad, SignSeq, SumProfile, disagreements,
-                      packed_from_text, packed_text, packed_valid, verify)
+                      packed_from_text, packed_text, packed_valid, pair_autocorr, verify)
 
 _DEFAULT_MODULI = {Kind.BS: (3, 6), Kind.NS: (3, 6), Kind.NNS: (6,)}
 _DEFAULT_GRIDS = {Kind.BS: ("pi-over-100",), Kind.NS: ("l=50", "l=1000"),
@@ -296,21 +299,21 @@ def _expand(n: int, kind: Kind, side: str, m: int,
         yield owner, rows[:, :2]
 
 
-def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
+def _complete_block(n: int, kind: Kind, side: str, acf: np.ndarray,
                     sum_targets: Optional[tuple[int, int, int, int]],
                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Complete a block of fixed pairs on ``side``, level by level.
 
-    ``fixed`` holds the (blocks, 2) ``SignSeq.packed`` values of the pairs
-    on the opposite side; ``sum_targets``, if given, are the plain and
-    alternated row sums (x, y, x', y') of the filled side.  Yields arrays
-    (candidate, x, y) of completed fills, x and y packed, candidates in
-    block order and each candidate's fills in DFS order.
+    ``acf`` holds the (shifts, pairs) N_f1(s) + N_f2(s) of the fixed pairs
+    on the opposite side (``seqcore.pair_autocorr``); ``sum_targets``, if
+    given, are the plain and alternated row sums (x, y, x', y') of the
+    filled side.  Yields arrays (candidate, x, y) of completed fills, x and
+    y packed, candidates in block order and each candidate's fills in DFS
+    order.
     """
-    if not len(fixed):  # a block the screen emptied
+    if not acf.shape[1]:  # a block the screen emptied
         return
     length = numfilter.column_cases(n, side, kind)[0]
-    fixed_len = n + 1 if side == SIDE_CD else n
     levels = _kernel_rows(n, kind, side, 2)
     lanes = np.zeros(0, np.uint64)  # without targets there are no lanes
     if sum_targets is not None:
@@ -321,16 +324,15 @@ def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
                                         (y + y_alt) / 2, (y - y_alt) / 2))
         if lanes is None:
             return
-    # half_sums is (N_f1(s)+N_f2(s))/2 of the fixed pair; the fill has
-    # N_x(s)+N_y(s) = 2(length-s) - 2*count, so it must change sign
-    # length-s+half_sums times.  The shifts from `length` on involve only
-    # the fixed side, which must bring 0 there.
-    s = np.arange(1, n + 1)
-    masks = np.array([(1 << fixed_len - k) - 1 for k in range(1, n + 1)], np.uint64)
-    half_sums = (fixed_len - s)[:, None] - disagreements(fixed[:, 0], fixed[:, 1],
-                                                         s.astype(np.uint64), masks)
+    # half_sums is (N_f1(s)+N_f2(s))/2 of the fixed pair at s = 1..n, 0 at
+    # s = n for a fixed C,D pair of n signs; the fill has N_x(s)+N_y(s) =
+    # 2(length-s) - 2*count, so it must change sign length-s+half_sums
+    # times.  The shifts from `length` on involve only the fixed side,
+    # which must bring 0 there.
+    half_sums = np.zeros((n, acf.shape[1]), acf.dtype)
+    half_sums[:len(acf)] = acf // 2
     live = ~half_sums[length - 1:].any(axis=0)
-    span = (length - s[:length - 1])[:, None]
+    span = np.arange(length - 1, 0, -1)[:, None]
     wants = span + half_sums[:length - 1]
     wants = np.where((wants >= 0) & (wants <= 2 * span), wants, _NO_COUNT).astype(np.uint8)
     level_wants = [wants[(shifts - 1).astype(np.intp)] for _, shifts, _ in levels]
@@ -341,14 +343,14 @@ def _complete_block(n: int, kind: Kind, side: str, fixed: np.ndarray,
         yield cand, rows[:, 0], rows[:, 1]
 
 
-def _verified(fixed: np.ndarray, n: int, kind: Kind, side: str,
+def _verified(fixed: np.ndarray, acf: np.ndarray, n: int, kind: Kind, side: str,
               sum_targets: Optional[tuple[int, int, int, int]],
               ) -> Iterator[tuple[int, Packed]]:
     """(index into ``fixed``, packed quad) for every completion of the packed
-    fixed pairs on ``side`` that ``packed_valid`` accepts, in
-    ``_complete_block`` order."""
+    fixed pairs on ``side``, whose ``seqcore.pair_autocorr`` is ``acf``,
+    that ``packed_valid`` accepts, in ``_complete_block`` order."""
     pairs = fixed.tolist()
-    for cand, xs, ys in _complete_block(n, kind, side, fixed, sum_targets):
+    for cand, xs, ys in _complete_block(n, kind, side, acf, sum_targets):
         for c, x, y in zip(cand.tolist(), xs.tolist(), ys.tolist()):
             quad = (x, y, *pairs[c]) if side == SIDE_AB else (*pairs[c], x, y)
             if packed_valid(quad, n, kind):
@@ -416,7 +418,7 @@ def backtrack_complete(fixed: tuple[SignSeq, SignSeq], n: int, kind: Kind,
     elif len(f1) != n + 1 or len(f2) != n + 1:
         raise PreconditionError("fixed A,B pair must have length n+1")
     packed = np.array([(f1.packed, f2.packed)], np.uint64)
-    finds = _verified(packed, n, kind, side_to_fill, sum_targets)
+    finds = _verified(packed, pair_autocorr(packed, len(f1)), n, kind, side_to_fill, sum_targets)
     return [SeqQuad.from_packed(q, n, kind)
             for _, q in itertools.islice(finds, 1 if mode == "first" else None)]
 
@@ -501,9 +503,11 @@ def run_tasks(cfg: SearchConfig, run: list[tuple], stop: Optional[Callable[[], b
     for owner, block in blocks:
         if stop is not None and stop():
             return []
-        keep = specfilter.screen_block(block, length, bound, grids)
+        acf = pair_autocorr(block, length)
+        keep = specfilter.screen_block(acf, bound, grids)
         end = len(block)
-        for p, quad in _verified(block[keep], cfg.n, cfg.kind, fill_side, fill_targets):
+        for p, quad in _verified(block[keep], acf[:, keep], cfg.n, cfg.kind, fill_side,
+                                 fill_targets):
             c = int(keep[p])
             found[owner[c]].append(quad)
             if cfg.first_solution_only:

@@ -27,8 +27,9 @@ The first element is the most significant bit and +1 the clear bit, so
 among quads of one n the order of packed quads is the quad order:
 ``sort_key`` is the packed quad.  This module states the laws of the
 packed quad once each: the autocorrelation by popcount
-(``packed_autocorr``; ``disagreements`` over numpy arrays of pairs for
-the spectrum screen and the completion kernel), the partner rule
+(``packed_autocorr``; over numpy arrays of pairs, ``disagreements`` for
+the completion kernel and ``pair_autocorr``, a block's summed N for the
+spectrum screen and the completion's targets), the partner rule
 (``partner_mask``) and validity (``packed_valid``, which ``verify``
 reports).  The completion kernel builds its fills in this form,
 ``packed_valid`` checks them and the orbit moves act on them, so a find
@@ -214,6 +215,16 @@ def disagreements(x: np.ndarray, y: np.ndarray, shifts: np.ndarray,
     shifts, masks = shifts[:, None], masks[:, None]
     return (np.bitwise_count((x ^ x >> shifts) & masks)
             + np.bitwise_count((y ^ y >> shifts) & masks))
+
+
+def pair_autocorr(rows: np.ndarray, length: int) -> np.ndarray:
+    """N_x(s) + N_y(s) at s = 1..length-1 of each row of a (pairs, 2) array
+    of packed x and y of ``length`` <= 64 signs: the exact (shifts, pairs)
+    integers, ``packed_autocorr`` of x and of y summed, as arrays."""
+    overlap = np.arange(length - 1, 0, -1)  # at the shifts 1..length-1
+    masks = (np.uint64(1) << overlap.astype(np.uint64)) - np.uint64(1)
+    changes = disagreements(rows[:, 0], rows[:, 1], np.arange(1, length, dtype=np.uint64), masks)
+    return 2 * (overlap[:, None] - changes)
 
 
 def paf(seq: SignSeq, shift: int) -> int:

@@ -44,13 +44,14 @@ than c + 28u(L+3)^3 >= c + ulp(c) (when c > 0, c < p <= L^2 + 4u(L+3)^3;
 when c < 0, either |c| <= L^2 or the sum, >= -8u(L+3)^3, lies far above
 c), so the rounded sum exceeds c too.  At L = 42 the slack is 3.2e-10.
 
-``screen_block`` takes a block of packed pairs of at most 64 signs, sums
-each pair's N by one broadcast popcount (``seqcore.disagreements``) and
-makes one product per grid, each grid only on the pairs the earlier
-ones kept.  A real sequence has f(2*pi - theta) = f(theta), and only the
-maximum over the grid is ever read, so T holds a column only for the
-angles up to pi and for those whose mirror is not a grid angle (such as
-2*pi); the mirrored angles are skipped.
+``screen_block`` takes the summed N of a block of pairs of at most 64
+signs, as ``seqcore.pair_autocorr`` counts them once per block for both
+the screen and the completion, and makes one product per grid, each
+grid only on the pairs the earlier ones kept.  A real sequence has
+f(2*pi - theta) = f(theta), and only the maximum over the grid is ever
+read, so T holds a column only for the angles up to pi and for those
+whose mirror is not a grid angle (such as 2*pi); the mirrored angles
+are skipped.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MalformedInputError, PreconditionError
-from .seqcore import SignSeq, disagreements, packed_autocorr
+from .seqcore import SignSeq, packed_autocorr
 
 EPS = 1e-9
 
@@ -112,6 +113,8 @@ class ThetaGrid:
                     count = int(spec[len(prefix):])
                 except ValueError:
                     raise MalformedInputError(f"grid spec {spec!r} needs a whole count") from None
+                if count < 1:
+                    raise MalformedInputError(f"grid spec {spec!r} needs a count >= 1")
                 return make(count)
         raise MalformedInputError(f"unknown grid spec {spec!r}")
 
@@ -166,19 +169,16 @@ def pair_filter(a: SignSeq, b: SignSeq, bound: float, grid: ThetaGrid) -> bool:
     return float((fa + fb).max()) <= limit
 
 
-def screen_block(rows: np.ndarray, length: int, bound: float,
-                 grids: list[ThetaGrid]) -> np.ndarray:
+def screen_block(acf: np.ndarray, bound: float, grids: list[ThetaGrid]) -> np.ndarray:
     """Indices of the pairs that every grid keeps, as ``pair_filter`` would.
 
-    ``rows`` holds the (pairs, 2) packed sequences of ``length`` <= 64
-    signs each; the grids run in order, each on the pairs that the earlier
-    ones kept.
+    ``acf`` holds the (shifts, pairs) N_x(s) + N_y(s), s = 1..L-1, of a
+    block of pairs of L signs each (``seqcore.pair_autocorr``); the grids
+    run in order, each on the pairs that the earlier ones kept.
     """
-    overlap = np.arange(length - 1, 0, -1)  # at the shifts 1..length-1
-    masks = (np.uint64(1) << overlap.astype(np.uint64)) - np.uint64(1)
-    changes = disagreements(rows[:, 0], rows[:, 1], np.arange(1, length, dtype=np.uint64), masks)
-    acf = 2 * overlap[:, None] - 2.0 * changes  # N_x + N_y at each shift, per pair
-    keep = np.arange(len(rows))
+    length = len(acf) + 1
+    acf = acf.astype(float)
+    keep = np.arange(acf.shape[1])
     for grid in grids:
         peaks = (acf[:, keep].T @ _cos_table(grid, length)).max(axis=1)
         keep = keep[2 * length + peaks <= bound + EPS]

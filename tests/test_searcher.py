@@ -18,7 +18,7 @@ from baseseq.searcher import (SIDE_AB, SIDE_CD, SearchConfig, _complete_block,
                               _line_digest, backtrack_complete, build_tasks,
                               candidate_matches_profile, expand_candidates,
                               load_checkpoint, residue_halves, search)
-from baseseq.seqcore import Kind, SeqQuad, SignSeq, row_sums, verify
+from baseseq.seqcore import Kind, SeqQuad, SignSeq, pair_autocorr, row_sums, verify
 from baseseq.specfilter import ThetaGrid, pair_filter
 
 
@@ -201,7 +201,8 @@ def test_complete_block_yields_packed_halves(bs_pool, ns_pool, nns_pool):
              + [((q.c, q.d), 8, Kind.NNS, SIDE_AB) for q in nns_pool[8][::60]])
     for (f1, f2), n, kind, side in cases:
         fixed = np.array([(f1.packed, f2.packed)], np.uint64)
-        fills = [(x, y) for _, xs, ys in _complete_block(n, kind, side, fixed, None)
+        acf = pair_autocorr(fixed, len(f1))
+        fills = [(x, y) for _, xs, ys in _complete_block(n, kind, side, acf, None)
                  for x, y in zip(xs.tolist(), ys.tolist())]
         halves = [q.seqs()[:2] if side == SIDE_AB else q.seqs()[2:]
                   for q in backtrack_complete((f1, f2), n, kind, side)]
@@ -986,11 +987,13 @@ PINNED_CERTIFICATES = [
     (SearchConfig(n=8, kind=Kind.BS), (1440, 890, 2528, 27)),
     (SearchConfig(n=15, kind=Kind.NS), (5442, 5340, 16, 32)),
     (SearchConfig(n=14, kind=Kind.NNS), (1224, 1003, 64, 25)),
+    # started on A,B, the completion fills C,D and reads the fixed pair's shift n
+    (SearchConfig(n=8, kind=Kind.BS, start_side=SIDE_AB), (2480, 1632, 2528, 27)),
 ]
 
 
 @pytest.mark.parametrize("cfg,counts", PINNED_CERTIFICATES,
-                         ids=["bs8", "ns15", "nns14"])
+                         ids=["bs8", "ns15", "nns14", "bs8-ab"])
 def test_search_certificate_counters_pinned(cfg, counts):
     cert = search(cfg).certificate
     assert (cert["candidates"], cert["psd_rejected"], cert["completions"],

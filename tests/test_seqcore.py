@@ -8,9 +8,9 @@ import pytest
 from baseseq import oracle
 from baseseq.errors import MalformedInputError
 from baseseq.refdata import known_quad
-from baseseq.seqcore import (Kind, SeqQuad, SignSeq, hall_f, packed_from_text, packed_text,
-                             paf, parse_quads, partner_elements, quad_to_text, row_sums,
-                             total_autocorr, verify)
+from baseseq.seqcore import (Kind, SeqQuad, SignSeq, hall_f, packed_autocorr,
+                             packed_from_text, packed_text, paf, pair_autocorr, parse_quads,
+                             partner_elements, quad_to_text, row_sums, total_autocorr, verify)
 
 
 def seq(text):
@@ -184,6 +184,22 @@ def test_from_packed_block_rejects_out_of_range():
     for length in (0, 1, 41, 63):
         with pytest.raises(MalformedInputError):
             SignSeq.from_packed_block(np.array([0, 1 << length], dtype=np.uint64), length)
+
+
+def test_pair_autocorr_sums_packed_autocorr():
+    # the values 0 and 2^L-1 against each other and themselves, then
+    # seeded values; an empty block has no columns
+    rng = random.Random(28)
+    for length in range(1, 65):
+        top = (1 << length) - 1
+        pairs = [(0, 0), (0, top), (top, 0), (top, top)]
+        pairs += [(rng.getrandbits(length), rng.getrandbits(length)) for _ in range(16)]
+        acf = pair_autocorr(np.array(pairs, np.uint64), length)
+        assert acf.dtype.kind == "i" and acf.shape == (length - 1, len(pairs))
+        assert acf.T.tolist() == [[u + v for u, v in zip(packed_autocorr(x, length)[1:],
+                                                         packed_autocorr(y, length)[1:])]
+                                  for x, y in pairs]
+        assert pair_autocorr(np.zeros((0, 2), np.uint64), length).shape == (length - 1, 0)
 
 
 def test_row_sums():

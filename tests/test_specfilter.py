@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from baseseq import numfilter
-from baseseq.errors import MalformedInputError
+from baseseq.errors import MalformedInputError, PreconditionError
 from baseseq.refdata import known_quad
 from baseseq.searcher import SIDE_CD, SearchConfig, expand_candidates
-from baseseq.seqcore import Kind, SignSeq, hall_f
+from baseseq.seqcore import Kind, SignSeq, hall_f, pair_autocorr
 from baseseq.specfilter import (EPS, ThetaGrid, _slack, _spectrum, pair_filter, pair_max,
                                 screen_block)
 
@@ -34,9 +34,12 @@ def test_grid_validation():
         ThetaGrid((0.0, 1.0))
     with pytest.raises(MalformedInputError):
         ThetaGrid.from_spec("nonsense")
+    for make in (ThetaGrid.pi_over, ThetaGrid.uniform):
+        with pytest.raises(PreconditionError):
+            make(0)
 
 
-@pytest.mark.parametrize("spec", ["l=abc", "pi-over-", "l=1.5"])
+@pytest.mark.parametrize("spec", ["l=abc", "pi-over-", "l=1.5", "l=0", "l=-1", "pi-over-0"])
 def test_grid_spec_with_a_bad_count_names_the_spec(spec):
     with pytest.raises(MalformedInputError, match=re.escape(repr(spec))):
         ThetaGrid.from_spec(spec)
@@ -269,7 +272,7 @@ def test_screen_block_keeps_what_pair_filter_keeps(specs):
         bound = 4 * length + 2
         want = [i for i, (a, b) in enumerate(pairs)
                 if all(pair_filter(a, b, bound, grid) for grid in grids)]
-        keep = screen_block(rows, length, bound, grids)
+        keep = screen_block(pair_autocorr(rows, length), bound, grids)
         assert keep.tolist() == want
         mixed += 0 < len(want) < len(pairs)
     assert mixed
@@ -290,10 +293,10 @@ def test_screen_block_with_repeated_sequences():
         bound = sorted(pair_max(a, b, grids[1]) for a, b in pairs)[len(pairs) // 2]
         want = [i for i, (a, b) in enumerate(pairs)
                 if all(pair_filter(a, b, bound, grid) for grid in grids)]
-        assert screen_block(rows, length, bound, grids).tolist() == want
+        assert screen_block(pair_autocorr(rows, length), bound, grids).tolist() == want
         mixed += 0 < len(want) < len(pairs)
     assert mixed
-    empty = screen_block(np.zeros((0, 2), dtype=np.uint64), 41, 166, grids)
+    empty = screen_block(pair_autocorr(np.zeros((0, 2), dtype=np.uint64), 41), 166, grids)
     assert empty.tolist() == []
 
 
