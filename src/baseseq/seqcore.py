@@ -27,13 +27,17 @@ The first element is the most significant bit and +1 the clear bit, so
 among quads of one n the order of packed quads is the quad order:
 ``sort_key`` is the packed quad.  This module states the laws of the
 packed quad once each: the autocorrelation by popcount
-(``packed_autocorr``; over numpy arrays of pairs, ``disagreements`` for
-the completion kernel and ``pair_autocorr``, a block's summed N for the
-spectrum screen and the completion's targets), the partner rule
-(``partner_mask``) and validity (``packed_valid``, which ``verify``
-reports).  The completion kernel builds its fills in this form,
-``packed_valid`` checks them and the orbit moves act on them, so a find
-stays a packed quad from kernel to records.
+(``packed_autocorr``, one shift at a time, at any length; for at most
+64 signs, one popcount over an array of the shifts: ``shift_autocorr``
+of one sequence for the spectrum memo's misses, and over arrays of
+pairs ``disagreements`` for the completion kernel and ``pair_autocorr``,
+a block's summed N for the spectrum screen and the completion's
+targets; ``shift_autocorr`` and ``pair_autocorr`` read the shifts,
+overlaps and masks of a length from one table, ``_shift_tables``), the
+partner rule (``partner_mask``) and validity (``packed_valid``, which
+``verify`` reports).  The completion kernel builds its fills in this
+form, ``packed_valid`` checks them and the orbit moves act on them, so
+a find stays a packed quad from kernel to records.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Iterator, Optional
 
@@ -217,13 +221,35 @@ def disagreements(x: np.ndarray, y: np.ndarray, shifts: np.ndarray,
             + np.bitwise_count((y ^ y >> shifts) & masks))
 
 
+@lru_cache(maxsize=65)
+def _shift_tables(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uint64 shifts 1..length-1 of sequences of ``length`` <= 64 signs,
+    the overlap length-s at each and the masks of its low bits, read-only
+    (they are shared)."""
+    shifts = np.arange(1, length, dtype=np.uint64)
+    overlap = np.arange(length - 1, 0, -1)
+    masks = (np.uint64(1) << overlap.astype(np.uint64)) - np.uint64(1)
+    for table in (shifts, overlap, masks):
+        table.flags.writeable = False
+    return shifts, overlap, masks
+
+
+def shift_autocorr(x: int, length: int) -> np.ndarray:
+    """N(1), ..., N(length-1) of the packed sequence ``x`` of ``length`` <= 64
+    signs: ``packed_autocorr(x, length)[1:]`` as exact int64, one popcount
+    over all shifts."""
+    shifts, overlap, masks = _shift_tables(length)
+    x = np.array(x, np.uint64)  # a 0-d array: numpy's scalar arithmetic is slower
+    changes = np.bitwise_count((x ^ x >> shifts) & masks)
+    return overlap - (changes + changes)
+
+
 def pair_autocorr(rows: np.ndarray, length: int) -> np.ndarray:
     """N_x(s) + N_y(s) at s = 1..length-1 of each row of a (pairs, 2) array
     of packed x and y of ``length`` <= 64 signs: the exact (shifts, pairs)
     integers, ``packed_autocorr`` of x and of y summed, as arrays."""
-    overlap = np.arange(length - 1, 0, -1)  # at the shifts 1..length-1
-    masks = (np.uint64(1) << overlap.astype(np.uint64)) - np.uint64(1)
-    changes = disagreements(rows[:, 0], rows[:, 1], np.arange(1, length, dtype=np.uint64), masks)
+    shifts, overlap, masks = _shift_tables(length)
+    changes = disagreements(rows[:, 0], rows[:, 1], shifts, masks)
     return 2 * (overlap[:, None] - changes)
 
 

@@ -22,8 +22,11 @@ exact spectrum meets the bound is never rejected.
 
 ``pair_max`` and ``pair_filter`` add the spectra of the two sequences,
 each read from a bounded memo keyed by packed value, length and grid
-(``_spectrum``, N from ``seqcore.packed_autocorr``, at any length): a
-candidate stream repeats its sequences far more often than its pairs.
+(``_spectrum``): a candidate stream repeats its sequences far more often
+than its pairs.  A miss counts N with one popcount over all shifts
+(``seqcore.shift_autocorr``) at up to 64 signs, and with
+``seqcore.packed_autocorr``, one shift at a time, beyond; both give the
+same exact integers, so f does not depend on the path.
 A memo entry holds f and its peak, the largest value of f, computed once.
 As every f is nonnegative, a sequence whose own peak exceeds the bound
 rejects every pair that holds it: ``pair_filter`` rejects on a's peak
@@ -63,7 +66,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MalformedInputError, PreconditionError
-from .seqcore import SignSeq, packed_autocorr
+from .seqcore import SignSeq, packed_autocorr, shift_autocorr
 
 EPS = 1e-9
 
@@ -135,12 +138,16 @@ def _cos_table(grid: ThetaGrid, length: int) -> np.ndarray:
 def _spectrum(packed: int, length: int, grid: ThetaGrid) -> tuple[np.ndarray, float]:
     """f of one packed sequence at the kept angles, read-only (it is shared),
     and its peak, the largest value of f."""
-    acf = np.array(packed_autocorr(packed, length)[1:], dtype=float)
+    if length <= 64:
+        acf = shift_autocorr(packed, length).astype(float)
+    else:
+        acf = np.array(packed_autocorr(packed, length)[1:], dtype=float)
     f = length + acf @ _cos_table(grid, length)
     f.flags.writeable = False
     return f, float(f.max())
 
 
+@lru_cache(maxsize=128)
 def _slack(length: int) -> float:
     """How far above the limit one sequence's peak must lie to reject every
     pair of sequences of at most ``length`` signs that holds it."""
@@ -158,12 +165,13 @@ def pair_filter(a: SignSeq, b: SignSeq, bound: float, grid: ThetaGrid) -> bool:
     that is iff ``pair_max(a, b, grid) <= bound + EPS``.  A sequence whose
     own peak lies more than ``_slack`` above that limit rejects the pair
     alone, so b is looked up only if a passes."""
+    la, lb = len(a), len(b)
     limit = bound + EPS
-    slack = _slack(max(len(a), len(b)))
-    fa, peak = _spectrum(a.packed, len(a), grid)
+    slack = _slack(max(la, lb))
+    fa, peak = _spectrum(a.packed, la, grid)
     if peak - slack > limit:
         return False
-    fb, peak = _spectrum(b.packed, len(b), grid)
+    fb, peak = _spectrum(b.packed, lb, grid)
     if peak - slack > limit:
         return False
     return float((fa + fb).max()) <= limit

@@ -10,7 +10,8 @@ from baseseq.errors import MalformedInputError
 from baseseq.refdata import known_quad
 from baseseq.seqcore import (Kind, SeqQuad, SignSeq, hall_f, packed_autocorr,
                              packed_from_text, packed_text, paf, pair_autocorr, parse_quads,
-                             partner_elements, quad_to_text, row_sums, total_autocorr, verify)
+                             partner_elements, quad_to_text, row_sums, shift_autocorr,
+                             total_autocorr, verify)
 
 
 def seq(text):
@@ -184,6 +185,17 @@ def test_from_packed_block_rejects_out_of_range():
     for length in (0, 1, 41, 63):
         with pytest.raises(MalformedInputError):
             SignSeq.from_packed_block(np.array([0, 1 << length], dtype=np.uint64), length)
+
+
+def test_shift_autocorr_equals_packed_autocorr():
+    # 0, 2^L-1 and seeded values at every length a uint64 holds
+    rng = random.Random(29)
+    for length in range(65):
+        values = [0, (1 << length) - 1] + [rng.getrandbits(length) for _ in range(16)]
+        for x in values:
+            acf = shift_autocorr(x, length)
+            assert acf.dtype == np.int64 and acf.shape == (max(length - 1, 0),)
+            assert acf.tolist() == list(packed_autocorr(x, length)[1:]), (x, length)
 
 
 def test_pair_autocorr_sums_packed_autocorr():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -10,9 +11,9 @@ from baseseq import numfilter
 from baseseq.errors import MalformedInputError, PreconditionError
 from baseseq.refdata import known_quad
 from baseseq.searcher import SIDE_CD, SearchConfig, expand_candidates
-from baseseq.seqcore import Kind, SignSeq, hall_f, pair_autocorr
-from baseseq.specfilter import (EPS, ThetaGrid, _slack, _spectrum, pair_filter, pair_max,
-                                screen_block)
+from baseseq.seqcore import Kind, SignSeq, hall_f, packed_autocorr, pair_autocorr
+from baseseq.specfilter import (EPS, ThetaGrid, _cos_table, _slack, _spectrum, pair_filter,
+                                pair_max, screen_block)
 
 
 def test_grid_constructors():
@@ -193,13 +194,18 @@ def test_pair_filter_decides_as_pair_max():
     assert below
 
 
-@pytest.mark.parametrize("spec", GRIDS)
-def test_pair_filter_decides_as_pair_max_on_paper41_candidates(spec):
-    # the first 2,000 candidates behind the published n = 41 mod-6 half,
-    # at 4n+2 (none keeps) and at the median pair peak (some keep)
+@functools.cache
+def _paper41_prefix():
+    """The first 2,000 candidates behind the published n = 41 mod-6 half."""
     half = numfilter.quad_residue_profile(known_quad(41), 6)
     prof = numfilter.ResidueProfile(6, (0,) * 6, (0,) * 6, half.c_class_sums, half.d_class_sums)
-    pairs = list(itertools.islice(expand_candidates(prof, 41, Kind.BS, SIDE_CD), 2000))
+    return tuple(itertools.islice(expand_candidates(prof, 41, Kind.BS, SIDE_CD), 2000))
+
+
+@pytest.mark.parametrize("spec", GRIDS)
+def test_pair_filter_decides_as_pair_max_on_paper41_candidates(spec):
+    # at 4n+2 (none keeps) and at the median pair peak (some keep)
+    pairs = _paper41_prefix()
     grid = ThetaGrid.from_spec(spec)
     median = sorted(pair_max(a, b, grid) for a, b in pairs)[len(pairs) // 2]
     _decides_as_pair_max(pairs, grid, lambda a, b: (166, median))
@@ -328,3 +334,28 @@ def test_spectrum_memo_is_bounded_read_only_and_warm_equals_cold():
     assert not pair_filter(q.a, SignSeq.from_packed(0b101101, 6), peak - 1, grid)
     after = _spectrum.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_spectrum_entries_equal_the_packed_autocorr_product():
+    # sequences of up to 64 signs take the popcount form, longer ones
+    # packed_autocorr; both give the same f and peak, bit for bit
+    rng = random.Random(29)
+    for spec in GRIDS:
+        grid = ThetaGrid.from_spec(spec)
+        for length in list(range(65)) + [65, 80, 101]:
+            for x in (0, (1 << length) - 1, rng.getrandbits(length), rng.getrandbits(length)):
+                f, peak = _spectrum(x, length, grid)
+                want = (length + np.array(packed_autocorr(x, length)[1:], dtype=float)
+                        @ _cos_table(grid, length))
+                assert f.tobytes() == want.tobytes(), (spec, length, x)
+                assert peak == float(want.max()), (spec, length, x)
+
+
+def test_spectrum_memo_counts_on_paper41_candidates():
+    # what pair_filter looks up on the first 2,000 candidates at 4n+2, as
+    # the memo counted it before misses took the popcount form
+    grid = ThetaGrid.from_spec("pi-over-100")
+    _spectrum.cache_clear()
+    assert not any(pair_filter(a, b, 166, grid) for a, b in _paper41_prefix())
+    info = _spectrum.cache_info()
+    assert (info.hits, info.misses) == (1649, 351)
