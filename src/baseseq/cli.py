@@ -23,8 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import (ApplicabilityError, MalformedInputError, PreconditionError,
-                     ResourceLimitError, ResumeError)
+from .errors import MalformedInputError, ResourceLimitError, ResumeError
 from . import equiv, numfilter, oracle, specfilter
 from .searcher import SearchConfig, search
 from .seqcore import Kind, SeqQuad, SignSeq, SumProfile, parse_quads, quad_to_text, verify
@@ -310,8 +309,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, sys.stdout)
-    except (MalformedInputError, PreconditionError, ApplicabilityError,
-            ResumeError, ResourceLimitError, OSError, ValueError) as exc:
+    except (ValueError, ResumeError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,22 +31,23 @@ encoding.  ``orbit``, ``first_visits`` and ``kind_generators`` run that
 BFS; their orders and capped partials are pinned by the tests.
 
 Dedup, ``canonical`` and the searcher's final step (``first_classes``)
-enumerate no member.  Every move acts on the (A, B) pair alone, on the
-(C, D) pair alone, or, for the one coupled move of each list
-(alternate_all, or struct_alternate for NS), on both pairs
-independently.  So a class is a union of disjoint blocks P x Q, P an
-orbit of (A, B) pairs under the A,B-only moves (at most 32 members) and
-Q an orbit of (C, D) pairs under the C,D-only moves, column_swap
-included (up to 128 members on random quads).  Each side orbit is
-closed once per call and memoised by side value.  The coupled move c sends the members of P x Q
-to the blocks ids(c(P)) x ids(c(Q)), every pair of an orbit meeting
-c(P) with one meeting c(Q), since the side moves reach every (p, q) of
-the block.  A class is the closure of its first block under that rule:
-its canonical is the least (min P, min Q) over its blocks and its size
-is the sum of |P| * |Q|.  A class need not be one block and its
-alternate: at even n alternation does not map column-swap orbits onto
-column-swap orbits, and random BS 8 quads have classes of two to six
-blocks.
+enumerate no member.  The move table states each move as its action on
+the (A, B) pair and its action on the (C, D) pair, None where the move
+leaves that pair alone; only the one coupled move of each list
+(alternate_all, or struct_alternate for NS) has both, each acting on its
+pair independently of the other.  So a class is a union of disjoint
+blocks P x Q, P an orbit of (A, B) pairs under the A,B-only moves (at
+most 32 members) and Q an orbit of (C, D) pairs under the C,D-only
+moves, column_swap included (up to 128 members on random quads).  Each
+side orbit is closed once per call and memoised by side value.  The
+coupled move c sends the members of P x Q to the blocks ids(c(P)) x
+ids(c(Q)), every pair of an orbit meeting c(P) with one meeting c(Q),
+since the side moves reach every (p, q) of the block.  A class is the
+closure of its first block under that rule: its canonical is the least
+(min P, min Q) over its blocks and its size is the sum of |P| * |Q|.  A
+class need not be one block and its alternate: at even n alternation
+does not map column-swap orbits onto column-swap orbits, and random BS 8
+quads have classes of two to six blocks.
 
 The same moves act on the eight row sums of a quad as signed
 permutations; that cheap action is used to deduplicate sum profiles
@@ -66,7 +67,9 @@ from .seqcore import Kind, Packed, SeqQuad, partner_mask
 
 DEFAULT_ORBIT_CAP = 10 ** 7
 
-Move = Callable[[Packed], Optional[Packed]]
+Pair = tuple[int, int]  # the packed (A, B) or (C, D) pair of a quad
+SideMove = Callable[[Pair], Optional[Pair]]
+Sides = tuple[Optional[SideMove], Optional[SideMove]]
 
 
 @dataclass(frozen=True)
@@ -130,41 +133,49 @@ def _odd_mask(length: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _move_table(kind: Kind, n: int) -> dict[Transform, Move]:
-    """Every move of ``kind`` on packed quads of ``n`` (shared: do not modify)."""
+def _move_table(kind: Kind, n: int) -> dict[Transform, Sides]:
+    """Every move of ``kind`` on packed quads of ``n`` as ``(ab, cd)``: its
+    action on the (A, B) pair and on the (C, D) pair, None where it leaves
+    that pair alone (shared: do not modify)."""
     full_a, full_c = (1 << n + 1) - 1, (1 << n) - 1
     odd_a, odd_c = _odd_mask(n + 1), _odd_mask(n)
     rev_a, rev_c = _Reversal(n + 1), _Reversal(n)
     half = ((1 << n // 2) - 1) << (n - n // 2)  # C,D elements 0 .. n//2 - 1
 
-    def column_swap(q: Packed) -> Optional[Packed]:
+    def swap(p: Pair) -> Pair:
+        return (p[1], p[0])
+
+    def alternate_cd(p: Pair) -> Pair:
+        return (p[0] ^ odd_c, p[1] ^ odd_c)
+
+    def column_swap(p: Pair) -> Optional[Pair]:
         """Flip every checkerboard block (c_i, c_{n+1-i}; d_i, d_{n+1-i}) at once.
 
         Flipping a single block in isolation does not preserve validity; the
         simultaneous flip of all matching blocks is an involution that does.
         A block matches when c_i != c_{n+1-i}, d_i != d_{n+1-i} and c_i != d_i.
         """
-        a, b, c, d = q
+        c, d = p
         hits = (c ^ rev_c[c]) & (d ^ rev_c[d]) & (c ^ d) & half
         if not hits:
             return None
         flip = hits | rev_c[hits]
-        return (a, b, c ^ flip, d ^ flip)
+        return (c ^ flip, d ^ flip)
 
     table = {
-        Transform.negate("a"): lambda q: (q[0] ^ full_a, q[1], q[2], q[3]),
-        Transform.reverse("a"): lambda q: (rev_a[q[0]], q[1], q[2], q[3]),
-        Transform.negate("b"): lambda q: (q[0], q[1] ^ full_a, q[2], q[3]),
-        Transform.reverse("b"): lambda q: (q[0], rev_a[q[1]], q[2], q[3]),
-        Transform.negate("c"): lambda q: (q[0], q[1], q[2] ^ full_c, q[3]),
-        Transform.reverse("c"): lambda q: (q[0], q[1], rev_c[q[2]], q[3]),
-        Transform.negate("d"): lambda q: (q[0], q[1], q[2], q[3] ^ full_c),
-        Transform.reverse("d"): lambda q: (q[0], q[1], q[2], rev_c[q[3]]),
-        SWAP_AB: lambda q: (q[1], q[0], q[2], q[3]),
-        SWAP_CD: lambda q: (q[0], q[1], q[3], q[2]),
-        NEG_AB_SWAP: lambda q: (q[1] ^ full_a, q[0] ^ full_a, q[2], q[3]),
-        ALTERNATE_ALL: lambda q: (q[0] ^ odd_a, q[1] ^ odd_a, q[2] ^ odd_c, q[3] ^ odd_c),
-        COLUMN_SWAP: column_swap,
+        Transform.negate("a"): (lambda p: (p[0] ^ full_a, p[1]), None),
+        Transform.reverse("a"): (lambda p: (rev_a[p[0]], p[1]), None),
+        Transform.negate("b"): (lambda p: (p[0], p[1] ^ full_a), None),
+        Transform.reverse("b"): (lambda p: (p[0], rev_a[p[1]]), None),
+        Transform.negate("c"): (None, lambda p: (p[0] ^ full_c, p[1])),
+        Transform.reverse("c"): (None, lambda p: (rev_c[p[0]], p[1])),
+        Transform.negate("d"): (None, lambda p: (p[0], p[1] ^ full_c)),
+        Transform.reverse("d"): (None, lambda p: (p[0], rev_c[p[1]])),
+        SWAP_AB: (swap, None),
+        SWAP_CD: (None, swap),
+        NEG_AB_SWAP: (lambda p: (p[1] ^ full_a, p[0] ^ full_a), None),
+        ALTERNATE_ALL: (lambda p: (p[0] ^ odd_a, p[1] ^ odd_a), alternate_cd),
+        COLUMN_SWAP: (None, column_swap),
     }
     if kind is Kind.BS:
         return table
@@ -175,20 +186,20 @@ def _move_table(kind: Kind, n: int) -> dict[Transform, Move]:
     partner = partner_mask(n, kind)
     even_c = full_c ^ odd_c
 
-    def struct(body: Callable[[int], int], cd_flip: int = 0) -> Move:
-        """A coupled move: ``body`` acts on the open part of A, B is
-        re-derived, and C,D are XORed with ``cd_flip``."""
-        def move(q: Packed) -> Packed:
+    def struct(body: Callable[[int], int]) -> SideMove:
+        """An (A, B) action: ``body`` acts on the open part of A, and B is
+        re-derived."""
+        def move(p: Pair) -> Pair:
             if not n:
-                return q  # A has no open part
-            a = body(q[0] >> 1) << 1 | q[0] & 1
-            return (a, a ^ partner | 1, q[2] ^ cd_flip, q[3] ^ cd_flip)
+                return p  # A has no open part
+            a = body(p[0] >> 1) << 1 | p[0] & 1
+            return (a, a ^ partner | 1)
         return move
 
-    table[STRUCT_NEGATE] = struct(lambda x: x ^ (even_c if near else full_c))
-    table[STRUCT_REVERSE] = struct((lambda x: rev_c[x & even_c] << 1 | x & odd_c)
-                                   if near else rev_c.__getitem__)
-    table[STRUCT_ALTERNATE] = struct(lambda x: x ^ odd_c, cd_flip=odd_c)
+    table[STRUCT_NEGATE] = (struct(lambda x: x ^ (even_c if near else full_c)), None)
+    table[STRUCT_REVERSE] = (struct((lambda x: rev_c[x & even_c] << 1 | x & odd_c)
+                                    if near else rev_c.__getitem__), None)
+    table[STRUCT_ALTERNATE] = (struct(lambda x: x ^ odd_c), alternate_cd)
     return table
 
 
@@ -212,10 +223,20 @@ NS_REGROW = _CD_MOVES + _STRUCT_MOVES + (COLUMN_SWAP,)
 def _step(kind: Kind, n: int, moves: Optional[Iterable[Transform]] = None
           ) -> Callable[[Packed], list[Optional[Packed]]]:
     """The images of a packed quad under ``moves`` (default: the kind's
-    generators), in list order; None where a move does not apply."""
+    generators), in list order; None where a move does not apply.  The one
+    place the two side actions of a move make a whole-quad image."""
     table = _move_table(kind, n)
-    fns = [table[t] for t in (GENERATORS[kind] if moves is None else moves)]
-    return lambda q: [fn(q) for fn in fns]
+    sides = [table[t] for t in (GENERATORS[kind] if moves is None else moves)]
+
+    def step(q: Packed) -> list[Optional[Packed]]:
+        ab, cd = q[:2], q[2:]
+        images = []
+        for on_ab, on_cd in sides:
+            image = cd if on_cd is None else on_cd(cd)
+            images.append(None if image is None
+                          else (ab if on_ab is None else on_ab(ab)) + image)
+        return images
+    return step
 
 
 def _closure(start, step: Callable[..., Iterable], cap: int) -> list:
@@ -266,31 +287,6 @@ def first_visits(items: Iterable[Packed], n: int, kind: Kind,
 
 
 # --- classes as blocks of side orbits ---------------------------------------
-
-# moves acting on the (A, B) pair alone, and the coupled moves, which act
-# on both pairs but on each independently; every other move acts on the
-# (C, D) pair alone
-_AB_MOVES = frozenset([Transform(op, w) for op in ("negate", "reverse") for w in "ab"]
-                      + [SWAP_AB, NEG_AB_SWAP, STRUCT_NEGATE, STRUCT_REVERSE])
-_COUPLED = frozenset([ALTERNATE_ALL, STRUCT_ALTERNATE])
-_ZERO_PAIR = (0, 0)
-
-Pair = tuple[int, int]
-
-# a move's action on one pair does not depend on the other pair, so it is
-# read off the image of a quad whose other pair is zero
-
-
-def _on_ab(move: Move) -> Callable[[Pair], Pair]:
-    return lambda p: move(p + _ZERO_PAIR)[:2]
-
-
-def _on_cd(move: Move) -> Callable[[Pair], Optional[Pair]]:
-    def side_move(p: Pair) -> Optional[Pair]:  # None where column_swap finds no block
-        image = move(_ZERO_PAIR + p)
-        return None if image is None else image[2:]
-    return side_move
-
 
 class _SideOrbits(dict):
     """Orbits of one side's pairs under the moves acting on that side
@@ -357,13 +353,12 @@ def first_classes(items: Iterable[Packed], n: int, kind: Kind,
     if cap < 1:
         raise PreconditionError("orbit cap must be >= 1")
     table = _move_table(kind, n)
-    moves = list(GENERATORS[kind] if moves is None else moves)
-    coupled = [table[t] for t in moves if t in _COUPLED]
-    ab = _SideOrbits([_on_ab(table[t]) for t in moves if t in _AB_MOVES],
-                     [_on_ab(c) for c in coupled])
-    cd = _SideOrbits([_on_cd(table[t]) for t in moves
-                      if t not in _AB_MOVES and t not in _COUPLED],
-                     [_on_cd(c) for c in coupled])
+    sides = [table[t] for t in (GENERATORS[kind] if moves is None else moves)]
+    coupled = [side for side in sides if None not in side]
+    ab = _SideOrbits([on_ab for on_ab, on_cd in sides if on_cd is None],
+                     [on_ab for on_ab, _ in coupled])
+    cd = _SideOrbits([on_cd for on_ab, on_cd in sides if on_ab is None],
+                     [on_cd for _, on_cd in coupled])
     seen: set[tuple[Pair, Pair]] = set()  # the blocks of every class yielded
     for i, q in enumerate(items):
         start = (ab[q[:2]][0], cd[q[2:]][0])
@@ -400,10 +395,9 @@ def apply(quad: SeqQuad, t: Transform) -> SeqQuad:
             "alternate_all flips the fixed last entries for odd normal quads")
     if t in _STRUCT_MOVES and kind is Kind.BS:
         raise ApplicabilityError(f"{t.op} applies to ns/nns quads only")
-    move = _move_table(kind, quad.n).get(t)
-    if move is None:
+    if t not in _move_table(kind, quad.n):
         raise ApplicabilityError(f"unknown transform {t.op!r}")
-    image = move(quad.packed())
+    image = _step(kind, quad.n, (t,))(quad.packed())[0]
     if image is None:
         raise ApplicabilityError("no checkerboard column block to swap")
     return SeqQuad.from_packed(image, quad.n, kind)

@@ -6,10 +6,10 @@ from functools import lru_cache
 import pytest
 
 from baseseq import equiv
-from baseseq.equiv import (ALTERNATE_ALL, COLUMN_SWAP, STRUCT_ALTERNATE,
-                           STRUCT_NEGATE, STRUCT_REVERSE, SWAP_AB, SWAP_CD,
-                           Transform, apply, canonical, dedup, orbit,
-                           profile_orbit)
+from baseseq.equiv import (ALTERNATE_ALL, COLUMN_SWAP, NEG_AB_SWAP,
+                           STRUCT_ALTERNATE, STRUCT_NEGATE, STRUCT_REVERSE,
+                           SWAP_AB, SWAP_CD, Transform, apply, canonical,
+                           dedup, orbit, profile_orbit)
 from baseseq.errors import (ApplicabilityError, MalformedInputError, OrbitCapExceeded,
                             PreconditionError)
 from baseseq.refdata import known_quad
@@ -26,11 +26,11 @@ def applicable_transforms(quad):
     if quad.kind is Kind.BS:
         out = [Transform.negate(w) for w in "abcd"]
         out += [Transform.reverse(w) for w in "abcd"]
-        out += [SWAP_AB, SWAP_CD, ALTERNATE_ALL]
+        out += [SWAP_AB, SWAP_CD, NEG_AB_SWAP, ALTERNATE_ALL]
         return out
     out = [Transform.negate(w) for w in "cd"]
     out += [Transform.reverse(w) for w in "cd"]
-    out += [SWAP_CD, STRUCT_NEGATE, STRUCT_REVERSE, STRUCT_ALTERNATE]
+    out += [SWAP_CD, NEG_AB_SWAP, STRUCT_NEGATE, STRUCT_REVERSE, STRUCT_ALTERNATE]
     if quad.kind is Kind.NNS or quad.n % 2 == 0:
         out.append(ALTERNATE_ALL)
     return out
@@ -188,7 +188,7 @@ def test_profile_action_matches_quad_action(bs_pool, ns_pool, nns_pool):
                 apply(q, Transform.reverse("c")),
                 apply(q, Transform.reverse("d")),
                 apply(q, SWAP_CD),
-                apply(q, equiv.NEG_AB_SWAP),
+                apply(q, NEG_AB_SWAP),
                 (apply(q, STRUCT_ALTERNATE) if kind is not Kind.BS
                  else apply(q, ALTERNATE_ALL)),
             ]
@@ -353,9 +353,15 @@ def test_block_classes_match_bfs_on_finds_and_published_quads(ns_pool):
         assert next(equiv.first_classes([q], n, Kind.BS))[1].size == 4096
 
 
+# the last four lists leave a side of first_classes's split empty: C,D
+# moves only, A,B moves only, one coupled move only, and no A,B-only move
 RANDOM_CLASS_CASES = [(4, Kind.BS, None), (5, Kind.BS, None), (6, Kind.BS, None),
                       (8, Kind.BS, None), (9, Kind.BS, None), (8, Kind.NS, None),
-                      (8, Kind.NS, equiv.NS_REGROW), (8, Kind.NNS, None)]
+                      (8, Kind.NS, equiv.NS_REGROW), (8, Kind.NNS, None),
+                      (8, Kind.BS, (COLUMN_SWAP, SWAP_CD)),
+                      (8, Kind.BS, (SWAP_AB, NEG_AB_SWAP)),
+                      (8, Kind.NNS, (ALTERNATE_ALL,)),
+                      (7, Kind.NS, (STRUCT_ALTERNATE, COLUMN_SWAP))]
 
 
 def test_block_classes_match_bfs_on_random_quads():
